@@ -70,7 +70,10 @@ def _report_csv(report):
     return ",".join(keys) + "\n" + row + "\n"
 
 
-def _metrics_outputs(args, w, report, stem, phases_on_grid=None):
+EXPORTS = ("spectrum", "acf", "waveform", "waveform-raw", "phase")
+
+
+def _metrics_outputs(args, w, report, stem, exports, phases_on_grid):
     out_dir = Path(args.out_dir)
     if args.format == "csv":
         _atomic_write(out_dir / f"{stem}_metrics.csv", _report_csv(report))
@@ -78,23 +81,19 @@ def _metrics_outputs(args, w, report, stem, phases_on_grid=None):
     else:
         report_path = out_dir / f"{stem}_metrics.json"
         _atomic_write(report_path, report.to_json(extra={"config": _provenance(args)}))
-    exports = [e for e in (args.export or "").split(",") if e]
     for kind in exports:
         if kind == "spectrum":
             _atomic_write(out_dir / f"{stem}_spectrum.csv",
                           spectrum_csv(spectrum(w, args.zero_pad)))
         elif kind == "acf":
-            _atomic_write(out_dir / f"{stem}_acf.csv", acf_csv(acf(w, args.zero_pad)))
+            _atomic_write(out_dir / f"{stem}_acf.csv", acf_csv(acf(w)))
         elif kind == "waveform":
             _atomic_write(out_dir / f"{stem}_waveform.csv", waveform_csv(w))
         elif kind == "waveform-raw":
             _atomic_write(out_dir / f"{stem}_waveform.f64", waveform_raw_bytes(w))
-        elif kind == "phase":
+        else:
             _atomic_write(out_dir / f"{stem}_phase.csv",
                           _phase_csv(w.times, phases_on_grid))
-        else:
-            raise ValueError(f"unknown export {kind!r}; "
-                             "choose from spectrum,acf,waveform,waveform-raw,phase")
     return report_path
 
 
@@ -150,16 +149,19 @@ def _load_input(args):
         return w, delta_f, path.stem, mtsfm_phase(params, w.times)
     code = load_phase_code(path)
     T = args.pulse_length if args.pulse_length is not None else float(code.n)
-    cfg = SamplingConfig(T, args.samples_per_chip, args.zero_pad)
-    w = synthesize_pc(code, cfg)
+    w = synthesize_pc(code, SamplingConfig(T, args.samples_per_chip))
     delta_f = args.delta_f if args.delta_f is not None else 2.0 * code.n / T
     return w, delta_f, path.stem, pc_phase(code, T, w.times)
 
 
 def cmd_metrics(args):
+    exports = [e for e in (args.export or "").split(",") if e]
+    unknown = [e for e in exports if e not in EXPORTS]
+    if unknown:  # checked before anything is written
+        raise ValueError(f"unknown export {unknown[0]!r}; choose from {','.join(EXPORTS)}")
     w, delta_f, stem, phases = _load_input(args)
     report = compute_metrics(w, delta_f, p=args.p, zero_pad_factor=args.zero_pad)
-    path = _metrics_outputs(args, w, report, stem, phases)
+    path = _metrics_outputs(args, w, report, stem, exports, phases)
     flag = " (degenerate mainlobe)" if report.degenerate else ""
     print(f"SC={report.sc:.4f} @ delta_f={report.delta_f} PSL={report.psl_db} "
           f"ISR={report.isr_db} GISR(p={report.p})={report.gisr_db}{flag} -> {path}")
@@ -198,7 +200,7 @@ def _reproduce_variant(out_dir, name, w, phases, delta_f, p, zero_pad, prov):
     _atomic_write(out_dir / f"{name}_metrics.json",
                   report.to_json(extra={"config": prov}))
     _atomic_write(out_dir / f"{name}_spectrum.csv", spectrum_csv(spectrum(w, zero_pad)))
-    _atomic_write(out_dir / f"{name}_acf.csv", acf_csv(acf(w, zero_pad)))
+    _atomic_write(out_dir / f"{name}_acf.csv", acf_csv(acf(w)))
     _atomic_write(out_dir / f"{name}_phase.csv", _phase_csv(w.times, phases))
     return report
 
@@ -226,7 +228,7 @@ def cmd_reproduce(args):
     out_dir = Path(args.out_dir) / args.example
     T = float(code.n)
     delta_f = 2.0 * code.n / T  # null-to-null band of the chip envelope
-    scfg = SamplingConfig(T, args.samples_per_chip, args.zero_pad)
+    scfg = SamplingConfig(T, args.samples_per_chip)
     n_samples = code.n * args.samples_per_chip
     prov = _provenance(args)
     buf = io.StringIO()
@@ -288,7 +290,8 @@ def build_parser():
     parser.add_argument("--samples-per-chip", type=int, default=32,
                         help="synthesis density for phase-coded inputs")
     parser.add_argument("--zero-pad", type=int, default=4,
-                        help="zero-padding factor for spectra and ACFs")
+                        help="zero-padding factor for spectra (the ACF is exact "
+                             "at its native lags and takes no padding)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-code", help="generate a phase-code file")
@@ -324,7 +327,7 @@ def build_parser():
     p.add_argument("--samples", type=int, default=None,
                    help="synthesis density for params input (default 64K)")
     p.add_argument("--export", default=None,
-                   help="comma list: spectrum,acf,waveform,waveform-raw,phase")
+                   help=f"comma list: {','.join(EXPORTS)}")
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("optimize", help="minimize the sidelobe ratio from a params JSON")

@@ -99,7 +99,7 @@ class MtsfmSmoother(_ParamsMixin):
 class GisrOptimizer(_ParamsMixin):
     """Minimize the p-norm sidelobe ratio under the RMS-bandwidth band constraint.
 
-    The constructor mirrors OptimizerConfig's public knobs; ``fit`` takes an
+    The constructor mirrors OptimizerConfig's fields; ``fit`` takes an
     MtsfmParams initialization (for instance MtsfmSmoother().fit(code).params_).
 
     Attributes (after fit)
@@ -120,16 +120,9 @@ class GisrOptimizer(_ParamsMixin):
         self.n_samples = n_samples
         self.log_every = log_every
 
-    def _config(self):
-        return OptimizerConfig(p=self.p, delta=self.delta,
-                               max_iterations=self.max_iterations,
-                               objective_tolerance=self.objective_tolerance,
-                               fd_step=self.fd_step, n_samples=self.n_samples,
-                               log_every=self.log_every)
-
     def fit(self, X, y=None):
         """Run the descent from the initialization X (an MtsfmParams)."""
-        self.result_ = optimize(X, self._config())
+        self.result_ = optimize(X, OptimizerConfig(**self.get_params()))
         self.params_ = self.result_.params
         self.converged_ = self.result_.converged
         return self

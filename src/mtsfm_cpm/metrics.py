@@ -165,33 +165,39 @@ class FirstNull(NamedTuple):
     degenerate: bool
 
 
-def _cross_correlation(u, v, sample_rate, n_fft):
+def _cross_correlation(u, v, sample_rate):
     """Lag-domain cross correlation sum_n u[n+m] conj(v[n]) / f_s, lags -(L-1)..(L-1),
-    with exact zeros appended at lags -L and +L."""
+    with exact zeros appended at lags -L and +L. The FFT size _next_pow2(2L)
+    is exact at every native lag; when v is u, one forward FFT serves both."""
     L = u.size
+    n_fft = _next_pow2(2 * L)
     fu = np.fft.fft(u, n_fft)
-    fv = np.fft.fft(v, n_fft)
+    fv = fu if v is u else np.fft.fft(v, n_fft)
     cc = np.fft.ifft(fu * np.conj(fv)) / sample_rate
     return np.concatenate([[0.0], cc[-(L - 1):], cc[:L], [0.0]])
 
 
-def acf(w, zero_pad_factor=4):
+def _autocorrelation(samples, sample_rate, T):
+    """(lags, values, first_null, degenerate) of the samples' autocorrelation,
+    on the native lag grid -T, -(L-1)/f_s .. (L-1)/f_s, T."""
+    L = samples.size
+    values = _cross_correlation(samples, samples, sample_rate)
+    lags = np.concatenate([[-T], np.arange(-(L - 1), L) / sample_rate, [T]])
+    tau, degen = _scan_first_null(lags, np.abs(values))
+    return lags, values, tau, degen
+
+
+def acf(w):
     """Autocorrelation of a sampled waveform at its native lag spacing 1/f_s.
 
-    Computed by frequency-domain correlation with power-of-two padding of at
-    least max(2L, zero_pad_factor*L) samples, which makes the circular
-    correlation exactly aperiodic. Unit input energy makes R(0) = 1. For a
-    time-limited pulse the symmetric-lag form R(tau) = integral of
-    s(t - tau/2) s*(t + tau/2) equals the one-sided-lag correlation computed
-    here up to conjugation, so all magnitude-based metrics agree.
+    Computed by frequency-domain correlation at FFT size _next_pow2(2L), which
+    makes the circular correlation exactly aperiodic; more padding would not
+    change the values. Unit input energy makes R(0) = 1. For a time-limited
+    pulse the symmetric-lag form R(tau) = integral of s(t - tau/2) s*(t + tau/2)
+    equals the one-sided-lag correlation computed here up to conjugation, so
+    all magnitude-based metrics agree.
     """
-    zero_pad_factor = check_int_at_least("zero_pad_factor", zero_pad_factor, 1)
-    L = w.n_samples
-    n_fft = _next_pow2(max(2 * L, zero_pad_factor * L))
-    values = _cross_correlation(w.samples, w.samples, w.sample_rate, n_fft)
-    lags = np.concatenate([[-w.T], np.arange(-(L - 1), L) / w.sample_rate, [w.T]])
-    tau, degen = _scan_first_null(lags, np.abs(values))
-    return AcfResult(lags, values, tau, degen)
+    return AcfResult(*_autocorrelation(w.samples, w.sample_rate, w.T))
 
 
 def ambiguity(w, doppler_grid):
@@ -205,13 +211,12 @@ def ambiguity(w, doppler_grid):
     if doppler_grid.size and not np.all(np.isfinite(doppler_grid)):
         raise ValueError("doppler_grid must be finite")
     L = w.n_samples
-    n_fft = _next_pow2(max(2 * L, 4 * L))
     t = time_grid(L, w.T)
     rows = np.empty((doppler_grid.size, 2 * L + 1), dtype=complex)
     for i, nu in enumerate(doppler_grid):
         kernel = np.exp(1j * np.pi * nu * t)
         rows[i] = _cross_correlation(w.samples * kernel, w.samples / kernel,
-                                     w.sample_rate, n_fft)
+                                     w.sample_rate)
     return rows
 
 
@@ -262,6 +267,15 @@ def psl(a):
     return 20 * math.log10(float(side.max()))
 
 
+def _sidelobe_ratio(lags, mag, dtau, p):
+    """Linear p-norm sidelobe ratio (int_dtau^T |R|^p / int_0^dtau |R|^p)^(2/p),
+    shared by gisr() and the optimizer objective."""
+    magp = mag ** p
+    num = _band_integral(lags, magp, dtau, float(lags[-1]))
+    den = _band_integral(lags, magp, 0.0, dtau)
+    return (num / den) ** (2.0 / p)
+
+
 def gisr(a, p):
     """Sidelobe-to-mainlobe ratio of the p-norm of |R|, in dB.
 
@@ -271,10 +285,7 @@ def gisr(a, p):
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
     dtau = _require_null(a)
-    magp = a.magnitudes ** p
-    num = _band_integral(a.lags, magp, dtau, float(a.lags[-1]))
-    den = _band_integral(a.lags, magp, 0.0, dtau)
-    return 10 * math.log10((num / den) ** (2.0 / p))
+    return 10 * math.log10(_sidelobe_ratio(a.lags, a.magnitudes, dtau, p))
 
 
 def isr(a):
@@ -324,8 +335,10 @@ class MetricsReport:
 def compute_metrics(w, delta_f, p=10, zero_pad_factor=4):
     """Evaluate the whole metric suite for one waveform.
 
-    A degenerate mainlobe (no ACF null) is reported, not raised: the
-    sidelobe fields come back as None with the degenerate flag set.
+    zero_pad_factor sets the spectrum's analysis grid only; the ACF is exact
+    at its native lags without padding. A degenerate mainlobe (no ACF null)
+    is reported, not raised: the sidelobe fields come back as None with the
+    degenerate flag set.
     """
     sp = spectrum(w, zero_pad_factor)
     span = 2 * float(sp.freqs[-1])
@@ -334,7 +347,7 @@ def compute_metrics(w, delta_f, p=10, zero_pad_factor=4):
         warnings.simplefilter("ignore", RuntimeWarning)
         sc = spectral_compactness(sp, delta_f)
     beta = rms_bandwidth_spectral(sp)
-    a = acf(w, zero_pad_factor)
+    a = acf(w)
     if a.degenerate:
         return MetricsReport(sc=sc, delta_f=min(delta_f, span), beta_rms=beta,
                              degenerate=True, delta_tau=None, mainlobe_area=None,

@@ -86,9 +86,19 @@ class MtsfmParams:
 
     @classmethod
     def from_json(cls, text):
+        """Parse {"T", "a0", "alpha", "beta"}; malformed input raises ValueError."""
         obj = json.loads(text)
-        return cls(a0=obj["a0"], alpha=np.array(obj["alpha"], dtype=float),
-                   beta=np.array(obj["beta"], dtype=float), T=obj["T"])
+        if not isinstance(obj, dict):
+            raise ValueError("params JSON must be an object at the top level, "
+                             f"got {type(obj).__name__}")
+        for key in ("T", "a0", "alpha", "beta"):
+            if key not in obj:
+                raise ValueError(f"params JSON is missing the key {key!r}")
+        try:
+            return cls(a0=obj["a0"], alpha=np.array(obj["alpha"], dtype=float),
+                       beta=np.array(obj["beta"], dtype=float), T=obj["T"])
+        except TypeError as exc:
+            raise ValueError(f"params JSON has a value of the wrong type: {exc}") from None
 
 
 def min_harmonics(n_chips):

@@ -12,13 +12,11 @@ solver. The search is fully deterministic.
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from ._validation import check_int_at_least, check_positive
-from .metrics import (_band_integral, _cross_correlation, _next_pow2,
-                      _scan_first_null)
+from .metrics import _autocorrelation, _sidelobe_ratio
 from .mtsfm import MtsfmParams, _harmonic_basis, closed_form_rms_bandwidth
 
 __all__ = [
@@ -37,32 +35,34 @@ __all__ = [
 # machine precision, so exact membership tests would oscillate.
 BAND_SLACK = 1e-12
 
+# Backtracking line search: the step grows geometrically after an accepted
+# move, shrinks on rejection, and the run stops when it underflows. PATIENCE
+# is the iteration window of the objective_tolerance convergence test.
+INITIAL_STEP = 0.1
+STEP_GROWTH = 1.5
+MAX_STEP = 1.0
+STEP_SHRINK = 0.5
+MIN_STEP = 1e-12
+ARMIJO = 1e-4
+PATIENCE = 25
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Settings for the constrained descent.
 
     ``n_samples`` is the synthesis density per objective evaluation
-    (None picks 64 samples per harmonic). The line-search fields are plain
-    engineering knobs: the step grows geometrically after an accepted move,
-    shrinks on rejection, and the run stops when it underflows.
+    (None picks 64 samples per harmonic); ``fd_step`` is the central
+    finite-difference step of the gradient.
     """
 
     p: int = 10
     delta: float = 0.1
     max_iterations: int = 400
     objective_tolerance: float = 1e-8
-    patience: int = 25
     fd_step: float = 1e-4
     n_samples: int | None = None
     log_every: int = 1
-    zero_pad_factor: int = 4
-    initial_step: float = 0.1
-    step_growth: float = 1.5
-    max_step: float = 1.0
-    step_shrink: float = 0.5
-    min_step: float = 1e-12
-    armijo: float = 1e-4
 
     def __post_init__(self):
         if self.p < 2:
@@ -122,42 +122,20 @@ class OptimizationResult:
         return json.dumps(obj, indent=2)
 
 
-@lru_cache(maxsize=8)
-def _workspace(K, n_samples):
-    """Per-(K, L) arrays reused across objective evaluations."""
-    sin_b, cos_b = _harmonic_basis(K, n_samples)
-    n_fft = _next_pow2(4 * n_samples)
-    kvec = np.arange(1, K + 1, dtype=float)
-    kvec.flags.writeable = False
-    return sin_b, cos_b, n_fft, kvec
-
-
-def _beta2_of_vector(vec, K, T, kvec):
-    return (2 * np.pi / T) ** 2 * float(
-        np.sum(kvec ** 2 * (vec[:K] ** 2 + vec[K:] ** 2)) / 2)
-
-
-def _objective_vec(vec, a0, T, K, p, n_samples, zero_pad_factor):
+def _objective_vec(vec, a0, T, K, p, n_samples):
     """Linear-scale sidelobe ratio of the waveform built from a coefficient vector.
 
     A degenerate mainlobe returns a large penalty that decreases as the
     bandwidth re-opens, keeping line searches total.
     """
-    sin_b, cos_b, n_fft, kvec = _workspace(K, n_samples)
-    n_fft = max(n_fft, _next_pow2(zero_pad_factor * n_samples))
+    sin_b, cos_b = _harmonic_basis(K, n_samples)
     phi = a0 / 2 + sin_b @ vec[:K] + cos_b @ vec[K:]
     samples = np.exp(1j * phi) / math.sqrt(T)
-    fs = n_samples / T
-    values = _cross_correlation(samples, samples, fs, n_fft)
-    mag = np.abs(values)
-    lags = np.concatenate([[-T], np.arange(-(n_samples - 1), n_samples) / fs, [T]])
-    dtau, degen = _scan_first_null(lags, mag)
+    lags, values, dtau, degen = _autocorrelation(samples, n_samples / T, T)
     if degen:
-        return 1e3 - (T / (2 * np.pi)) ** 2 * _beta2_of_vector(vec, K, T, kvec)
-    magp = mag ** p
-    num = _band_integral(lags, magp, dtau, T)
-    den = _band_integral(lags, magp, 0.0, dtau)
-    return (num / den) ** (2.0 / p)
+        beta2 = closed_form_rms_bandwidth(MtsfmParams(a0, vec[:K], vec[K:], T))
+        return 1e3 - (T / (2 * np.pi)) ** 2 * beta2
+    return _sidelobe_ratio(lags, np.abs(values), dtau, p)
 
 
 def objective(params, cfg):
@@ -168,7 +146,37 @@ def objective(params, cfg):
     """
     n = cfg.resolve_n_samples(params.K)
     return _objective_vec(params.coefficient_vector(), params.a0, params.T,
-                          params.K, cfg.p, n, cfg.zero_pad_factor)
+                          params.K, cfg.p, n)
+
+
+def _fd_gradient(vec, args, h):
+    """Central finite-difference gradient of _objective_vec(vec, *args).
+
+    A non-finite probe falls back to one-sided differencing on that
+    coordinate. Returns the gradient and the number of objective evaluations.
+    """
+    g = np.zeros(vec.size)
+    n_evals = 0
+    f_center = None
+    for j in range(vec.size):
+        vp = vec.copy(); vp[j] += h
+        vm = vec.copy(); vm[j] -= h
+        fp = _objective_vec(vp, *args)
+        fm = _objective_vec(vm, *args)
+        n_evals += 2
+        if np.isfinite(fp) and np.isfinite(fm):
+            g[j] = (fp - fm) / (2 * h)
+            continue
+        if f_center is None:
+            f_center = _objective_vec(vec, *args)
+            n_evals += 1
+        if np.isfinite(fp):
+            g[j] = (fp - f_center) / h
+        elif np.isfinite(fm):
+            g[j] = (f_center - fm) / h
+        else:
+            g[j] = 0.0
+    return g, n_evals
 
 
 def gradient(params, cfg):
@@ -178,28 +186,8 @@ def gradient(params, cfg):
     non-finite probe falls back to one-sided differencing on that coordinate.
     """
     n = cfg.resolve_n_samples(params.K)
-    vec = params.coefficient_vector()
-    args = (params.a0, params.T, params.K, cfg.p, n, cfg.zero_pad_factor)
-    h = cfg.fd_step
-    g = np.zeros(vec.size)
-    f_center = None
-    for j in range(vec.size):
-        vp = vec.copy(); vp[j] += h
-        vm = vec.copy(); vm[j] -= h
-        fp = _objective_vec(vp, *args)
-        fm = _objective_vec(vm, *args)
-        if np.isfinite(fp) and np.isfinite(fm):
-            g[j] = (fp - fm) / (2 * h)
-            continue
-        if f_center is None:
-            f_center = _objective_vec(vec, *args)
-        if np.isfinite(fp):
-            g[j] = (fp - f_center) / h
-        elif np.isfinite(fm):
-            g[j] = (f_center - fm) / h
-        else:
-            g[j] = 0.0
-    return g
+    args = (params.a0, params.T, params.K, cfg.p, n)
+    return _fd_gradient(params.coefficient_vector(), args, cfg.fd_step)[0]
 
 
 def beta2_band(beta2_ref, delta):
@@ -236,8 +224,8 @@ def optimize(initial, cfg):
     Steps along the negative finite-difference gradient, projects onto the
     bandwidth band, and accepts on sufficient decrease. Every recorded
     iterate is feasible. Terminates on the iteration cap, on a relative
-    best-objective decrease below cfg.objective_tolerance across
-    cfg.patience iterations, or on step underflow. Returns the best iterate
+    best-objective decrease below cfg.objective_tolerance across PATIENCE
+    iterations, or on step underflow. Returns the best iterate
     seen; two runs with identical inputs produce identical traces.
     """
     beta2_ref = closed_form_rms_bandwidth(initial)
@@ -246,14 +234,13 @@ def optimize(initial, cfg):
                          "the bandwidth band is empty and cannot be projected onto")
     band = beta2_band(beta2_ref, cfg.delta)
     n = cfg.resolve_n_samples(initial.K)
-    args = (initial.a0, initial.T, initial.K, cfg.p, n, cfg.zero_pad_factor)
-    kvec = _workspace(initial.K, n)[3]
+    args = (initial.a0, initial.T, initial.K, cfg.p, n)
 
     x = initial.coefficient_vector()
     f = _objective_vec(x, *args)
     n_evals = 1
     best_f, best_x = f, x.copy()
-    step = cfg.initial_step
+    step = INITIAL_STEP
 
     def residual(b2):
         return max(0.0, (band[0] - b2) / beta2_ref, (b2 - band[1]) / beta2_ref)
@@ -268,43 +255,35 @@ def optimize(initial, cfg):
     history = [best_f]
 
     for it in range(1, cfg.max_iterations + 1):
-        g = np.zeros(x.size)
-        h = cfg.fd_step
-        for j in range(x.size):
-            xp = x.copy(); xp[j] += h
-            xm = x.copy(); xm[j] -= h
-            g[j] = (_objective_vec(xp, *args) - _objective_vec(xm, *args)) / (2 * h)
-            n_evals += 2
+        g, probes = _fd_gradient(x, args, cfg.fd_step)
+        n_evals += probes
 
         accepted = False
-        while step >= cfg.min_step:
-            cand = x - step * g
-            b2 = _beta2_of_vector(cand, initial.K, initial.T, kvec)
-            if not band[0] * (1 - BAND_SLACK) <= b2 <= band[1] * (1 + BAND_SLACK):
-                edge = band[0] if b2 < band[0] else band[1]
-                cand = cand * math.sqrt(edge / b2)
+        while step >= MIN_STEP:
+            cand = project_to_band(initial.with_coefficients(x - step * g),
+                                   band).coefficient_vector()
             fc = _objective_vec(cand, *args)
             n_evals += 1
-            if fc < f and fc <= f - cfg.armijo * float(np.dot(g, x - cand)):
+            if fc < f and fc <= f - ARMIJO * float(np.dot(g, x - cand)):
                 x, f = cand, fc
                 accepted = True
-                step = min(step * cfg.step_growth, cfg.max_step)
+                step = min(step * STEP_GROWTH, MAX_STEP)
                 break
-            step *= cfg.step_shrink
+            step *= STEP_SHRINK
 
         if f < best_f:
             best_f, best_x = f, x.copy()
         history.append(best_f)
 
         if it % cfg.log_every == 0 or not accepted or it == cfg.max_iterations:
-            b2_now = _beta2_of_vector(x, initial.K, initial.T, kvec)
+            b2_now = closed_form_rms_bandwidth(initial.with_coefficients(x))
             trace.append(record(it, b2_now, step, accepted))
 
         if not accepted:
             reason = "step_underflow"
             break
-        if (cfg.objective_tolerance > 0 and len(history) > cfg.patience):
-            prev = history[-1 - cfg.patience]
+        if (cfg.objective_tolerance > 0 and len(history) > PATIENCE):
+            prev = history[-1 - PATIENCE]
             if (prev - best_f) <= cfg.objective_tolerance * max(prev, 1e-300):
                 reason = "converged"
                 converged = True

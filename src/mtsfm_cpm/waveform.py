@@ -29,20 +29,19 @@ MIN_SAMPLES_PER_CHIP = 8
 
 @dataclass(frozen=True)
 class SamplingConfig:
-    """Sampling choices for pulse synthesis and spectral analysis.
+    """Sampling choices for pulse synthesis: pulse length and chip density.
 
     samples_per_chip below 8 is rejected: the band-fraction metrics then pick
-    up visible aliasing error.
+    up visible aliasing error. Spectral zero padding is an argument of
+    spectrum(), not a sampling choice.
     """
 
     T: float
     samples_per_chip: int = DEFAULT_SAMPLES_PER_CHIP
-    zero_pad_factor: int = 4
 
     def __post_init__(self):
         check_positive("T", self.T)
         check_int_at_least("samples_per_chip", self.samples_per_chip, MIN_SAMPLES_PER_CHIP)
-        check_int_at_least("zero_pad_factor", self.zero_pad_factor, 1)
 
 
 @dataclass(frozen=True)

@@ -78,6 +78,31 @@ def test_metrics_degenerate_params_is_not_an_error(tmp_path):
     assert report["psl_db"] is None
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"T": 1.0, "a0": 0.0, "beta": [0.1]}', "missing the key 'alpha'"),
+    ('[1.0, 0.0, [0.1], [0.1]]', "object at the top level"),
+    ('{"T": "1", "a0": 0.0, "alpha": [0.1], "beta": [0.1]}', "wrong type"),
+], ids=["missing-alpha", "top-level-list", "string-T"])
+def test_metrics_malformed_params_is_one_line_error(tmp_path, capsys, text, message):
+    pfile = tmp_path / "bad.json"
+    pfile.write_text(text)
+    assert run(["metrics", str(pfile)], tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("export", ["bogus", "spectrum,bogus"])
+def test_metrics_bad_export_writes_nothing(tmp_path, capsys, export):
+    run(["gen-code", "barker", "--length", "13"], tmp_path)
+    out_dir = tmp_path / "out"
+    assert run(["metrics", str(tmp_path / "barker13.txt"), "--export", export],
+               out_dir) == 1
+    assert "unknown export 'bogus'" in capsys.readouterr().err
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
 def test_metrics_csv_format(tmp_path):
     run(["gen-code", "barker", "--length", "13"], tmp_path)
     assert run(["--format", "csv", "metrics", str(tmp_path / "barker13.txt")],

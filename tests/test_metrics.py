@@ -7,9 +7,10 @@ import pytest
 from mtsfm_cpm import (DegenerateMainlobe, MtsfmParams, PhaseCode,
                        SampledWaveform, SamplingConfig, acf, ambiguity,
                        barker_code, closed_form_rms_bandwidth, compute_metrics,
-                       first_null, gisr, isr, mainlobe_area, psl,
-                       rms_bandwidth_spectral, spectral_compactness, spectrum,
-                       synthesize_mtsfm, synthesize_pc)
+                       first_null, generate_msequence, gisr, isr,
+                       mainlobe_area, psl, rms_bandwidth_spectral,
+                       spectral_compactness, spectrum, synthesize_mtsfm,
+                       synthesize_pc)
 from conftest import MSEQ63_BAND, MSEQ63_T
 
 
@@ -143,9 +144,15 @@ def test_acf_mseq_matches_direct(mseq63_pc):
 # ambiguity
 # --------------------------------------------------------------------------
 
-def test_ambiguity_zero_doppler_row_is_acf(barker13_wave):
-    rows = ambiguity(barker13_wave, [0.0])
-    a = acf(barker13_wave)
+@pytest.mark.parametrize("build", [
+    lambda: synthesize_pc(barker_code(13), SamplingConfig(13.0)),
+    # L = 16352, FFT size 32768: above numpy's temporary-elision threshold
+    lambda: synthesize_pc(generate_msequence(9), SamplingConfig(511.0)),
+], ids=["barker13", "mseq511"])
+def test_ambiguity_zero_doppler_row_is_acf(build):
+    w = build()
+    rows = ambiguity(w, [0.0])
+    a = acf(w)
     assert np.array_equal(rows[0], a.values)
     center = rows.shape[1] // 2
     assert abs(rows[0][center] - 1.0) < 1e-9

@@ -5,8 +5,8 @@ import pytest
 
 from mtsfm_cpm import (MtsfmParams, OptimizerConfig, acf, barker_code,
                        beta2_band, closed_form_rms_bandwidth, fit_fourier,
-                       gradient, isr, objective, optimize, project_to_band,
-                       synthesize_mtsfm, trace_csv)
+                       gisr, gradient, isr, objective, optimize,
+                       project_to_band, synthesize_mtsfm, trace_csv)
 
 
 @pytest.fixture(scope="module")
@@ -36,11 +36,12 @@ def test_objective_zero_params_penalized():
     assert value == pytest.approx(1e3)
 
 
-def test_objective_p2_matches_isr_report(mseq63_fit32):
-    cfg = OptimizerConfig(p=2, n_samples=2016)
+@pytest.mark.parametrize("p", [2, 10])
+def test_objective_p2_matches_isr_report(mseq63_fit32, p):
+    cfg = OptimizerConfig(p=p, n_samples=2016)
     value = objective(mseq63_fit32, cfg)
     a = acf(synthesize_mtsfm(mseq63_fit32, 2016))
-    assert value == pytest.approx(10 ** (isr(a) / 10), rel=1e-12)
+    assert value == pytest.approx(10 ** (gisr(a, p) / 10), rel=1e-12)
 
 
 def test_objective_p10_bracketed_by_isr_and_psl(mseq63_fit32):

@@ -12,8 +12,6 @@ def test_sampling_config_validation():
         SamplingConfig(0.0)
     with pytest.raises(ValueError):
         SamplingConfig(1.0, samples_per_chip=4)
-    with pytest.raises(ValueError):
-        SamplingConfig(1.0, zero_pad_factor=0)
 
 
 def test_time_grid_midpoints():
