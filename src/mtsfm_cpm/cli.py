@@ -12,7 +12,7 @@ params       JSON {"T", "a0", "alpha", "beta"}
 metrics      JSON with unit-suffixed keys (or one-row CSV with --format csv)
 spectrum     CSV ``f_hz,psd``
 acf          CSV ``tau_s,abs_r,arg_r``
-trace        CSV ``iter,objective_db,beta2_rel,step_size,accepted``
+trace        CSV ``iter,objective_db,beta2_rel,step_size,grad_norm,accepted``
 waveform     CSV ``t,re,im`` or raw interleaved little-endian float64 (re, im)
 """
 
@@ -28,7 +28,8 @@ import numpy as np
 
 from .codes import (barker_code, dump_phase_code, generate_msequence,
                     load_phase_code)
-from .metrics import acf, acf_csv, compute_metrics, spectrum, spectrum_csv
+from .metrics import (_metrics_report, acf, acf_csv, compute_metrics, spectrum,
+                      spectrum_csv)
 from .mtsfm import (MtsfmParams, fit_fourier, min_harmonics, mtsfm_phase,
                     synthesize_mtsfm)
 from .optimizer import OptimizerConfig, optimize, trace_csv
@@ -73,7 +74,7 @@ def _report_csv(report):
 EXPORTS = ("spectrum", "acf", "waveform", "waveform-raw", "phase")
 
 
-def _metrics_outputs(args, w, report, stem, exports, phases_on_grid):
+def _metrics_outputs(args, w, sp, a, report, stem, exports, phases_on_grid):
     out_dir = Path(args.out_dir)
     if args.format == "csv":
         _atomic_write(out_dir / f"{stem}_metrics.csv", _report_csv(report))
@@ -84,9 +85,9 @@ def _metrics_outputs(args, w, report, stem, exports, phases_on_grid):
     for kind in exports:
         if kind == "spectrum":
             _atomic_write(out_dir / f"{stem}_spectrum.csv",
-                          spectrum_csv(spectrum(w, args.zero_pad)))
+                          spectrum_csv(sp))
         elif kind == "acf":
-            _atomic_write(out_dir / f"{stem}_acf.csv", acf_csv(acf(w)))
+            _atomic_write(out_dir / f"{stem}_acf.csv", acf_csv(a))
         elif kind == "waveform":
             _atomic_write(out_dir / f"{stem}_waveform.csv", waveform_csv(w))
         elif kind == "waveform-raw":
@@ -160,8 +161,9 @@ def cmd_metrics(args):
     if unknown:  # checked before anything is written
         raise ValueError(f"unknown export {unknown[0]!r}; choose from {','.join(EXPORTS)}")
     w, delta_f, stem, phases = _load_input(args)
-    report = compute_metrics(w, delta_f, p=args.p, zero_pad_factor=args.zero_pad)
-    path = _metrics_outputs(args, w, report, stem, exports, phases)
+    sp, a = spectrum(w, args.zero_pad), acf(w)
+    report = _metrics_report(sp, a, delta_f, args.p)
+    path = _metrics_outputs(args, w, sp, a, report, stem, exports, phases)
     flag = " (degenerate mainlobe)" if report.degenerate else ""
     print(f"SC={report.sc:.4f} @ delta_f={report.delta_f} PSL={report.psl_db} "
           f"ISR={report.isr_db} GISR(p={report.p})={report.gisr_db}{flag} -> {path}")
@@ -174,8 +176,7 @@ def cmd_optimize(args):
     cfg = OptimizerConfig(p=args.p, delta=args.delta,
                           max_iterations=args.max_iterations,
                           objective_tolerance=args.objective_tolerance,
-                          fd_step=args.fd_step, n_samples=args.samples,
-                          log_every=args.log_every)
+                          n_samples=args.samples, log_every=args.log_every)
     result = optimize(params, cfg)
     out_dir = Path(args.out_dir)
     stem = args.output_stem or f"{Path(args.params_file).stem}_opt"
@@ -196,11 +197,12 @@ def cmd_optimize(args):
 
 
 def _reproduce_variant(out_dir, name, w, phases, delta_f, p, zero_pad, prov):
-    report = compute_metrics(w, delta_f, p=p, zero_pad_factor=zero_pad)
+    sp, a = spectrum(w, zero_pad), acf(w)
+    report = _metrics_report(sp, a, delta_f, p)
     _atomic_write(out_dir / f"{name}_metrics.json",
                   report.to_json(extra={"config": prov}))
-    _atomic_write(out_dir / f"{name}_spectrum.csv", spectrum_csv(spectrum(w, zero_pad)))
-    _atomic_write(out_dir / f"{name}_acf.csv", acf_csv(acf(w)))
+    _atomic_write(out_dir / f"{name}_spectrum.csv", spectrum_csv(sp))
+    _atomic_write(out_dir / f"{name}_acf.csv", acf_csv(a))
     _atomic_write(out_dir / f"{name}_phase.csv", _phase_csv(w.times, phases))
     return report
 
@@ -338,7 +340,6 @@ def build_parser():
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--max-iterations", type=int, default=400)
     p.add_argument("--objective-tolerance", type=float, default=1e-8)
-    p.add_argument("--fd-step", type=float, default=1e-4)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--log-every", type=int, default=1)
     p.add_argument("--output-stem", default=None)

@@ -110,13 +110,11 @@ class GisrOptimizer(_ParamsMixin):
     """
 
     def __init__(self, p=10, delta=0.1, max_iterations=400,
-                 objective_tolerance=1e-8, fd_step=1e-4, n_samples=None,
-                 log_every=1):
+                 objective_tolerance=1e-8, n_samples=None, log_every=1):
         self.p = p
         self.delta = delta
         self.max_iterations = max_iterations
         self.objective_tolerance = objective_tolerance
-        self.fd_step = fd_step
         self.n_samples = n_samples
         self.log_every = log_every
 

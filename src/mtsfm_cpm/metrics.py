@@ -47,20 +47,33 @@ def _next_pow2(n):
     return 1 << (int(n) - 1).bit_length()
 
 
-def _band_integral(x, y, lo, hi):
-    """Trapezoidal integral of y(x) over [lo, hi], interpolating at the edges.
+def _band_weights(x, lo, hi):
+    """Weights w with w @ y the trapezoidal integral of y(x) over [lo, hi].
 
-    x must be increasing and uniform enough for np.interp; the band is
-    clamped to the span of x.
+    The band edges are interpolated linearly between their neighbouring
+    samples, so each edge weight is split over two entries. x must be
+    increasing; the band is clamped to the span of x.
     """
+    w = np.zeros(x.size)
     lo = max(lo, float(x[0]))
     hi = min(hi, float(x[-1]))
     if hi <= lo:
-        return 0.0
-    inside = (x > lo) & (x < hi)
-    xx = np.concatenate([[lo], x[inside], [hi]])
-    yy = np.concatenate([[np.interp(lo, x, y)], y[inside], [np.interp(hi, x, y)]])
-    return float(np.trapezoid(yy, xx))
+        return w
+    i0 = int(np.searchsorted(x, lo, side="right"))
+    i1 = int(np.searchsorted(x, hi, side="left"))
+    half = np.diff(np.concatenate([[lo], x[i0:i1], [hi]])) / 2
+    w[i0:i1] = half[:-1] + half[1:]
+    for edge, weight in ((lo, half[0]), (hi, half[-1])):
+        j = min(max(int(np.searchsorted(x, edge, side="right")) - 1, 0), x.size - 2)
+        t = (edge - x[j]) / (x[j + 1] - x[j])
+        w[j] += weight * (1 - t)
+        w[j + 1] += weight * t
+    return w
+
+
+def _band_integral(x, y, lo, hi):
+    """Trapezoidal integral of y(x) over [lo, hi], interpolating at the edges."""
+    return float(_band_weights(x, lo, hi) @ y)
 
 
 # ---------------------------------------------------------------------------
@@ -165,23 +178,25 @@ class FirstNull(NamedTuple):
     degenerate: bool
 
 
-def _cross_correlation(u, v, sample_rate):
-    """Lag-domain cross correlation sum_n u[n+m] conj(v[n]) / f_s, lags -(L-1)..(L-1),
-    with exact zeros appended at lags -L and +L. The FFT size _next_pow2(2L)
-    is exact at every native lag; when v is u, one forward FFT serves both."""
-    L = u.size
-    n_fft = _next_pow2(2 * L)
-    fu = np.fft.fft(u, n_fft)
-    fv = fu if v is u else np.fft.fft(v, n_fft)
+def _correlation_fft(u):
+    """FFT of u at the correlation size _next_pow2(2L), which is exact at
+    every native lag; more padding would not change the correlation."""
+    return np.fft.fft(u, _next_pow2(2 * u.size))
+
+
+def _cross_correlation(fu, fv, L, sample_rate):
+    """Lag-domain cross correlation sum_n u[n+m] conj(v[n]) / f_s from the
+    _correlation_fft spectra of u and v, lags -(L-1)..(L-1), with exact zeros
+    appended at lags -L and +L."""
     cc = np.fft.ifft(fu * np.conj(fv)) / sample_rate
     return np.concatenate([[0.0], cc[-(L - 1):], cc[:L], [0.0]])
 
 
-def _autocorrelation(samples, sample_rate, T):
-    """(lags, values, first_null, degenerate) of the samples' autocorrelation,
-    on the native lag grid -T, -(L-1)/f_s .. (L-1)/f_s, T."""
-    L = samples.size
-    values = _cross_correlation(samples, samples, sample_rate)
+def _autocorrelation(spec, L, sample_rate, T):
+    """(lags, values, first_null, degenerate) of the autocorrelation of L
+    samples with _correlation_fft spectrum spec, on the native lag grid
+    -T, -(L-1)/f_s .. (L-1)/f_s, T."""
+    values = _cross_correlation(spec, spec, L, sample_rate)
     lags = np.concatenate([[-T], np.arange(-(L - 1), L) / sample_rate, [T]])
     tau, degen = _scan_first_null(lags, np.abs(values))
     return lags, values, tau, degen
@@ -197,7 +212,8 @@ def acf(w):
     equals the one-sided-lag correlation computed here up to conjugation, so
     all magnitude-based metrics agree.
     """
-    return AcfResult(*_autocorrelation(w.samples, w.sample_rate, w.T))
+    return AcfResult(*_autocorrelation(_correlation_fft(w.samples), w.n_samples,
+                                       w.sample_rate, w.T))
 
 
 def ambiguity(w, doppler_grid):
@@ -215,7 +231,8 @@ def ambiguity(w, doppler_grid):
     rows = np.empty((doppler_grid.size, 2 * L + 1), dtype=complex)
     for i, nu in enumerate(doppler_grid):
         kernel = np.exp(1j * np.pi * nu * t)
-        rows[i] = _cross_correlation(w.samples * kernel, w.samples / kernel,
+        rows[i] = _cross_correlation(_correlation_fft(w.samples * kernel),
+                                     _correlation_fft(w.samples / kernel), L,
                                      w.sample_rate)
     return rows
 
@@ -224,21 +241,35 @@ def ambiguity(w, doppler_grid):
 # mainlobe geometry
 # ---------------------------------------------------------------------------
 
-def _scan_first_null(lags, magnitudes):
+def _null_vertex(lags, magnitudes):
     """First strict local minimum of |R| for tau > 0, refined parabolically.
 
-    Returns (T, True) when no interior minimum exists, e.g. the pure
-    triangle of an unmodulated pulse.
+    Returns (i, tau, dtau): the lag index of the minimum, the refined null
+    location, and the derivative of tau over magnitudes[i-1:i+2] (zero where
+    the refinement is clipped). None when no interior minimum exists, e.g.
+    the pure triangle of an unmodulated pulse.
     """
     center = lags.size // 2
     for i in range(center + 1, lags.size - 1):
         y0, y1, y2 = magnitudes[i - 1], magnitudes[i], magnitudes[i + 1]
         if y1 < y0 and y1 < y2:
+            step = lags[i] - lags[i - 1]
             denom = y0 - 2 * y1 + y2
             offset = 0.5 * (y0 - y2) / denom if denom > 0 else 0.0
+            dtau = np.zeros(3)
+            if denom > 0 and abs(offset) < 1.0:
+                dtau = step * np.array([y2 - y1, y0 - y2, y1 - y0]) / denom ** 2
             offset = float(np.clip(offset, -1.0, 1.0))
-            return float(lags[i] + offset * (lags[i] - lags[i - 1])), False
-    return float(lags[-1]), True
+            return i, float(lags[i] + offset * step), dtau
+    return None
+
+
+def _scan_first_null(lags, magnitudes):
+    """(first_null, degenerate); (T, True) when there is no interior null."""
+    vertex = _null_vertex(lags, magnitudes)
+    if vertex is None:
+        return float(lags[-1]), True
+    return vertex[1], False
 
 
 def first_null(a):
@@ -267,13 +298,33 @@ def psl(a):
     return 20 * math.log10(float(side.max()))
 
 
-def _sidelobe_ratio(lags, mag, dtau, p):
-    """Linear p-norm sidelobe ratio (int_dtau^T |R|^p / int_0^dtau |R|^p)^(2/p),
-    shared by gisr() and the optimizer objective."""
+def _sidelobe_ratio(lags, mag, dtau, p, with_gradient=False):
+    """Linear p-norm sidelobe ratio J = (N / D)^(2/p), N = int_dtau^T |R|^p and
+    D = int_0^dtau |R|^p, shared by gisr() and the optimizer objective.
+
+    N and D are weighted sums of |R|^p, so with_gradient also returns
+    dJ/d|R|^2 at every lag: J (w_N / N - w_D / D) |R|^(p-2) with the null
+    held fixed, plus the term of the null moving (dtau must then be the
+    scanned first null of mag). That term is small at large p, where
+    |R(dtau)|^p is near zero, but not at p = 2.
+    """
     magp = mag ** p
-    num = _band_integral(lags, magp, dtau, float(lags[-1]))
-    den = _band_integral(lags, magp, 0.0, dtau)
-    return (num / den) ** (2.0 / p)
+    w_num = _band_weights(lags, dtau, float(lags[-1]))
+    w_den = _band_weights(lags, 0.0, dtau)
+    num = float(w_num @ magp)
+    den = float(w_den @ magp)
+    ratio = (num / den) ** (2.0 / p)
+    if not with_gradient:
+        return ratio
+    d_power = ratio * (w_num / num - w_den / den) * mag ** (p - 2)
+    i, _, d_tau = _null_vertex(lags, mag)
+    # dN/dtau = -|R(tau)|^p and dD/dtau = |R(tau)|^p, linearly interpolated
+    at_null = float(np.interp(dtau, lags, magp))
+    d_ratio_tau = -(2.0 / p) * ratio * at_null * (1 / num + 1 / den)
+    near = mag[i - 1:i + 2]
+    d_power[i - 1:i + 2] += np.divide(d_ratio_tau * d_tau, 2 * near,
+                                      out=np.zeros(3), where=near > 0)
+    return ratio, d_power
 
 
 def gisr(a, p):
@@ -340,14 +391,17 @@ def compute_metrics(w, delta_f, p=10, zero_pad_factor=4):
     is reported, not raised: the sidelobe fields come back as None with the
     degenerate flag set.
     """
-    sp = spectrum(w, zero_pad_factor)
+    return _metrics_report(spectrum(w, zero_pad_factor), acf(w), delta_f, p)
+
+
+def _metrics_report(sp, a, delta_f, p):
+    """The compute_metrics report from an already computed spectrum and ACF."""
     span = 2 * float(sp.freqs[-1])
     clamped = delta_f > span
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         sc = spectral_compactness(sp, delta_f)
     beta = rms_bandwidth_spectral(sp)
-    a = acf(w)
     if a.degenerate:
         return MetricsReport(sc=sc, delta_f=min(delta_f, span), beta_rms=beta,
                              degenerate=True, delta_tau=None, mainlobe_area=None,

@@ -12,7 +12,6 @@ as the free variables of the sidelobe optimizer.
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -148,19 +147,35 @@ def fit_fourier(code, T, K):
     return MtsfmParams(a0, alpha, beta, T)
 
 
-@lru_cache(maxsize=8)
-def _harmonic_basis(K, n_samples):
-    """Sine/cosine basis matrices on the midpoint grid, cached per (K, L).
+def _phase_rotation(K, n_samples):
+    """e^{j 2 pi k t_0 / T} for k = 1..K, with t_0 = -T/2 + T/(2L) the first
+    midpoint, computed as (-1)^k e^{j pi k / L} to keep the angle small."""
+    k = np.arange(1, K + 1)
+    return np.where(k % 2, -1.0, 1.0) * np.exp(1j * np.pi * k / n_samples)
 
-    The basis depends only on t/T, so one cache entry serves every T.
+
+def _phase_samples(a0, alpha, beta, n_samples):
+    """The Fourier-series phase on the L-point midpoint grid, by one inverse FFT.
+
+    With X_k = (beta_k - j alpha_k) e^{j 2 pi k t_0 / T}, the phase is
+    a0/2 + Re sum_k X_k e^{j 2 pi k n / L} = a0/2 + (L/2) irfft(X, L). This
+    needs K < L/2, which the 4K sample floor guarantees.
     """
-    frac = -0.5 + (np.arange(n_samples) + 0.5) / n_samples
-    ang = 2 * np.pi * np.outer(frac, np.arange(1, K + 1, dtype=float))
-    sin_b = np.sin(ang)
-    cos_b = np.cos(ang)
-    sin_b.flags.writeable = False
-    cos_b.flags.writeable = False
-    return sin_b, cos_b
+    K = alpha.size
+    spec = np.zeros(n_samples // 2 + 1, dtype=complex)
+    spec[1:K + 1] = (beta - 1j * alpha) * _phase_rotation(K, n_samples)
+    return a0 / 2 + (n_samples / 2) * np.fft.irfft(spec, n_samples)
+
+
+def _phase_adjoint(dphi, K):
+    """Adjoint of _phase_samples: maps dJ/dphi on the grid to dJ/d(alpha, beta).
+
+    dJ/dalpha_k = sum_n dphi[n] sin(theta_kn) and dJ/dbeta_k =
+    sum_n dphi[n] cos(theta_kn) are the imaginary and real parts of
+    conj(rfft(dphi)[k]) e^{j 2 pi k t_0 / T}.
+    """
+    y = np.conj(np.fft.rfft(dphi)[1:K + 1]) * _phase_rotation(K, dphi.size)
+    return np.concatenate([y.imag, y.real])
 
 
 def mtsfm_phase(params, t):
@@ -196,8 +211,7 @@ def synthesize_mtsfm(params, n_samples):
     if n_samples < floor:
         raise ValueError(
             f"n_samples={n_samples} too small for K={params.K} harmonics; need >= {floor}")
-    sin_b, cos_b = _harmonic_basis(params.K, n_samples)
-    phi = params.a0 / 2 + sin_b @ params.alpha + cos_b @ params.beta
+    phi = _phase_samples(params.a0, params.alpha, params.beta, n_samples)
     samples = np.exp(1j * phi) / math.sqrt(params.T)
     return SampledWaveform(samples, params.T, n_samples / params.T)
 

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validation import check_int_at_least, check_positive
-from .metrics import _autocorrelation, _sidelobe_ratio
-from .mtsfm import MtsfmParams, _harmonic_basis, closed_form_rms_bandwidth
+from ._validation import check_int_at_least
+from .metrics import _autocorrelation, _correlation_fft, _sidelobe_ratio
+from .mtsfm import (MtsfmParams, _phase_adjoint, _phase_samples,
+                    closed_form_rms_bandwidth, closed_form_rms_bandwidth_gradient)
 
 __all__ = [
     "OptimizerConfig",
@@ -52,15 +53,13 @@ class OptimizerConfig:
     """Settings for the constrained descent.
 
     ``n_samples`` is the synthesis density per objective evaluation
-    (None picks 64 samples per harmonic); ``fd_step`` is the central
-    finite-difference step of the gradient.
+    (None picks 64 samples per harmonic).
     """
 
     p: int = 10
     delta: float = 0.1
     max_iterations: int = 400
     objective_tolerance: float = 1e-8
-    fd_step: float = 1e-4
     n_samples: int | None = None
     log_every: int = 1
 
@@ -69,7 +68,6 @@ class OptimizerConfig:
             raise ValueError(f"p must be >= 2, got {self.p}")
         if not 0 < self.delta < 1:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        check_positive("fd_step", self.fd_step)
         check_int_at_least("max_iterations", self.max_iterations, 0)
         check_int_at_least("log_every", self.log_every, 1)
         if self.n_samples is not None:
@@ -90,6 +88,7 @@ class TraceRecord:
     beta2_rel: float
     constraint_residual: float
     step_size: float
+    grad_norm: float
     accepted: bool
 
 
@@ -122,20 +121,42 @@ class OptimizationResult:
         return json.dumps(obj, indent=2)
 
 
-def _objective_vec(vec, a0, T, K, p, n_samples):
-    """Linear-scale sidelobe ratio of the waveform built from a coefficient vector.
+def _objective_and_gradient(vec, a0, T, K, p, n_samples):
+    """Linear-scale sidelobe ratio J of the waveform built from a coefficient
+    vector, and its exact gradient over the 2K coefficients.
+
+    With q[m] = 2 dJ/d|R[m]|^2 conj(R[m]) for lags m = 0..L-1 (from
+    metrics._sidelobe_ratio, first-null movement included), the phase
+    gradient is dJ/dphi[n] = Im(conj(s[n]) sum_m h[m] s[n+m]) / f_s, where
+    h[m] = q[m] + conj(q[-m]) is Hermitian; the lag sum is one FFT
+    correlation with the real spectrum 2 n_fft Re(ifft(q)), reusing the
+    spectrum of s. The coefficient gradient is the adjoint of the FFT
+    synthesis.
 
     A degenerate mainlobe returns a large penalty that decreases as the
-    bandwidth re-opens, keeping line searches total.
+    bandwidth re-opens, with its exact gradient, keeping line searches total.
     """
-    sin_b, cos_b = _harmonic_basis(K, n_samples)
-    phi = a0 / 2 + sin_b @ vec[:K] + cos_b @ vec[K:]
-    samples = np.exp(1j * phi) / math.sqrt(T)
-    lags, values, dtau, degen = _autocorrelation(samples, n_samples / T, T)
+    alpha, beta = vec[:K], vec[K:]
+    samples = np.exp(1j * _phase_samples(a0, alpha, beta, n_samples)) / math.sqrt(T)
+    sample_rate = n_samples / T
+    spec = _correlation_fft(samples)
+    lags, values, dtau, degen = _autocorrelation(spec, n_samples, sample_rate, T)
     if degen:
-        beta2 = closed_form_rms_bandwidth(MtsfmParams(a0, vec[:K], vec[K:], T))
-        return 1e3 - (T / (2 * np.pi)) ** 2 * beta2
-    return _sidelobe_ratio(lags, np.abs(values), dtau, p)
+        params = MtsfmParams(a0, alpha, beta, T)
+        scale = (T / (2 * np.pi)) ** 2
+        return (1e3 - scale * closed_form_rms_bandwidth(params),
+                -scale * closed_form_rms_bandwidth_gradient(params))
+    ratio, d_power = _sidelobe_ratio(lags, np.abs(values), dtau, p, with_gradient=True)
+    lag0 = n_samples  # index of lag 0 in values
+    q = 2 * d_power[lag0:lag0 + n_samples] * np.conj(values[lag0:lag0 + n_samples])
+    kernel = 2 * spec.size * np.fft.ifft(q, spec.size).real
+    corr = np.fft.ifft(spec * kernel)[:n_samples]
+    dphi = np.imag(np.conj(samples) * corr) / sample_rate
+    return ratio, _phase_adjoint(dphi, K)
+
+
+def _args(params, cfg):
+    return (params.a0, params.T, params.K, cfg.p, cfg.resolve_n_samples(params.K))
 
 
 def objective(params, cfg):
@@ -144,50 +165,15 @@ def objective(params, cfg):
     Deterministic for fixed inputs; see the dB-domain metrics module for
     the reporting form.
     """
-    n = cfg.resolve_n_samples(params.K)
-    return _objective_vec(params.coefficient_vector(), params.a0, params.T,
-                          params.K, cfg.p, n)
-
-
-def _fd_gradient(vec, args, h):
-    """Central finite-difference gradient of _objective_vec(vec, *args).
-
-    A non-finite probe falls back to one-sided differencing on that
-    coordinate. Returns the gradient and the number of objective evaluations.
-    """
-    g = np.zeros(vec.size)
-    n_evals = 0
-    f_center = None
-    for j in range(vec.size):
-        vp = vec.copy(); vp[j] += h
-        vm = vec.copy(); vm[j] -= h
-        fp = _objective_vec(vp, *args)
-        fm = _objective_vec(vm, *args)
-        n_evals += 2
-        if np.isfinite(fp) and np.isfinite(fm):
-            g[j] = (fp - fm) / (2 * h)
-            continue
-        if f_center is None:
-            f_center = _objective_vec(vec, *args)
-            n_evals += 1
-        if np.isfinite(fp):
-            g[j] = (fp - f_center) / h
-        elif np.isfinite(fm):
-            g[j] = (f_center - fm) / h
-        else:
-            g[j] = 0.0
-    return g, n_evals
+    return _objective_and_gradient(params.coefficient_vector(), *_args(params, cfg))[0]
 
 
 def gradient(params, cfg):
-    """Central finite-difference gradient over the 2K coefficients.
+    """Exact gradient of objective() over the 2K coefficients.
 
-    The constant term a0 is excluded: every metric is invariant to it. A
-    non-finite probe falls back to one-sided differencing on that coordinate.
+    The constant term a0 is excluded: every metric is invariant to it.
     """
-    n = cfg.resolve_n_samples(params.K)
-    args = (params.a0, params.T, params.K, cfg.p, n)
-    return _fd_gradient(params.coefficient_vector(), args, cfg.fd_step)[0]
+    return _objective_and_gradient(params.coefficient_vector(), *_args(params, cfg))[1]
 
 
 def beta2_band(beta2_ref, delta):
@@ -221,23 +207,27 @@ def _db(x):
 def optimize(initial, cfg):
     """Projected gradient descent from the given initialization.
 
-    Steps along the negative finite-difference gradient, projects onto the
+    Steps along the negative analytic gradient, projects onto the
     bandwidth band, and accepts on sufficient decrease. Every recorded
     iterate is feasible. Terminates on the iteration cap, on a relative
     best-objective decrease below cfg.objective_tolerance across PATIENCE
     iterations, or on step underflow. Returns the best iterate
     seen; two runs with identical inputs produce identical traces.
+
+    ``n_evaluations`` counts objective evaluations; each returns the
+    gradient with the objective, so one line-search trial is one evaluation.
+    A trace record's ``grad_norm`` is the gradient norm at the iterate it
+    records.
     """
     beta2_ref = closed_form_rms_bandwidth(initial)
     if beta2_ref == 0.0:
         raise ValueError("initialization has all-zero coefficients; "
                          "the bandwidth band is empty and cannot be projected onto")
     band = beta2_band(beta2_ref, cfg.delta)
-    n = cfg.resolve_n_samples(initial.K)
-    args = (initial.a0, initial.T, initial.K, cfg.p, n)
+    args = _args(initial, cfg)
 
     x = initial.coefficient_vector()
-    f = _objective_vec(x, *args)
+    f, g = _objective_and_gradient(x, *args)
     n_evals = 1
     best_f, best_x = f, x.copy()
     step = INITIAL_STEP
@@ -247,7 +237,7 @@ def optimize(initial, cfg):
 
     def record(it, b2, step_size, accepted):
         return TraceRecord(it, _db(best_f), b2 / beta2_ref, residual(b2),
-                           step_size, accepted)
+                           step_size, float(np.linalg.norm(g)), accepted)
 
     trace = [record(0, beta2_ref, 0.0, True)]
     reason = "max_iterations"
@@ -255,17 +245,14 @@ def optimize(initial, cfg):
     history = [best_f]
 
     for it in range(1, cfg.max_iterations + 1):
-        g, probes = _fd_gradient(x, args, cfg.fd_step)
-        n_evals += probes
-
         accepted = False
         while step >= MIN_STEP:
             cand = project_to_band(initial.with_coefficients(x - step * g),
                                    band).coefficient_vector()
-            fc = _objective_vec(cand, *args)
+            fc, gc = _objective_and_gradient(cand, *args)
             n_evals += 1
             if fc < f and fc <= f - ARMIJO * float(np.dot(g, x - cand)):
-                x, f = cand, fc
+                x, f, g = cand, fc, gc
                 accepted = True
                 step = min(step * STEP_GROWTH, MAX_STEP)
                 break
@@ -305,9 +292,10 @@ def optimize(initial, cfg):
 
 
 def trace_csv(trace):
-    """CSV text with header ``iter,objective_db,beta2_rel,step_size,accepted``."""
-    lines = ["iter,objective_db,beta2_rel,step_size,accepted"]
+    """CSV text with header
+    ``iter,objective_db,beta2_rel,step_size,grad_norm,accepted``."""
+    lines = ["iter,objective_db,beta2_rel,step_size,grad_norm,accepted"]
     for r in trace:
         lines.append(f"{r.iteration},{r.objective_db!r},{r.beta2_rel!r},"
-                     f"{r.step_size!r},{int(r.accepted)}")
+                     f"{r.step_size!r},{r.grad_norm!r},{int(r.accepted)}")
     return "\n".join(lines) + "\n"

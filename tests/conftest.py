@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from mtsfm_cpm import (SamplingConfig, barker_code, fit_fourier,
-                       generate_msequence, synthesize_mtsfm, synthesize_pc)
+                       generate_msequence, objective, synthesize_mtsfm,
+                       synthesize_pc)
 
 # Reference configuration for the 63-chip worked example: this particular
 # register/seed pair lands on the regression values the suite pins down.
@@ -39,3 +41,16 @@ def mseq63_wave32(mseq63_fit32):
 @pytest.fixture(scope="session")
 def barker13_wave():
     return synthesize_pc(barker_code(13), SamplingConfig(13.0))
+
+
+def fd_gradient(params, cfg, h):
+    """Central finite-difference gradient of objective() over the 2K
+    coefficients: the oracle for the analytic gradient."""
+    vec = params.coefficient_vector()
+    g = np.zeros(vec.size)
+    for j in range(vec.size):
+        vp = vec.copy(); vp[j] += h
+        vm = vec.copy(); vm[j] -= h
+        g[j] = (objective(params.with_coefficients(vp), cfg)
+                - objective(params.with_coefficients(vm), cfg)) / (2 * h)
+    return g

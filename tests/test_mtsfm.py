@@ -164,6 +164,30 @@ def test_synthesize_energy_and_modulus(mseq63_fit32):
     assert np.max(np.abs(mags - mags[0])) < 1e-12 * mags[0]
 
 
+def dense_basis(K, L):
+    """sin/cos matrices of the harmonics on the L-point midpoint grid."""
+    ang = 2 * np.pi * np.outer(time_grid(L, 1.0), np.arange(1, K + 1))
+    return np.sin(ang), np.cos(ang)
+
+
+@pytest.mark.parametrize("K,L", [(1, 4), (7, 28), (7, 29), (32, 2016),
+                                 (33, 2145), (64, 256)])
+def test_fft_synthesis_matches_dense_basis(K, L):
+    from mtsfm_cpm.mtsfm import _phase_adjoint, _phase_samples
+    rng = np.random.default_rng(K * 1000 + L)
+    params = MtsfmParams(0.7, rng.normal(size=K), rng.normal(size=K), 3.0)
+    sin_b, cos_b = dense_basis(K, L)
+    dense = params.a0 / 2 + sin_b @ params.alpha + cos_b @ params.beta
+    phi = _phase_samples(params.a0, params.alpha, params.beta, L)
+    assert np.max(np.abs(phi - dense)) <= 1e-12
+    w = synthesize_mtsfm(params, L)
+    assert np.max(np.abs(w.samples - np.exp(1j * dense) / np.sqrt(3.0))) <= 1e-12
+    # the adjoint is the transposed dense basis
+    dphi = rng.normal(size=L)
+    adjoint = np.concatenate([sin_b.T @ dphi, cos_b.T @ dphi])
+    assert np.max(np.abs(_phase_adjoint(dphi, K) - adjoint)) <= 1e-12 * np.max(np.abs(adjoint))
+
+
 # --------------------------------------------------------------------------
 # closed-form RMS bandwidth
 # --------------------------------------------------------------------------

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from mtsfm_cpm import (MtsfmParams, OptimizerConfig, acf, barker_code,
-                       beta2_band, closed_form_rms_bandwidth, fit_fourier,
-                       gisr, gradient, isr, objective, optimize,
-                       project_to_band, synthesize_mtsfm, trace_csv)
+                       beta2_band, closed_form_rms_bandwidth,
+                       closed_form_rms_bandwidth_gradient, fit_fourier, gisr,
+                       gradient, isr, objective, optimize, project_to_band,
+                       synthesize_mtsfm, trace_csv)
+from conftest import fd_gradient
 
 
 @pytest.fixture(scope="module")
@@ -26,8 +28,6 @@ def test_config_validation():
         OptimizerConfig(delta=0.0)
     with pytest.raises(ValueError):
         OptimizerConfig(delta=1.5)
-    with pytest.raises(ValueError):
-        OptimizerConfig(fd_step=0.0)
 
 
 def test_objective_zero_params_penalized():
@@ -56,7 +56,7 @@ def test_gradient_taylor_consistency(barker13_fit, small_cfg):
     g = gradient(barker13_fit, small_cfg)
     assert g.shape == (2 * barker13_fit.K,)
     f0 = objective(barker13_fit, small_cfg)
-    h = small_cfg.fd_step / 2
+    h = 5e-5
     vec = barker13_fit.coefficient_vector()
     # check the few largest-derivative coordinates, where the relative
     # comparison is well conditioned
@@ -65,6 +65,36 @@ def test_gradient_taylor_consistency(barker13_fit, small_cfg):
         vp[j] += h
         fp = objective(barker13_fit.with_coefficients(vp), small_cfg)
         assert (fp - f0) == pytest.approx(h * g[j], rel=0.05)
+
+
+@pytest.mark.parametrize("case,p", [("mseq63", 2), ("mseq63", 10), ("barker13", 10)])
+def test_gradient_matches_fd_oracle(mseq63_fit32, barker13_fit, case, p):
+    params, n = (mseq63_fit32, 2016) if case == "mseq63" else (barker13_fit, 208)
+    cfg = OptimizerConfig(p=p, n_samples=n)
+    g = gradient(params, cfg)
+    g_fd = fd_gradient(params, cfg, 1e-6)
+    assert np.linalg.norm(g - g_fd) <= 1e-7 * np.linalg.norm(g_fd)
+
+
+def test_degenerate_gradient_is_penalty_gradient():
+    # a weak single tone keeps the ACF a monotone triangle: no interior null
+    params = MtsfmParams(0.0, np.array([0.05, 0.0, 0.0, 0.0]),
+                         np.array([0.0, 0.02, 0.0, 0.0]), 2.0)
+    cfg = OptimizerConfig(n_samples=64)
+    assert acf(synthesize_mtsfm(params, 64)).degenerate
+    expected = -(params.T / (2 * np.pi)) ** 2 * closed_form_rms_bandwidth_gradient(params)
+    g = gradient(params, cfg)
+    assert np.max(np.abs(g - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert np.linalg.norm(fd_gradient(params, cfg, 1e-4) - g) <= 1e-6 * np.linalg.norm(g)
+
+
+def test_trace_grad_norm_is_gradient_norm(barker13_fit, small_cfg):
+    res = optimize(barker13_fit, small_cfg)
+    assert res.trace[0].grad_norm == pytest.approx(
+        np.linalg.norm(gradient(barker13_fit, small_cfg)), rel=1e-12)
+    assert res.trace[-1].accepted  # the last record is the returned iterate
+    assert res.trace[-1].grad_norm == pytest.approx(
+        np.linalg.norm(gradient(res.params, small_cfg)), rel=1e-12)
 
 
 def test_project_in_band_is_noop(mseq63_fit32):
@@ -143,10 +173,10 @@ def test_log_every_strides_trace(barker13_fit):
 def test_trace_csv_shape(barker13_fit, small_cfg):
     res = optimize(barker13_fit, small_cfg)
     lines = trace_csv(res.trace).strip().split("\n")
-    assert lines[0] == "iter,objective_db,beta2_rel,step_size,accepted"
+    assert lines[0] == "iter,objective_db,beta2_rel,step_size,grad_norm,accepted"
     assert len(lines) == len(res.trace) + 1
     first = lines[1].split(",")
-    assert first[0] == "0" and first[4] in ("0", "1")
+    assert first[0] == "0" and first[5] in ("0", "1")
 
 
 def test_result_json_embeds_params(barker13_fit, small_cfg):
