@@ -12,6 +12,7 @@ params       JSON {"T", "a0", "alpha", "beta"}
 metrics      JSON with unit-suffixed keys (or one-row CSV with --format csv)
 spectrum     CSV ``f_hz,psd``
 acf          CSV ``tau_s,abs_r,arg_r``
+phase        CSV ``t_s,phase_rad``: the grid phase the waveform was synthesized from
 trace        CSV ``iter,objective_db,beta2_rel,step_size,grad_norm,accepted``
 waveform     CSV ``t,re,im`` or raw interleaved little-endian float64 (re, im)
 """
@@ -28,9 +29,9 @@ import numpy as np
 
 from .codes import (barker_code, dump_phase_code, generate_msequence,
                     load_phase_code)
-from .metrics import (_metrics_report, acf, acf_csv, compute_metrics, spectrum,
-                      spectrum_csv)
-from .mtsfm import (MtsfmParams, fit_fourier, min_harmonics, mtsfm_phase,
+from ._validation import check_int_at_least, check_positive
+from .metrics import _metrics_report, acf, acf_csv, spectrum, spectrum_csv
+from .mtsfm import (MtsfmParams, _phase_samples, fit_fourier, min_harmonics,
                     synthesize_mtsfm)
 from .optimizer import OptimizerConfig, optimize, trace_csv
 from .waveform import (SamplingConfig, pc_phase, synthesize_pc, waveform_csv,
@@ -74,18 +75,24 @@ def _report_csv(report):
 EXPORTS = ("spectrum", "acf", "waveform", "waveform-raw", "phase")
 
 
-def _metrics_outputs(args, w, sp, a, report, stem, exports, phases_on_grid):
-    out_dir = Path(args.out_dir)
-    if args.format == "csv":
-        _atomic_write(out_dir / f"{stem}_metrics.csv", _report_csv(report))
+def _write_variant(args, out_dir, stem, w, phase, delta_f, exports=(), fmt="json"):
+    """Write one waveform's metric report and the requested exports.
+
+    spectrum and ACF are computed once and serve both the report and the
+    exports; phase is the grid phase w was synthesized from. Returns the
+    report and the path it was written to.
+    """
+    sp, a = spectrum(w, args.zero_pad), acf(w)
+    report = _metrics_report(sp, a, delta_f, args.p)
+    if fmt == "csv":
         report_path = out_dir / f"{stem}_metrics.csv"
+        _atomic_write(report_path, _report_csv(report))
     else:
         report_path = out_dir / f"{stem}_metrics.json"
         _atomic_write(report_path, report.to_json(extra={"config": _provenance(args)}))
     for kind in exports:
         if kind == "spectrum":
-            _atomic_write(out_dir / f"{stem}_spectrum.csv",
-                          spectrum_csv(sp))
+            _atomic_write(out_dir / f"{stem}_spectrum.csv", spectrum_csv(sp))
         elif kind == "acf":
             _atomic_write(out_dir / f"{stem}_acf.csv", acf_csv(a))
         elif kind == "waveform":
@@ -93,9 +100,14 @@ def _metrics_outputs(args, w, sp, a, report, stem, exports, phases_on_grid):
         elif kind == "waveform-raw":
             _atomic_write(out_dir / f"{stem}_waveform.f64", waveform_raw_bytes(w))
         else:
-            _atomic_write(out_dir / f"{stem}_phase.csv",
-                          _phase_csv(w.times, phases_on_grid))
-    return report_path
+            _atomic_write(out_dir / f"{stem}_phase.csv", _phase_csv(w.times, phase))
+    return report, report_path
+
+
+def _mtsfm_waveform(params, n_samples):
+    """The synthesized waveform and the grid phase it is built from."""
+    return (synthesize_mtsfm(params, n_samples),
+            _phase_samples(params.a0, params.alpha, params.beta, n_samples))
 
 
 def _provenance(args):
@@ -145,14 +157,14 @@ def _load_input(args):
     if path.suffix == ".json":
         params = MtsfmParams.from_json(path.read_text())
         n = args.samples if getattr(args, "samples", None) else 64 * params.K
-        w = synthesize_mtsfm(params, n)
+        w, phase = _mtsfm_waveform(params, n)
         delta_f = args.delta_f if args.delta_f is not None else _default_band(params)
-        return w, delta_f, path.stem, mtsfm_phase(params, w.times)
+        return w, phase, delta_f, path.stem
     code = load_phase_code(path)
     T = args.pulse_length if args.pulse_length is not None else float(code.n)
     w = synthesize_pc(code, SamplingConfig(T, args.samples_per_chip))
     delta_f = args.delta_f if args.delta_f is not None else 2.0 * code.n / T
-    return w, delta_f, path.stem, pc_phase(code, T, w.times)
+    return w, pc_phase(code, T, w.times), delta_f, path.stem
 
 
 def cmd_metrics(args):
@@ -160,10 +172,9 @@ def cmd_metrics(args):
     unknown = [e for e in exports if e not in EXPORTS]
     if unknown:  # checked before anything is written
         raise ValueError(f"unknown export {unknown[0]!r}; choose from {','.join(EXPORTS)}")
-    w, delta_f, stem, phases = _load_input(args)
-    sp, a = spectrum(w, args.zero_pad), acf(w)
-    report = _metrics_report(sp, a, delta_f, args.p)
-    path = _metrics_outputs(args, w, sp, a, report, stem, exports, phases)
+    w, phase, delta_f, stem = _load_input(args)
+    report, path = _write_variant(args, Path(args.out_dir), stem, w, phase, delta_f,
+                                  exports, args.format)
     flag = " (degenerate mainlobe)" if report.degenerate else ""
     print(f"SC={report.sc:.4f} @ delta_f={report.delta_f} PSL={report.psl_db} "
           f"ISR={report.isr_db} GISR(p={report.p})={report.gisr_db}{flag} -> {path}")
@@ -173,6 +184,7 @@ def cmd_metrics(args):
 def cmd_optimize(args):
     params = MtsfmParams.from_json(Path(args.params_file).read_text())
     delta_f = args.delta_f if args.delta_f is not None else _default_band(params)
+    check_positive("--delta-f", delta_f)  # first read after the result is written
     cfg = OptimizerConfig(p=args.p, delta=args.delta,
                           max_iterations=args.max_iterations,
                           objective_tolerance=args.objective_tolerance,
@@ -186,25 +198,12 @@ def cmd_optimize(args):
 
     n_report = max(cfg.resolve_n_samples(params.K), 64 * params.K)
     for tag, prm in (("before", params), ("after", result.params)):
-        w = synthesize_mtsfm(prm, n_report)
-        rep = compute_metrics(w, delta_f, p=args.p, zero_pad_factor=args.zero_pad)
-        _atomic_write(out_dir / f"{stem}_{tag}_metrics.json",
-                      rep.to_json(extra={"config": _provenance(args)}))
+        _write_variant(args, out_dir, f"{stem}_{tag}",
+                       *_mtsfm_waveform(prm, n_report), delta_f)
     print(f"GISR(p={args.p}): {result.initial_gisr_db:.2f} -> "
           f"{result.final_gisr_db:.2f} dB ({result.termination_reason}) "
           f"-> {out_dir / (stem + '.json')}")
     return 0
-
-
-def _reproduce_variant(out_dir, name, w, phases, delta_f, p, zero_pad, prov):
-    sp, a = spectrum(w, zero_pad), acf(w)
-    report = _metrics_report(sp, a, delta_f, p)
-    _atomic_write(out_dir / f"{name}_metrics.json",
-                  report.to_json(extra={"config": prov}))
-    _atomic_write(out_dir / f"{name}_spectrum.csv", spectrum_csv(sp))
-    _atomic_write(out_dir / f"{name}_acf.csv", acf_csv(a))
-    _atomic_write(out_dir / f"{name}_phase.csv", _phase_csv(w.times, phases))
-    return report
 
 
 def cmd_reproduce(args):
@@ -232,42 +231,36 @@ def cmd_reproduce(args):
     delta_f = 2.0 * code.n / T  # null-to-null band of the chip envelope
     scfg = SamplingConfig(T, args.samples_per_chip)
     n_samples = code.n * args.samples_per_chip
-    prov = _provenance(args)
-    buf = io.StringIO()
-    dump_phase_code(code, buf)
-    _atomic_write(out_dir / "pc_code.txt", buf.getvalue())
-
-    w_pc = synthesize_pc(code, scfg)
-    summary = {"config": prov, "variants": {}}
-    rep = _reproduce_variant(out_dir, "pc", w_pc, pc_phase(code, T, w_pc.times),
-                             delta_f, args.p, args.zero_pad, prov)
-    summary["variants"]["pc"] = json.loads(rep.to_json())
-
-    fits = {}
-    for K in spec_cfg["harmonics"]:
-        params = fit_fourier(code, T, K)
-        fits[K] = params
-        _atomic_write(out_dir / f"fit_k{K}.json",
-                      params.to_json(extra={"config": prov}))
-        w = synthesize_mtsfm(params, n_samples)
-        rep = _reproduce_variant(out_dir, f"init_k{K}", w,
-                                 mtsfm_phase(params, w.times),
-                                 delta_f, args.p, args.zero_pad, prov)
-        summary["variants"][f"init_k{K}"] = json.loads(rep.to_json())
-
     cfg = OptimizerConfig(p=args.p, delta=args.delta,
                           max_iterations=args.max_iterations,
                           n_samples=n_samples)
+    prov = _provenance(args)
+    summary = {"config": prov, "variants": {}}
+
+    def variant(name, w, phase):
+        report, _ = _write_variant(args, out_dir, name, w, phase, delta_f,
+                                   ("spectrum", "acf", "phase"))
+        summary["variants"][name] = json.loads(report.to_json())
+
+    buf = io.StringIO()
+    dump_phase_code(code, buf)
+    _atomic_write(out_dir / "pc_code.txt", buf.getvalue())
+    w_pc = synthesize_pc(code, scfg)
+    variant("pc", w_pc, pc_phase(code, T, w_pc.times))
+
+    fits = {}
+    for K in spec_cfg["harmonics"]:
+        fits[K] = fit_fourier(code, T, K)
+        _atomic_write(out_dir / f"fit_k{K}.json",
+                      fits[K].to_json(extra={"config": prov}))
+        variant(f"init_k{K}", *_mtsfm_waveform(fits[K], n_samples))
+
     for K in spec_cfg["optimize_harmonics"]:
         result = optimize(fits[K], cfg)
         _atomic_write(out_dir / f"opt_k{K}_result.json",
                       result.to_json(extra={"config": prov}))
         _atomic_write(out_dir / f"opt_k{K}_trace.csv", trace_csv(result.trace))
-        w = synthesize_mtsfm(result.params, n_samples)
-        rep = _reproduce_variant(out_dir, f"opt_k{K}", w,
-                                 mtsfm_phase(result.params, w.times),
-                                 delta_f, args.p, args.zero_pad, prov)
-        summary["variants"][f"opt_k{K}"] = json.loads(rep.to_json())
+        variant(f"opt_k{K}", *_mtsfm_waveform(result.params, n_samples))
 
     _atomic_write(out_dir / "summary.json", json.dumps(summary, indent=2))
 
@@ -361,6 +354,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # a global flag, first read after some commands have written files
+        check_int_at_least("--zero-pad", args.zero_pad, 1)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

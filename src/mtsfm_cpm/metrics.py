@@ -193,13 +193,14 @@ def _cross_correlation(fu, fv, L, sample_rate):
 
 
 def _autocorrelation(spec, L, sample_rate, T):
-    """(lags, values, first_null, degenerate) of the autocorrelation of L
-    samples with _correlation_fft spectrum spec, on the native lag grid
-    -T, -(L-1)/f_s .. (L-1)/f_s, T."""
+    """(lags, values, magnitudes, vertex) of the autocorrelation of L samples
+    with _correlation_fft spectrum spec, on the native lag grid
+    -T, -(L-1)/f_s .. (L-1)/f_s, T; vertex is the _null_vertex of the
+    magnitudes, scanned once here for every consumer."""
     values = _cross_correlation(spec, spec, L, sample_rate)
     lags = np.concatenate([[-T], np.arange(-(L - 1), L) / sample_rate, [T]])
-    tau, degen = _scan_first_null(lags, np.abs(values))
-    return lags, values, tau, degen
+    magnitudes = np.abs(values)
+    return lags, values, magnitudes, _null_vertex(lags, magnitudes)
 
 
 def acf(w):
@@ -212,8 +213,11 @@ def acf(w):
     equals the one-sided-lag correlation computed here up to conjugation, so
     all magnitude-based metrics agree.
     """
-    return AcfResult(*_autocorrelation(_correlation_fft(w.samples), w.n_samples,
-                                       w.sample_rate, w.T))
+    lags, values, _, vertex = _autocorrelation(_correlation_fft(w.samples),
+                                               w.n_samples, w.sample_rate, w.T)
+    if vertex is None:
+        return AcfResult(lags, values, float(lags[-1]), True)
+    return AcfResult(lags, values, vertex[1], False)
 
 
 def ambiguity(w, doppler_grid):
@@ -264,18 +268,10 @@ def _null_vertex(lags, magnitudes):
     return None
 
 
-def _scan_first_null(lags, magnitudes):
-    """(first_null, degenerate); (T, True) when there is no interior null."""
-    vertex = _null_vertex(lags, magnitudes)
-    if vertex is None:
-        return float(lags[-1]), True
-    return vertex[1], False
-
-
 def first_null(a):
-    """Locate the first ACF null for tau > 0; degenerate when none exists."""
-    tau, degen = _scan_first_null(a.lags, a.magnitudes)
-    return FirstNull(tau, degen)
+    """The first ACF null for tau > 0, as located when the ACF was computed;
+    degenerate (tau = T) when none exists."""
+    return FirstNull(a.first_null, a.degenerate)
 
 
 def _require_null(a):
@@ -298,15 +294,15 @@ def psl(a):
     return 20 * math.log10(float(side.max()))
 
 
-def _sidelobe_ratio(lags, mag, dtau, p, with_gradient=False):
+def _sidelobe_ratio(lags, mag, dtau, p, vertex=None):
     """Linear p-norm sidelobe ratio J = (N / D)^(2/p), N = int_dtau^T |R|^p and
     D = int_0^dtau |R|^p, shared by gisr() and the optimizer objective.
 
-    N and D are weighted sums of |R|^p, so with_gradient also returns
-    dJ/d|R|^2 at every lag: J (w_N / N - w_D / D) |R|^(p-2) with the null
-    held fixed, plus the term of the null moving (dtau must then be the
-    scanned first null of mag). That term is small at large p, where
-    |R(dtau)|^p is near zero, but not at p = 2.
+    N and D are weighted sums of |R|^p, so given the _null_vertex of mag
+    (whose tau is dtau) this also returns dJ/d|R|^2 at every lag:
+    J (w_N / N - w_D / D) |R|^(p-2) with the null held fixed, plus the term
+    of the null moving. That term is small at large p, where |R(dtau)|^p is
+    near zero, but not at p = 2.
     """
     magp = mag ** p
     w_num = _band_weights(lags, dtau, float(lags[-1]))
@@ -314,10 +310,10 @@ def _sidelobe_ratio(lags, mag, dtau, p, with_gradient=False):
     num = float(w_num @ magp)
     den = float(w_den @ magp)
     ratio = (num / den) ** (2.0 / p)
-    if not with_gradient:
+    if vertex is None:
         return ratio
     d_power = ratio * (w_num / num - w_den / den) * mag ** (p - 2)
-    i, _, d_tau = _null_vertex(lags, mag)
+    i, _, d_tau = vertex
     # dN/dtau = -|R(tau)|^p and dD/dtau = |R(tau)|^p, linearly interpolated
     at_null = float(np.interp(dtau, lags, magp))
     d_ratio_tau = -(2.0 / p) * ratio * at_null * (1 / num + 1 / den)
@@ -395,23 +391,18 @@ def compute_metrics(w, delta_f, p=10, zero_pad_factor=4):
 
 
 def _metrics_report(sp, a, delta_f, p):
-    """The compute_metrics report from an already computed spectrum and ACF."""
+    """The compute_metrics report from an already computed spectrum and ACF.
+
+    A band wider than the analysis span is clamped to it and flagged in
+    sc_clamped instead of warning.
+    """
     span = 2 * float(sp.freqs[-1])
-    clamped = delta_f > span
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        sc = spectral_compactness(sp, delta_f)
-    beta = rms_bandwidth_spectral(sp)
-    if a.degenerate:
-        return MetricsReport(sc=sc, delta_f=min(delta_f, span), beta_rms=beta,
-                             degenerate=True, delta_tau=None, mainlobe_area=None,
-                             psl_db=None, isr_db=None, gisr_db=None, p=p,
-                             sc_clamped=clamped)
-    return MetricsReport(sc=sc, delta_f=min(delta_f, span), beta_rms=beta,
-                         degenerate=False, delta_tau=a.first_null,
-                         mainlobe_area=mainlobe_area(a), psl_db=psl(a),
-                         isr_db=isr(a), gisr_db=gisr(a, p), p=p,
-                         sc_clamped=clamped)
+    band = min(check_positive("delta_f", delta_f), span)
+    sidelobes = ((None,) * 5 if a.degenerate else
+                 (a.first_null, mainlobe_area(a), psl(a), isr(a), gisr(a, p)))
+    return MetricsReport(spectral_compactness(sp, band), band,
+                         rms_bandwidth_spectral(sp), a.degenerate, *sidelobes,
+                         p=p, sc_clamped=delta_f > span)
 
 
 def spectrum_csv(sp):

@@ -140,13 +140,13 @@ def _objective_and_gradient(vec, a0, T, K, p, n_samples):
     samples = np.exp(1j * _phase_samples(a0, alpha, beta, n_samples)) / math.sqrt(T)
     sample_rate = n_samples / T
     spec = _correlation_fft(samples)
-    lags, values, dtau, degen = _autocorrelation(spec, n_samples, sample_rate, T)
-    if degen:
+    lags, values, mag, vertex = _autocorrelation(spec, n_samples, sample_rate, T)
+    if vertex is None:
         params = MtsfmParams(a0, alpha, beta, T)
         scale = (T / (2 * np.pi)) ** 2
         return (1e3 - scale * closed_form_rms_bandwidth(params),
                 -scale * closed_form_rms_bandwidth_gradient(params))
-    ratio, d_power = _sidelobe_ratio(lags, np.abs(values), dtau, p, with_gradient=True)
+    ratio, d_power = _sidelobe_ratio(lags, mag, vertex[1], p, vertex)
     lag0 = n_samples  # index of lag 0 in values
     q = 2 * d_power[lag0:lag0 + n_samples] * np.conj(values[lag0:lag0 + n_samples])
     kernel = 2 * spec.size * np.fft.ifft(q, spec.size).real

@@ -5,12 +5,19 @@ import sys
 import numpy as np
 import pytest
 
-from mtsfm_cpm import MtsfmParams
+from mtsfm_cpm import MtsfmParams, synthesize_mtsfm
 from mtsfm_cpm.cli import main
 
 
 def run(args, tmp_path):
     return main(["--out-dir", str(tmp_path)] + args)
+
+
+def assert_phase_csv_synthesizes(path, params, n_samples):
+    """The exported phase rebuilds the synthesized samples bit for bit."""
+    phase = np.loadtxt(path, delimiter=",", skiprows=1)[:, 1]
+    w = synthesize_mtsfm(params, n_samples)
+    assert np.array_equal(np.exp(1j * phase) / np.sqrt(params.T), w.samples)
 
 
 def test_gen_code_mseq(tmp_path, capsys):
@@ -54,6 +61,9 @@ def test_fit_params_round_trip(tmp_path):
     run(["fit", str(tmp_path / "barker13.txt"), "-K", "7", "-T", "13.0"], tmp_path)
     params = MtsfmParams.from_json((tmp_path / "barker13_k7.json").read_text())
     assert params.K == 7 and params.T == 13.0
+    assert run(["metrics", str(tmp_path / "barker13_k7.json"), "--export", "phase"],
+               tmp_path) == 0
+    assert_phase_csv_synthesizes(tmp_path / "barker13_k7_phase.csv", params, 64 * 7)
 
 
 def test_metrics_barker13(tmp_path, capsys):
@@ -160,10 +170,36 @@ def test_reproduce_mseq63_fast_and_deterministic(tmp_path, capsys):
     assert summary["variants"]["init_k32"]["sc_fraction"] == pytest.approx(0.9885, abs=0.015)
     table = capsys.readouterr().out
     assert "pc" in table and "opt_k32" in table
+    opt = json.loads((out_dir / "opt_k32_result.json").read_text())["params"]
+    for variant, params in (
+            ("init_k32", (out_dir / "fit_k32.json").read_text()),
+            ("init_k64", (out_dir / "fit_k64.json").read_text()),
+            ("opt_k32", json.dumps(opt))):
+        assert_phase_csv_synthesizes(out_dir / f"{variant}_phase.csv",
+                                     MtsfmParams.from_json(params), 63 * 32)
 
     first = (out_dir / "summary.json").read_bytes()
     assert run(args, tmp_path) == 0
     assert (out_dir / "summary.json").read_bytes() == first
+
+
+@pytest.mark.parametrize("args", [
+    ["reproduce", "mseq63", "--delta", "2"],
+    ["reproduce", "mseq63", "--p", "1"],
+    ["--zero-pad", "0", "reproduce", "mseq63"],
+    ["--zero-pad", "0", "optimize", "{params}"],
+    ["optimize", "{params}", "--delta-f", "-1"],
+], ids=["reproduce-delta", "reproduce-p", "reproduce-zero-pad", "optimize-zero-pad",
+        "optimize-delta-f"])
+def test_bad_flag_writes_nothing(tmp_path, capsys, args):
+    pfile = tmp_path / "barker13_k7.json"
+    pfile.write_text(MtsfmParams(0.0, np.full(7, 0.1), np.zeros(7), 13.0).to_json())
+    out_dir = tmp_path / "out"
+    assert main(["--out-dir", str(out_dir)]
+                + [a.format(params=pfile) for a in args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out_dir.exists() or not any(out_dir.rglob("*"))
 
 
 def test_reproduce_poly65_missing_file(tmp_path, capsys):
