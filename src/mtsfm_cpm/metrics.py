@@ -9,7 +9,7 @@ generalization are 10*log10 of energy ratios.
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -159,18 +159,15 @@ class AcfResult:
     values: np.ndarray
     first_null: float
     degenerate: bool
+    magnitudes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lags = np.asarray(self.lags, dtype=float)
         values = np.asarray(self.values, dtype=complex)
-        lags.flags.writeable = False
-        values.flags.writeable = False
-        object.__setattr__(self, "lags", lags)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def magnitudes(self):
-        return np.abs(self.values)
+        magnitudes = np.abs(values)
+        for name, arr in (("lags", lags), ("values", values), ("magnitudes", magnitudes)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
 
 class FirstNull(NamedTuple):
@@ -226,6 +223,12 @@ def ambiguity(w, doppler_grid):
     Row nu is the cross correlation of s(t) e^{+j pi nu t} with
     s(t) e^{-j pi nu t}, which reduces to the plain autocorrelation at nu = 0
     (same code path, so the nu = 0 row matches acf() bit for bit).
+
+    The surface obeys chi(-tau, -nu) = conj(chi(tau, nu)), and the lag axis
+    is symmetric, so a row whose exact negation -nu (nu != 0) occurs earlier
+    in the grid is mirrored from the first such row as conj(row[::-1])
+    instead of being correlated. Every other row, nu = 0 included, is
+    correlated directly.
     """
     doppler_grid = np.atleast_1d(np.asarray(doppler_grid, dtype=float))
     if doppler_grid.size and not np.all(np.isfinite(doppler_grid)):
@@ -233,11 +236,17 @@ def ambiguity(w, doppler_grid):
     L = w.n_samples
     t = time_grid(L, w.T)
     rows = np.empty((doppler_grid.size, 2 * L + 1), dtype=complex)
-    for i, nu in enumerate(doppler_grid):
-        kernel = np.exp(1j * np.pi * nu * t)
-        rows[i] = _cross_correlation(_correlation_fft(w.samples * kernel),
-                                     _correlation_fft(w.samples / kernel), L,
-                                     w.sample_rate)
+    first = {}  # Doppler value -> index of its first row
+    for i, nu in enumerate(doppler_grid.tolist()):
+        j = first.get(-nu) if nu != 0 else None
+        if j is not None:
+            rows[i] = np.conj(rows[j][::-1])
+        else:
+            kernel = np.exp(1j * np.pi * nu * t)
+            rows[i] = _cross_correlation(_correlation_fft(w.samples * kernel),
+                                         _correlation_fft(w.samples / kernel), L,
+                                         w.sample_rate)
+        first.setdefault(nu, i)
     return rows
 
 
@@ -394,8 +403,11 @@ def _metrics_report(sp, a, delta_f, p):
     """The compute_metrics report from an already computed spectrum and ACF.
 
     A band wider than the analysis span is clamped to it and flagged in
-    sc_clamped instead of warning.
+    sc_clamped instead of warning. p is checked whether or not the ACF is
+    degenerate, so a bad p never yields a report.
     """
+    if p < 2:
+        raise ValueError(f"p must be >= 2, got {p}")
     span = 2 * float(sp.freqs[-1])
     band = min(check_positive("delta_f", delta_f), span)
     sidelobes = ((None,) * 5 if a.degenerate else

@@ -115,6 +115,11 @@ def fit_fourier(code, T, K):
 
     Because the input phase is constant on each chip, every coefficient
     integral has an exact per-chip antiderivative; no quadrature is involved.
+    The chip edges -T/2 + iT/N are uniform, so summation by parts turns the
+    per-chip sums into one length-N DFT of the circular phase jumps
+    d_i = phi_i - phi_{i-1 mod N}: with F = fft(d),
+    alpha_k = (-1)^k Re F[k mod N] / (pi k) and
+    beta_k = (-1)^k Im F[k mod N] / (pi k).
 
     Parameters
     ----------
@@ -133,16 +138,11 @@ def fit_fourier(code, T, K):
     phases = code.phases if isinstance(code, PhaseCode) else as_float_vector(code, "code")
     check_positive("T", T)
     K = check_int_at_least("K", K, 1)
-    n = phases.size
-    # chip edges scaled to angle: 2 pi k edge / T with edge = -T/2 + i*T/n
-    k = np.arange(1, K + 1, dtype=float)
-    edge_frac = -0.5 + np.arange(n + 1) / n
-    ang = 2 * np.pi * np.outer(k, edge_frac)
-    cos_e = np.cos(ang)
-    sin_e = np.sin(ang)
-    inv_pik = 1.0 / (np.pi * k)
-    alpha = inv_pik * ((cos_e[:, :-1] - cos_e[:, 1:]) @ phases)
-    beta = inv_pik * ((sin_e[:, 1:] - sin_e[:, :-1]) @ phases)
+    k = np.arange(1, K + 1)
+    jumps = np.fft.fft(phases - np.roll(phases, 1))[k % phases.size]
+    scale = np.where(k % 2, -1.0, 1.0) / (np.pi * k)
+    alpha = scale * jumps.real
+    beta = scale * jumps.imag
     a0 = 2.0 * float(np.mean(phases))
     return MtsfmParams(a0, alpha, beta, T)
 

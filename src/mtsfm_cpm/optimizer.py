@@ -68,6 +68,9 @@ class OptimizerConfig:
             raise ValueError(f"p must be >= 2, got {self.p}")
         if not 0 < self.delta < 1:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
+        if not (math.isfinite(self.objective_tolerance) and self.objective_tolerance >= 0):
+            raise ValueError("objective_tolerance must be finite and >= 0, "
+                             f"got {self.objective_tolerance}")
         check_int_at_least("max_iterations", self.max_iterations, 0)
         check_int_at_least("log_every", self.log_every, 1)
         if self.n_samples is not None:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from mtsfm_cpm import (SamplingConfig, barker_code, fit_fourier,
+from mtsfm_cpm import (MtsfmParams, SamplingConfig, barker_code, fit_fourier,
                        generate_msequence, objective, synthesize_mtsfm,
-                       synthesize_pc)
+                       synthesize_pc, time_grid)
+from mtsfm_cpm.metrics import _correlation_fft, _cross_correlation
 
 # Reference configuration for the 63-chip worked example: this particular
 # register/seed pair lands on the regression values the suite pins down.
@@ -54,3 +55,30 @@ def fd_gradient(params, cfg, h):
         g[j] = (objective(params.with_coefficients(vp), cfg)
                 - objective(params.with_coefficients(vm), cfg)) / (2 * h)
     return g
+
+
+def dense_fit(phases, T, K):
+    """Per-chip antiderivative fit from dense K x (N+1) cos/sin matrices of
+    the chip edges: the oracle for the FFT fit in fit_fourier."""
+    phases = np.asarray(phases, dtype=float)
+    n = phases.size
+    k = np.arange(1, K + 1, dtype=float)
+    ang = 2 * np.pi * np.outer(k, -0.5 + np.arange(n + 1) / n)
+    cos_e, sin_e = np.cos(ang), np.sin(ang)
+    alpha = ((cos_e[:, :-1] - cos_e[:, 1:]) @ phases) / (np.pi * k)
+    beta = ((sin_e[:, 1:] - sin_e[:, :-1]) @ phases) / (np.pi * k)
+    return MtsfmParams(2.0 * float(np.mean(phases)), alpha, beta, T)
+
+
+def per_row_ambiguity(w, doppler_grid):
+    """Every ambiguity row correlated on its own, none mirrored: the oracle
+    for the mirrored rows of ambiguity()."""
+    L = w.n_samples
+    t = time_grid(L, w.T)
+    rows = []
+    for nu in np.asarray(doppler_grid, dtype=float):
+        kernel = np.exp(1j * np.pi * nu * t)
+        rows.append(_cross_correlation(_correlation_fft(w.samples * kernel),
+                                       _correlation_fft(w.samples / kernel), L,
+                                       w.sample_rate))
+    return np.array(rows)

@@ -88,6 +88,17 @@ def test_metrics_degenerate_params_is_not_an_error(tmp_path):
     assert report["psl_db"] is None
 
 
+def test_metrics_p_below_2_on_degenerate_input_writes_nothing(tmp_path, capsys):
+    pfile = tmp_path / "flat.json"
+    pfile.write_text(MtsfmParams(0.0, np.zeros(8), np.zeros(8), 1.0).to_json())
+    out_dir = tmp_path / "out"
+    assert run(["metrics", str(pfile), "--p", "1"], out_dir) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "p must be >= 2" in err
+    assert err.count("\n") == 1
+    assert not out_dir.exists() or not any(out_dir.rglob("*"))
+
+
 @pytest.mark.parametrize("text, message", [
     ('{"T": 1.0, "a0": 0.0, "beta": [0.1]}', "missing the key 'alpha'"),
     ('[1.0, 0.0, [0.1], [0.1]]', "object at the top level"),
@@ -189,8 +200,9 @@ def test_reproduce_mseq63_fast_and_deterministic(tmp_path, capsys):
     ["--zero-pad", "0", "reproduce", "mseq63"],
     ["--zero-pad", "0", "optimize", "{params}"],
     ["optimize", "{params}", "--delta-f", "-1"],
+    ["optimize", "{params}", "--objective-tolerance", "nan"],
 ], ids=["reproduce-delta", "reproduce-p", "reproduce-zero-pad", "optimize-zero-pad",
-        "optimize-delta-f"])
+        "optimize-delta-f", "optimize-objective-tolerance"])
 def test_bad_flag_writes_nothing(tmp_path, capsys, args):
     pfile = tmp_path / "barker13_k7.json"
     pfile.write_text(MtsfmParams(0.0, np.full(7, 0.1), np.zeros(7), 13.0).to_json())

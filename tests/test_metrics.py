@@ -4,14 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from mtsfm_cpm import (DegenerateMainlobe, MtsfmParams, PhaseCode,
+from mtsfm_cpm import (AcfResult, DegenerateMainlobe, MtsfmParams, PhaseCode,
                        SampledWaveform, SamplingConfig, acf, ambiguity,
                        barker_code, closed_form_rms_bandwidth, compute_metrics,
                        first_null, generate_msequence, gisr, isr,
                        mainlobe_area, psl, rms_bandwidth_spectral,
                        spectral_compactness, spectrum, synthesize_mtsfm,
                        synthesize_pc)
-from conftest import MSEQ63_BAND, MSEQ63_T
+from conftest import MSEQ63_BAND, MSEQ63_T, per_row_ambiguity
 
 
 def rect_pulse(L=1024, T=1.0):
@@ -109,6 +109,16 @@ def test_acf_peak_and_symmetry(mseq63_pc, barker13_wave):
         assert a.lags[0] == -w.T and a.lags[-1] == w.T
 
 
+def test_acf_magnitudes_stored_once_read_only(mseq63_pc):
+    a = acf(mseq63_pc)
+    assert a.magnitudes is a.magnitudes
+    assert np.array_equal(a.magnitudes, np.abs(a.values))
+    assert not a.magnitudes.flags.writeable
+    # the constructor still takes (lags, values, first_null, degenerate)
+    b = AcfResult(a.lags, a.values, a.first_null, a.degenerate)
+    assert np.array_equal(b.magnitudes, a.magnitudes)
+
+
 def direct_acf(w):
     """O(L^2) time-domain correlation oracle: r[m] = sum_n s[n+m] conj(s[n]) / f_s."""
     s = w.samples
@@ -156,6 +166,31 @@ def test_ambiguity_zero_doppler_row_is_acf(build):
     assert np.array_equal(rows[0], a.values)
     center = rows.shape[1] // 2
     assert abs(rows[0][center] - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("grid", [
+    np.linspace(-0.5, 0.5, 9),
+    [-0.3, 0.1, 0.25, 0.3, 0.7, -0.1, -0.25],
+    [-0.0, 0.0, 0.2, -0.2, 0.0],
+    [0.2, 0.2, -0.2, -0.2, 0.0, 0.2],
+], ids=["symmetric", "asymmetric", "negative-zero", "repeated"])
+@pytest.mark.parametrize("wave", ["barker13_wave", "mseq63_wave32"])
+def test_ambiguity_matches_per_row_oracle(request, wave, grid):
+    w = request.getfixturevalue(wave)
+    grid = np.asarray(grid, dtype=float)
+    rows = ambiguity(w, grid)
+    oracle = per_row_ambiguity(w, grid)
+    assert np.max(np.abs(rows - oracle)) <= 1e-12
+    mirrored = 0
+    for i, nu in enumerate(grid):
+        earlier = np.flatnonzero(grid[:i] == -nu)
+        if nu != 0 and earlier.size:
+            # mirrored from the first earlier -nu row
+            assert np.array_equal(rows[i], np.conj(rows[earlier[0]][::-1]))
+            mirrored += 1
+        else:
+            assert np.array_equal(rows[i], oracle[i])
+    assert mirrored > 0
 
 
 def test_ambiguity_volume_is_unity():
@@ -307,6 +342,14 @@ def test_compute_metrics_degenerate():
     assert rep.degenerate
     assert rep.psl_db is None and rep.isr_db is None and rep.gisr_db is None
     assert rep.sc > 0.9
+
+
+@pytest.mark.parametrize("build", [rect_pulse, lambda: synthesize_pc(barker_code(13),
+                                                                     SamplingConfig(13.0))],
+                         ids=["degenerate", "regular"])
+def test_compute_metrics_rejects_p_below_2(build):
+    with pytest.raises(ValueError, match="p must be >= 2"):
+        compute_metrics(build(), 8.0, p=1)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])

@@ -8,7 +8,7 @@ from mtsfm_cpm import (MtsfmParams, PhaseCode, closed_form_rms_bandwidth,
                        fit_fourier, min_harmonics, min_samples, mtsfm_modulation,
                        mtsfm_phase, rms_bandwidth_spectral, spectral_compactness,
                        spectrum, synthesize_mtsfm, time_grid)
-from conftest import MSEQ63_BAND, MSEQ63_T
+from conftest import MSEQ63_BAND, MSEQ63_T, dense_fit
 
 
 def make_params(a0=0.0, alpha=(1.0,), beta=None, T=1.0):
@@ -79,6 +79,28 @@ def test_fit_recovers_fourier_input():
     assert abs(refit.a0 - params.a0) < 1e-6
     assert np.max(np.abs(refit.alpha - params.alpha)) < 1e-6
     assert np.max(np.abs(refit.beta - params.beta)) < 1e-6
+
+
+@pytest.mark.parametrize("n, K", [(1, 5), (2, 9), (13, 7), (65, 33), (65, 65),
+                                  (63, 2000), (1023, 512)])
+def test_fft_fit_matches_dense_oracle(n, K):
+    rng = np.random.default_rng(n * 10000 + K)
+    code = PhaseCode(rng.uniform(-np.pi, np.pi, n))
+    params = fit_fourier(code, 2.0, K)
+    oracle = dense_fit(code.phases, 2.0, K)
+    assert params.a0 == oracle.a0
+    assert np.max(np.abs(params.alpha - oracle.alpha)) <= 1e-12
+    assert np.max(np.abs(params.beta - oracle.beta)) <= 1e-12
+
+
+def test_fft_fit_matches_dense_oracle_plain_array():
+    rng = np.random.default_rng(4096)
+    phases = np.cumsum(rng.normal(0, 0.1, 4096))
+    params = fit_fourier(phases, 5.0, 300)
+    oracle = dense_fit(phases, 5.0, 300)
+    assert params.a0 == oracle.a0
+    assert np.max(np.abs(params.alpha - oracle.alpha)) <= 1e-12
+    assert np.max(np.abs(params.beta - oracle.beta)) <= 1e-12
 
 
 def test_bessel_inequality(mseq63_code):

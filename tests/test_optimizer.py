@@ -28,6 +28,10 @@ def test_config_validation():
         OptimizerConfig(delta=0.0)
     with pytest.raises(ValueError):
         OptimizerConfig(delta=1.5)
+    for tol in (float("nan"), float("inf"), -1e-8):
+        with pytest.raises(ValueError, match="objective_tolerance"):
+            OptimizerConfig(objective_tolerance=tol)
+    assert OptimizerConfig(objective_tolerance=0.0).objective_tolerance == 0.0
 
 
 def test_objective_zero_params_penalized():
