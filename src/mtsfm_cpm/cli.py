@@ -134,10 +134,10 @@ def cmd_fit(args):
     T = args.pulse_length if args.pulse_length is not None else float(code.n)
     bound = min_harmonics(code.n)
     K = args.harmonics if args.harmonics is not None else bound
+    params = fit_fourier(code, T, K)
     if K < bound:
         print(f"warning: K={K} is below the adequacy bound ceil(N/2)={bound}; "
               "inter-chip transitions may be lost", file=sys.stderr)
-    params = fit_fourier(code, T, K)
     path = (Path(args.output) if args.output
             else Path(args.out_dir) / f"{Path(args.code_file).stem}_k{K}.json")
     _atomic_write(path, params.to_json(extra={"config": _provenance(args)}))
@@ -156,7 +156,7 @@ def _load_input(args):
     path = Path(args.input)
     if path.suffix == ".json":
         params = MtsfmParams.from_json(path.read_text())
-        n = args.samples if getattr(args, "samples", None) else 64 * params.K
+        n = args.samples if args.samples is not None else 64 * params.K
         w, phase = _mtsfm_waveform(params, n)
         delta_f = args.delta_f if args.delta_f is not None else _default_band(params)
         return w, phase, delta_f, path.stem
@@ -213,17 +213,14 @@ def cmd_reproduce(args):
     else:
         code_file = Path(args.code_file) if args.code_file else POLY65_FILE
         if not code_file.exists():
-            print(f"error: polyphase code file {code_file} not found.\n"
-                  "Transcribe the 65-chip polyphase Barker code from the "
-                  "literature into that file (one radian value per line, '#' "
-                  "comments allowed); see data/README.md for instructions, "
-                  "or pass --code-file.", file=sys.stderr)
-            return 1
+            raise ValueError(
+                f"polyphase code file {code_file} not found. Transcribe the "
+                "65-chip polyphase Barker code from the literature into that "
+                "file (one radian value per line, '#' comments allowed); see "
+                "data/README.md for instructions, or pass --code-file.")
         code = load_phase_code(code_file, label="poly65")
         if code.n != 65:
-            print(f"error: expected a 65-chip code in {code_file}, got N={code.n}",
-                  file=sys.stderr)
-            return 1
+            raise ValueError(f"expected a 65-chip code in {code_file}, got N={code.n}")
         spec_cfg = POLY65
 
     out_dir = Path(args.out_dir) / args.example
@@ -318,7 +315,7 @@ def build_parser():
     p.add_argument("--delta-f", type=float, default=None,
                    help="band width for the energy fraction (defaults: 2N/T for "
                         "code files, 4K/T for params input)")
-    p.add_argument("--p", type=int, default=10)
+    p.add_argument("--p", type=int, default=OptimizerConfig.p)
     p.add_argument("--samples", type=int, default=None,
                    help="synthesis density for params input (default 64K)")
     p.add_argument("--export", default=None,
@@ -329,12 +326,13 @@ def build_parser():
     p.add_argument("params_file")
     p.add_argument("--delta-f", type=float, default=None,
                    help="band width for the before/after reports (default 4K/T)")
-    p.add_argument("--p", type=int, default=10)
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--max-iterations", type=int, default=400)
-    p.add_argument("--objective-tolerance", type=float, default=1e-8)
+    p.add_argument("--p", type=int, default=OptimizerConfig.p)
+    p.add_argument("--delta", type=float, default=OptimizerConfig.delta)
+    p.add_argument("--max-iterations", type=int, default=OptimizerConfig.max_iterations)
+    p.add_argument("--objective-tolerance", type=float,
+                   default=OptimizerConfig.objective_tolerance)
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--log-every", type=int, default=1)
+    p.add_argument("--log-every", type=int, default=OptimizerConfig.log_every)
     p.add_argument("--output-stem", default=None)
     p.set_defaults(func=cmd_optimize)
 
@@ -342,9 +340,9 @@ def build_parser():
     p.add_argument("example", choices=("mseq63", "poly65"))
     p.add_argument("--code-file", default=None,
                    help="polyphase code file for poly65 (default data/polyphase_barker_n65.txt)")
-    p.add_argument("--p", type=int, default=10)
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--max-iterations", type=int, default=400)
+    p.add_argument("--p", type=int, default=OptimizerConfig.p)
+    p.add_argument("--delta", type=float, default=OptimizerConfig.delta)
+    p.add_argument("--max-iterations", type=int, default=OptimizerConfig.max_iterations)
     p.set_defaults(func=cmd_reproduce)
 
     return parser

@@ -105,12 +105,14 @@ class GisrOptimizer(_ParamsMixin):
     Attributes (after fit)
     ----------------------
     result_ : OptimizationResult
-    params_ : MtsfmParams, the best feasible iterate
+    params_ : MtsfmParams, the last (and best) feasible iterate
     converged_ : bool
     """
 
-    def __init__(self, p=10, delta=0.1, max_iterations=400,
-                 objective_tolerance=1e-8, n_samples=None, log_every=1):
+    def __init__(self, p=OptimizerConfig.p, delta=OptimizerConfig.delta,
+                 max_iterations=OptimizerConfig.max_iterations,
+                 objective_tolerance=OptimizerConfig.objective_tolerance,
+                 n_samples=OptimizerConfig.n_samples, log_every=OptimizerConfig.log_every):
         self.p = p
         self.delta = delta
         self.max_iterations = max_iterations

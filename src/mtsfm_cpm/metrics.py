@@ -338,7 +338,7 @@ def gisr(a, p):
     10*log10( [int_null^T |R|^p / int_0^null |R|^p]^(2/p) ); p = 2 is the
     standard integrated sidelobe ratio, large p approaches the PSL.
     """
-    if p < 2:
+    if not p >= 2:
         raise ValueError(f"p must be >= 2, got {p}")
     dtau = _require_null(a)
     return 10 * math.log10(_sidelobe_ratio(a.lags, a.magnitudes, dtau, p))
@@ -406,7 +406,7 @@ def _metrics_report(sp, a, delta_f, p):
     sc_clamped instead of warning. p is checked whether or not the ACF is
     degenerate, so a bad p never yields a report.
     """
-    if p < 2:
+    if not p >= 2:
         raise ValueError(f"p must be >= 2, got {p}")
     span = 2 * float(sp.freqs[-1])
     band = min(check_positive("delta_f", delta_f), span)

@@ -159,9 +159,13 @@ def _phase_samples(a0, alpha, beta, n_samples):
 
     With X_k = (beta_k - j alpha_k) e^{j 2 pi k t_0 / T}, the phase is
     a0/2 + Re sum_k X_k e^{j 2 pi k n / L} = a0/2 + (L/2) irfft(X, L). This
-    needs K < L/2, which the 4K sample floor guarantees.
+    needs K < L/2, so L below the min_samples(K) = 4K floor is rejected.
     """
     K = alpha.size
+    floor = min_samples(K)
+    if n_samples < floor:
+        raise ValueError(
+            f"n_samples={n_samples} too small for K={K} harmonics; need >= {floor}")
     spec = np.zeros(n_samples // 2 + 1, dtype=complex)
     spec[1:K + 1] = (beta - 1j * alpha) * _phase_rotation(K, n_samples)
     return a0 / 2 + (n_samples / 2) * np.fft.irfft(spec, n_samples)
@@ -207,10 +211,6 @@ def synthesize_mtsfm(params, n_samples):
     phase harmonic.
     """
     n_samples = check_int_at_least("n_samples", n_samples, 2)
-    floor = min_samples(params.K)
-    if n_samples < floor:
-        raise ValueError(
-            f"n_samples={n_samples} too small for K={params.K} harmonics; need >= {floor}")
     phi = _phase_samples(params.a0, params.alpha, params.beta, n_samples)
     samples = np.exp(1j * phi) / math.sqrt(params.T)
     return SampledWaveform(samples, params.T, n_samples / params.T)

@@ -32,8 +32,9 @@ __all__ = [
     "trace_csv",
 ]
 
-# Relative slack on the band edges; projection lands on an edge only to
-# machine precision, so exact membership tests would oscillate.
+# Slack on the band edges, relative to the band's midpoint; projection lands
+# on an edge only to machine precision, so exact membership tests would
+# oscillate.
 BAND_SLACK = 1e-12
 
 # Backtracking line search: the step grows geometrically after an accepted
@@ -64,7 +65,7 @@ class OptimizerConfig:
     log_every: int = 1
 
     def __post_init__(self):
-        if self.p < 2:
+        if not self.p >= 2:
             raise ValueError(f"p must be >= 2, got {self.p}")
         if not 0 < self.delta < 1:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
@@ -77,11 +78,7 @@ class OptimizerConfig:
             check_int_at_least("n_samples", self.n_samples, 2)
 
     def resolve_n_samples(self, K):
-        n = self.n_samples if self.n_samples is not None else 64 * K
-        if n < 4 * K:
-            raise ValueError(
-                f"n_samples={n} undersamples K={K} harmonics; need >= {4 * K}")
-        return n
+        return self.n_samples if self.n_samples is not None else 64 * K
 
 
 @dataclass(frozen=True)
@@ -184,19 +181,27 @@ def beta2_band(beta2_ref, delta):
     return (1 - delta) * beta2_ref, (1 + delta) * beta2_ref
 
 
+def _band_residual(b2, band):
+    """How far b2 lies outside the band, relative to the band's midpoint
+    (the reference value beta2_band was built from); 0 inside the band."""
+    lo, hi = band
+    return max(0.0, lo - b2, b2 - hi) / ((lo + hi) / 2)
+
+
 def project_to_band(params, band):
     """Scale the coefficients onto the squared-bandwidth band if outside it.
 
     The squared bandwidth is homogeneous of degree 2 in the coefficients, so
-    scaling by sqrt(edge / value) lands exactly on the nearest edge. In-band
-    input (within a 1e-12 relative slack) is returned unchanged, which makes
-    the projection idempotent bit for bit.
+    scaling by sqrt(edge / value) lands on the nearest edge to machine
+    precision. Input whose residual outside the band, relative to the band's
+    midpoint, is at most BAND_SLACK is returned unchanged; so is every
+    projected result, which makes the projection idempotent bit for bit.
     """
     lo, hi = band
     b2 = closed_form_rms_bandwidth(params)
     if b2 == 0.0:
         raise ValueError("cannot project all-zero coefficients onto a positive band")
-    if lo * (1 - BAND_SLACK) <= b2 <= hi * (1 + BAND_SLACK):
+    if _band_residual(b2, band) <= BAND_SLACK:
         return params
     edge = lo if b2 < lo else hi
     scale = math.sqrt(edge / b2)
@@ -212,10 +217,12 @@ def optimize(initial, cfg):
 
     Steps along the negative analytic gradient, projects onto the
     bandwidth band, and accepts on sufficient decrease. Every recorded
-    iterate is feasible. Terminates on the iteration cap, on a relative
-    best-objective decrease below cfg.objective_tolerance across PATIENCE
-    iterations, or on step underflow. Returns the best iterate
-    seen; two runs with identical inputs produce identical traces.
+    iterate is feasible: its constraint_residual is at most BAND_SLACK.
+    Terminates on the iteration cap, on a relative objective decrease
+    below cfg.objective_tolerance across PATIENCE iterations, or on step
+    underflow. Returns the last iterate: a step is accepted only if it
+    strictly lowers the objective, so the last iterate is also the best
+    one seen. Two runs with identical inputs produce identical traces.
 
     ``n_evaluations`` counts objective evaluations; each returns the
     gradient with the objective, so one line-search trial is one evaluation.
@@ -232,20 +239,15 @@ def optimize(initial, cfg):
     x = initial.coefficient_vector()
     f, g = _objective_and_gradient(x, *args)
     n_evals = 1
-    best_f, best_x = f, x.copy()
     step = INITIAL_STEP
 
-    def residual(b2):
-        return max(0.0, (band[0] - b2) / beta2_ref, (b2 - band[1]) / beta2_ref)
-
     def record(it, b2, step_size, accepted):
-        return TraceRecord(it, _db(best_f), b2 / beta2_ref, residual(b2),
+        return TraceRecord(it, _db(f), b2 / beta2_ref, _band_residual(b2, band),
                            step_size, float(np.linalg.norm(g)), accepted)
 
     trace = [record(0, beta2_ref, 0.0, True)]
     reason = "max_iterations"
-    converged = False
-    history = [best_f]
+    history = [f]
 
     for it in range(1, cfg.max_iterations + 1):
         accepted = False
@@ -260,10 +262,7 @@ def optimize(initial, cfg):
                 step = min(step * STEP_GROWTH, MAX_STEP)
                 break
             step *= STEP_SHRINK
-
-        if f < best_f:
-            best_f, best_x = f, x.copy()
-        history.append(best_f)
+        history.append(f)
 
         if it % cfg.log_every == 0 or not accepted or it == cfg.max_iterations:
             b2_now = closed_form_rms_bandwidth(initial.with_coefficients(x))
@@ -274,21 +273,19 @@ def optimize(initial, cfg):
             break
         if (cfg.objective_tolerance > 0 and len(history) > PATIENCE):
             prev = history[-1 - PATIENCE]
-            if (prev - best_f) <= cfg.objective_tolerance * max(prev, 1e-300):
+            if (prev - f) <= cfg.objective_tolerance * max(prev, 1e-300):
                 reason = "converged"
-                converged = True
                 break
 
-    final_params = initial.with_coefficients(best_x)
-    final_b2 = closed_form_rms_bandwidth(final_params)
+    final_params = initial.with_coefficients(x)
     return OptimizationResult(
         params=final_params,
         initial_gisr_db=_db(history[0]),
-        final_gisr_db=_db(best_f),
+        final_gisr_db=_db(f),
         initial_beta2=beta2_ref,
-        final_beta2=final_b2,
+        final_beta2=closed_form_rms_bandwidth(final_params),
         trace=tuple(trace),
-        converged=converged,
+        converged=reason == "converged",
         termination_reason=reason,
         n_evaluations=n_evals,
     )

@@ -201,14 +201,19 @@ def test_reproduce_mseq63_fast_and_deterministic(tmp_path, capsys):
     ["--zero-pad", "0", "optimize", "{params}"],
     ["optimize", "{params}", "--delta-f", "-1"],
     ["optimize", "{params}", "--objective-tolerance", "nan"],
+    ["metrics", "{params}", "--samples", "0"],
+    ["fit", "{code}", "-K", "0"],
 ], ids=["reproduce-delta", "reproduce-p", "reproduce-zero-pad", "optimize-zero-pad",
-        "optimize-delta-f", "optimize-objective-tolerance"])
+        "optimize-delta-f", "optimize-objective-tolerance", "metrics-samples-zero",
+        "fit-zero-harmonics"])
 def test_bad_flag_writes_nothing(tmp_path, capsys, args):
     pfile = tmp_path / "barker13_k7.json"
     pfile.write_text(MtsfmParams(0.0, np.full(7, 0.1), np.zeros(7), 13.0).to_json())
+    code_file = tmp_path / "code3.txt"
+    code_file.write_text("0.0\n3.141592653589793\n0.0\n")
     out_dir = tmp_path / "out"
     assert main(["--out-dir", str(out_dir)]
-                + [a.format(params=pfile) for a in args]) == 1
+                + [a.format(params=pfile, code=code_file) for a in args]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out_dir.exists() or not any(out_dir.rglob("*"))
@@ -218,6 +223,7 @@ def test_reproduce_poly65_missing_file(tmp_path, capsys):
     missing = tmp_path / "nope.txt"
     assert run(["reproduce", "poly65", "--code-file", str(missing)], tmp_path) == 1
     err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert "Transcribe" in err and "data/README.md" in err
 
 
@@ -225,7 +231,9 @@ def test_reproduce_poly65_wrong_length(tmp_path, capsys):
     bad = tmp_path / "short.txt"
     bad.write_text("0.0\n1.0\n")
     assert run(["reproduce", "poly65", "--code-file", str(bad)], tmp_path) == 1
-    assert "N=2" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "N=2" in err
 
 
 def test_console_entry_point(tmp_path):

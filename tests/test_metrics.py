@@ -348,8 +348,11 @@ def test_compute_metrics_degenerate():
                                                                      SamplingConfig(13.0))],
                          ids=["degenerate", "regular"])
 def test_compute_metrics_rejects_p_below_2(build):
-    with pytest.raises(ValueError, match="p must be >= 2"):
-        compute_metrics(build(), 8.0, p=1)
+    for p in (1, float("nan")):
+        with pytest.raises(ValueError, match="p must be >= 2"):
+            compute_metrics(build(), 8.0, p=p)
+        with pytest.raises(ValueError, match="p must be >= 2"):
+            gisr(acf(build()), p)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])

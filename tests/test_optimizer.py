@@ -8,6 +8,7 @@ from mtsfm_cpm import (MtsfmParams, OptimizerConfig, acf, barker_code,
                        closed_form_rms_bandwidth_gradient, fit_fourier, gisr,
                        gradient, isr, objective, optimize, project_to_band,
                        synthesize_mtsfm, trace_csv)
+from mtsfm_cpm.optimizer import BAND_SLACK
 from conftest import fd_gradient
 
 
@@ -22,8 +23,9 @@ def small_cfg():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        OptimizerConfig(p=1)
+    for p in (1, float("nan")):
+        with pytest.raises(ValueError, match="p must be >= 2"):
+            OptimizerConfig(p=p)
     with pytest.raises(ValueError):
         OptimizerConfig(delta=0.0)
     with pytest.raises(ValueError):
@@ -125,6 +127,17 @@ def test_project_idempotent_bit_for_bit(mseq63_fit32):
     assert np.array_equal(twice.beta, once.beta)
 
 
+def test_project_just_above_band_lands_within_slack(mseq63_fit32):
+    # hi * (1 + 0.95e-12) is 1.045e-12 above hi relative to the reference:
+    # outside the slack, so it must be projected, not passed through
+    ref = closed_form_rms_bandwidth(mseq63_fit32)
+    lo, hi = beta2_band(ref, 0.1)
+    above = mseq63_fit32.with_coefficients(
+        mseq63_fit32.coefficient_vector() * math.sqrt(hi * (1 + 0.95e-12) / ref))
+    b2 = closed_form_rms_bandwidth(project_to_band(above, (lo, hi)))
+    assert (b2 - hi) / ref <= BAND_SLACK
+
+
 def test_project_rejects_all_zero():
     params = MtsfmParams(0.0, np.zeros(3), np.zeros(3), 1.0)
     with pytest.raises(ValueError):
@@ -152,9 +165,22 @@ def test_optimize_improves_and_stays_feasible(barker13_fit, small_cfg):
     lo, hi = beta2_band(res.initial_beta2, small_cfg.delta)
     assert lo * (1 - 1e-12) <= res.final_beta2 <= hi * (1 + 1e-12)
     for record in res.trace:
-        assert record.constraint_residual <= 1e-12
+        assert record.constraint_residual <= BAND_SLACK
     objectives = [r.objective_db for r in res.trace]
     assert all(b <= a for a, b in zip(objectives, objectives[1:]))
+
+
+def test_optimize_trace_within_band_slack(barker13_fit):
+    # this run steps onto the upper band edge from just outside it
+    res = optimize(barker13_fit, OptimizerConfig(max_iterations=60))
+    assert len(res.trace) > 1
+    assert max(r.constraint_residual for r in res.trace) <= BAND_SLACK
+
+
+def test_optimize_rejects_samples_below_floor(barker13_fit):
+    cfg = OptimizerConfig(max_iterations=1, n_samples=4 * barker13_fit.K - 1)
+    with pytest.raises(ValueError, match=f"need >= {4 * barker13_fit.K}"):
+        optimize(barker13_fit, cfg)
 
 
 def test_optimize_deterministic(barker13_fit, small_cfg):
