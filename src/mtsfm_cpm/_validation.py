@@ -1,5 +1,7 @@
 """Small input-validation helpers shared across the package."""
 
+import math
+
 import numpy as np
 
 
@@ -22,7 +24,8 @@ def check_positive(name, value):
 
 
 def check_int_at_least(name, value, minimum):
-    if int(value) != value or value < minimum:
+    # finiteness first: int() of inf or nan raises without naming the value
+    if not (math.isfinite(value) and int(value) == value and value >= minimum):
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value}")
     return int(value)
 

@@ -55,17 +55,20 @@ def _band_weights(x, lo, hi):
     increasing; the band is clamped to the span of x.
     """
     w = np.zeros(x.size)
-    lo = max(lo, float(x[0]))
-    hi = min(hi, float(x[-1]))
+    first, last = x[[0, -1]].tolist()
+    lo, hi = max(lo, first), min(hi, last)
     if hi <= lo:
         return w
-    i0 = int(np.searchsorted(x, lo, side="right"))
-    i1 = int(np.searchsorted(x, hi, side="left"))
-    half = np.diff(np.concatenate([[lo], x[i0:i1], [hi]])) / 2
-    w[i0:i1] = half[:-1] + half[1:]
-    for edge, weight in ((lo, half[0]), (hi, half[-1])):
-        j = min(max(int(np.searchsorted(x, edge, side="right")) - 1, 0), x.size - 2)
-        t = (edge - x[j]) / (x[j + 1] - x[j])
+    i0 = int(x.searchsorted(lo, "right"))
+    i1 = int(x.searchsorted(hi, "left"))
+    edges = np.concatenate(([lo], x[i0:i1], [hi]))
+    half = edges[1:] - edges[:-1]
+    half /= 2
+    np.add(half[:-1], half[1:], out=w[i0:i1])
+    for edge, weight in ((lo, float(half[0])), (hi, float(half[-1]))):
+        j = min(max(int(x.searchsorted(edge, "right")) - 1, 0), x.size - 2)
+        xj, xj1 = x[j:j + 2].tolist()
+        t = (edge - xj) / (xj1 - xj)
         w[j] += weight * (1 - t)
         w[j + 1] += weight * t
     return w
@@ -162,10 +165,23 @@ class AcfResult:
     magnitudes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lags = np.asarray(self.lags, dtype=float)
         values = np.asarray(self.values, dtype=complex)
-        magnitudes = np.abs(values)
-        for name, arr in (("lags", lags), ("values", values), ("magnitudes", magnitudes)):
+        self._freeze(self.lags, values, np.abs(values))
+
+    @classmethod
+    def _with_magnitudes(cls, lags, values, magnitudes, first_null, degenerate):
+        """The AcfResult of these fields, given magnitudes == np.abs(values)
+        already computed, so they are not computed twice."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "first_null", first_null)
+        object.__setattr__(self, "degenerate", degenerate)
+        self._freeze(lags, values, magnitudes)
+        return self
+
+    def _freeze(self, lags, values, magnitudes):
+        for name, arr in (("lags", np.asarray(lags, dtype=float)),
+                          ("values", np.asarray(values, dtype=complex)),
+                          ("magnitudes", magnitudes)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -189,15 +205,21 @@ def _cross_correlation(fu, fv, L, sample_rate):
     return np.concatenate([[0.0], cc[-(L - 1):], cc[:L], [0.0]])
 
 
-def _autocorrelation(spec, L, sample_rate, T):
-    """(lags, values, magnitudes, vertex) of the autocorrelation of L samples
-    with _correlation_fft spectrum spec, on the native lag grid
-    -T, -(L-1)/f_s .. (L-1)/f_s, T; vertex is the _null_vertex of the
-    magnitudes, scanned once here for every consumer."""
+def _lag_grid(L, sample_rate, T):
+    """The native lag grid -T, -(L-1)/f_s .. (L-1)/f_s, T of L samples; its
+    last L + 1 entries are the lags >= 0."""
+    return np.concatenate([[-T], np.arange(-(L - 1), L) / sample_rate, [T]])
+
+
+def _autocorrelation(spec, L, sample_rate, lags):
+    """(values, magnitudes, vertex) of the autocorrelation of L samples with
+    _correlation_fft spectrum spec. values and magnitudes cover the whole
+    _lag_grid; vertex is the _null_vertex of the lags >= 0 (``lags``, the
+    last L + 1 entries of that grid), scanned once here for every consumer.
+    """
     values = _cross_correlation(spec, spec, L, sample_rate)
-    lags = np.concatenate([[-T], np.arange(-(L - 1), L) / sample_rate, [T]])
     magnitudes = np.abs(values)
-    return lags, values, magnitudes, _null_vertex(lags, magnitudes)
+    return values, magnitudes, _null_vertex(lags, magnitudes[L:])
 
 
 def acf(w):
@@ -210,11 +232,12 @@ def acf(w):
     equals the one-sided-lag correlation computed here up to conjugation, so
     all magnitude-based metrics agree.
     """
-    lags, values, _, vertex = _autocorrelation(_correlation_fft(w.samples),
-                                               w.n_samples, w.sample_rate, w.T)
-    if vertex is None:
-        return AcfResult(lags, values, float(lags[-1]), True)
-    return AcfResult(lags, values, vertex[1], False)
+    L = w.n_samples
+    lags = _lag_grid(L, w.sample_rate, w.T)
+    values, magnitudes, vertex = _autocorrelation(_correlation_fft(w.samples), L,
+                                                  w.sample_rate, lags[L:])
+    first_null = float(lags[-1]) if vertex is None else vertex[1]
+    return AcfResult._with_magnitudes(lags, values, magnitudes, first_null, vertex is None)
 
 
 def ambiguity(w, doppler_grid):
@@ -257,24 +280,28 @@ def ambiguity(w, doppler_grid):
 def _null_vertex(lags, magnitudes):
     """First strict local minimum of |R| for tau > 0, refined parabolically.
 
-    Returns (i, tau, dtau): the lag index of the minimum, the refined null
-    location, and the derivative of tau over magnitudes[i-1:i+2] (zero where
-    the refinement is clipped). None when no interior minimum exists, e.g.
-    the pure triangle of an unmodulated pulse.
+    lags and magnitudes hold the lags >= 0 only (|R| is even). Returns
+    (i, tau, dtau): the index of the minimum in those arrays, the refined
+    null location, and the derivative of tau over magnitudes[i-1:i+2] as a
+    3-tuple (zero where the refinement is clipped). None when no interior
+    minimum exists, e.g. the pure triangle of an unmodulated pulse.
     """
-    center = lags.size // 2
-    for i in range(center + 1, lags.size - 1):
-        y0, y1, y2 = magnitudes[i - 1], magnitudes[i], magnitudes[i + 1]
-        if y1 < y0 and y1 < y2:
-            step = lags[i] - lags[i - 1]
-            denom = y0 - 2 * y1 + y2
-            offset = 0.5 * (y0 - y2) / denom if denom > 0 else 0.0
-            dtau = np.zeros(3)
-            if denom > 0 and abs(offset) < 1.0:
-                dtau = step * np.array([y2 - y1, y0 - y2, y1 - y0]) / denom ** 2
-            offset = float(np.clip(offset, -1.0, 1.0))
-            return i, float(lags[i] + offset * step), dtau
-    return None
+    inner = magnitudes[1:-1]
+    is_min = (inner < magnitudes[:-2]) & (inner < magnitudes[2:])
+    i = int(is_min.argmax())  # the first True, if any
+    if not is_min[i]:
+        return None
+    i += 1
+    y0, y1, y2 = magnitudes[i - 1:i + 2].tolist()
+    t0, t1 = lags[i - 1:i + 1].tolist()
+    step = t1 - t0
+    denom = y0 - 2 * y1 + y2
+    offset = 0.5 * (y0 - y2) / denom if denom > 0 else 0.0
+    dtau = (0.0, 0.0, 0.0)
+    if denom > 0 and abs(offset) < 1.0:
+        dtau = tuple(step * d / denom ** 2 for d in (y2 - y1, y0 - y2, y1 - y0))
+    offset = min(max(offset, -1.0), 1.0)
+    return i, t1 + offset * step, dtau
 
 
 def first_null(a):
@@ -303,32 +330,37 @@ def psl(a):
     return 20 * math.log10(float(side.max()))
 
 
-def _sidelobe_ratio(lags, mag, dtau, p, vertex=None):
+def _sidelobe_ratio(lags, trapezoid, mag, dtau, p, vertex=None):
     """Linear p-norm sidelobe ratio J = (N / D)^(2/p), N = int_dtau^T |R|^p and
     D = int_0^dtau |R|^p, shared by gisr() and the optimizer objective.
 
-    N and D are weighted sums of |R|^p, so given the _null_vertex of mag
-    (whose tau is dtau) this also returns dJ/d|R|^2 at every lag:
-    J (w_N / N - w_D / D) |R|^(p-2) with the null held fixed, plus the term
-    of the null moving. That term is small at large p, where |R(dtau)|^p is
-    near zero, but not at p = 2.
+    lags and mag hold the lags >= 0 only: |R| is even, so both integrals
+    over the whole grid are twice those over tau >= 0 and the ratio is the
+    same. trapezoid is _band_weights(lags, 0, lags[-1]), the weights of the
+    whole grid; the weights of N are those less the weights of D, which
+    differ from zero only up to the null. N and D are weighted sums of
+    |R|^p, so given the _null_vertex of mag (whose tau is dtau) this also
+    returns dJ/d|R|^2 at every lag >= 0: J (w_N / N - w_D / D) |R|^(p-2)
+    with the null held fixed, plus the term of the null moving. That term is
+    small at large p, where |R(dtau)|^p is near zero, but not at p = 2.
     """
-    magp = mag ** p
-    w_num = _band_weights(lags, dtau, float(lags[-1]))
+    mag_p2 = mag ** (p - 2)
+    magp = mag_p2 * (mag * mag)
     w_den = _band_weights(lags, 0.0, dtau)
+    w_num = trapezoid - w_den
     num = float(w_num @ magp)
     den = float(w_den @ magp)
     ratio = (num / den) ** (2.0 / p)
     if vertex is None:
         return ratio
-    d_power = ratio * (w_num / num - w_den / den) * mag ** (p - 2)
+    d_power = (w_num * (ratio / num) - w_den * (ratio / den)) * mag_p2
     i, _, d_tau = vertex
     # dN/dtau = -|R(tau)|^p and dD/dtau = |R(tau)|^p, linearly interpolated
     at_null = float(np.interp(dtau, lags, magp))
     d_ratio_tau = -(2.0 / p) * ratio * at_null * (1 / num + 1 / den)
-    near = mag[i - 1:i + 2]
-    d_power[i - 1:i + 2] += np.divide(d_ratio_tau * d_tau, 2 * near,
-                                      out=np.zeros(3), where=near > 0)
+    for j, (y, d) in enumerate(zip(mag[i - 1:i + 2].tolist(), d_tau), start=i - 1):
+        if y > 0:
+            d_power[j] += d_ratio_tau * d / (2 * y)
     return ratio, d_power
 
 
@@ -341,7 +373,10 @@ def gisr(a, p):
     if not p >= 2:
         raise ValueError(f"p must be >= 2, got {p}")
     dtau = _require_null(a)
-    return 10 * math.log10(_sidelobe_ratio(a.lags, a.magnitudes, dtau, p))
+    L = a.lags.size // 2
+    lags = a.lags[L:]
+    trapezoid = _band_weights(lags, 0.0, float(lags[-1]))
+    return 10 * math.log10(_sidelobe_ratio(lags, trapezoid, a.magnitudes[L:], dtau, p))
 
 
 def isr(a):

@@ -9,6 +9,7 @@ phase-coded pulse smooths the inter-chip jumps; the coefficients then double
 as the free variables of the sidelobe optimizer.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -147,11 +148,16 @@ def fit_fourier(code, T, K):
     return MtsfmParams(a0, alpha, beta, T)
 
 
+@functools.lru_cache(maxsize=16)
 def _phase_rotation(K, n_samples):
     """e^{j 2 pi k t_0 / T} for k = 1..K, with t_0 = -T/2 + T/(2L) the first
-    midpoint, computed as (-1)^k e^{j pi k / L} to keep the angle small."""
+    midpoint, computed as (-1)^k e^{j pi k / L} to keep the angle small.
+    Read-only and cached: an optimization run evaluates at one (K, L), twice
+    per evaluation, and the K entries are small."""
     k = np.arange(1, K + 1)
-    return np.where(k % 2, -1.0, 1.0) * np.exp(1j * np.pi * k / n_samples)
+    rotation = np.where(k % 2, -1.0, 1.0) * np.exp(1j * np.pi * k / n_samples)
+    rotation.flags.writeable = False
+    return rotation
 
 
 def _phase_samples(a0, alpha, beta, n_samples):
@@ -212,8 +218,33 @@ def synthesize_mtsfm(params, n_samples):
     """
     n_samples = check_int_at_least("n_samples", n_samples, 2)
     phi = _phase_samples(params.a0, params.alpha, params.beta, n_samples)
-    samples = np.exp(1j * phi) / math.sqrt(params.T)
-    return SampledWaveform(samples, params.T, n_samples / params.T)
+    return SampledWaveform(_unit_samples(phi, params.T), params.T, n_samples / params.T)
+
+
+def _unit_samples(phi, T):
+    """exp(j phi) / sqrt(T) by one cos and one sin pass into one complex
+    buffer, then a multiply by 1 / sqrt(T). np.exp(1j * phi) / sqrt(T) does
+    the same arithmetic (the exponential of a zero real part is cos + j sin,
+    and numpy divides complex by real as a multiply by the reciprocal), so
+    both give the same samples bit for bit."""
+    out = np.empty(phi.size, dtype=complex)
+    np.cos(phi, out=out.real)
+    np.sin(phi, out=out.imag)
+    parts = out.view(float)
+    parts *= 1.0 / math.sqrt(T)
+    return out
+
+
+def _beta2_weights(K, T):
+    """Weights w with w @ vec**2 the squared RMS bandwidth of the coefficient
+    vector vec = (alpha, beta): (2 pi k / T)^2 / 2 on both halves."""
+    w = (2 * np.pi * np.arange(1, K + 1) / T) ** 2 / 2
+    return np.concatenate([w, w])
+
+
+def _beta2(vec, weights):
+    """Squared RMS bandwidth of a coefficient vector, given _beta2_weights."""
+    return float(weights @ (vec * vec))
 
 
 def closed_form_rms_bandwidth(params):
@@ -223,13 +254,9 @@ def closed_form_rms_bandwidth(params):
 
     No sampling is involved; a0 does not enter.
     """
-    k = np.arange(1, params.K + 1, dtype=float)
-    return float((2 * np.pi / params.T) ** 2
-                 * np.sum(k ** 2 * (params.alpha ** 2 + params.beta ** 2)) / 2)
+    return _beta2(params.coefficient_vector(), _beta2_weights(params.K, params.T))
 
 
 def closed_form_rms_bandwidth_gradient(params):
     """Exact gradient of the squared RMS bandwidth over the 2K coefficients."""
-    k = np.arange(1, params.K + 1, dtype=float)
-    scale = (2 * np.pi / params.T) ** 2
-    return scale * np.concatenate([k ** 2 * params.alpha, k ** 2 * params.beta])
+    return 2 * _beta2_weights(params.K, params.T) * params.coefficient_vector()

@@ -12,13 +12,15 @@ solver. The search is fully deterministic.
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ._validation import check_int_at_least
-from .metrics import _autocorrelation, _correlation_fft, _sidelobe_ratio
-from .mtsfm import (MtsfmParams, _phase_adjoint, _phase_samples,
-                    closed_form_rms_bandwidth, closed_form_rms_bandwidth_gradient)
+from .metrics import (_autocorrelation, _band_weights, _correlation_fft, _lag_grid,
+                      _sidelobe_ratio)
+from .mtsfm import (MtsfmParams, _beta2, _beta2_weights, _phase_adjoint,
+                    _phase_samples, _unit_samples)
 
 __all__ = [
     "OptimizerConfig",
@@ -121,42 +123,63 @@ class OptimizationResult:
         return json.dumps(obj, indent=2)
 
 
-def _objective_and_gradient(vec, a0, T, K, p, n_samples):
+class _Run(NamedTuple):
+    """The constants of one optimization run that every evaluation needs."""
+
+    a0: float
+    T: float
+    K: int
+    p: int
+    n_samples: int
+    lags: np.ndarray  # the lags >= 0 of the native lag grid
+    trapezoid: np.ndarray  # their trapezoid weights over [0, T]
+    weights: np.ndarray  # _beta2_weights of the coefficient vector
+
+
+def _run(params, cfg):
+    """The _Run of optimizing params under cfg."""
+    n = cfg.resolve_n_samples(params.K)
+    lags = _lag_grid(n, n / params.T, params.T)[n:]
+    return _Run(params.a0, params.T, params.K, cfg.p, n, lags,
+                _band_weights(lags, 0.0, params.T), _beta2_weights(params.K, params.T))
+
+
+def _objective_and_gradient(vec, run):
     """Linear-scale sidelobe ratio J of the waveform built from a coefficient
     vector, and its exact gradient over the 2K coefficients.
 
-    With q[m] = 2 dJ/d|R[m]|^2 conj(R[m]) for lags m = 0..L-1 (from
+    The sidelobe ratio is scored on lags >= 0 only, since |R| is even. With
+    q[m] = 2 dJ/d|R[m]|^2 conj(R[m]) for lags m = 0..L-1 (from
     metrics._sidelobe_ratio, first-null movement included), the phase
     gradient is dJ/dphi[n] = Im(conj(s[n]) sum_m h[m] s[n+m]) / f_s, where
     h[m] = q[m] + conj(q[-m]) is Hermitian; the lag sum is one FFT
     correlation with the real spectrum 2 n_fft Re(ifft(q)), reusing the
-    spectrum of s. The coefficient gradient is the adjoint of the FFT
+    spectrum of s. q lives on lags below n_fft / 2, so that spectrum is
+    n_fft irfft(q) = 2 n_fft irfft(q / 2) except for the lag-0 term, which
+    irfft counts once where Re(ifft) counts it twice. That term only adds a
+    real constant c to the spectrum, and Im(conj(s[n]) c s[n]) = 0 (|R(0)|
+    is the energy whatever the phase), so one inverse real FFT gives the
+    phase gradient. The coefficient gradient is the adjoint of the FFT
     synthesis.
 
     A degenerate mainlobe returns a large penalty that decreases as the
     bandwidth re-opens, with its exact gradient, keeping line searches total.
     """
-    alpha, beta = vec[:K], vec[K:]
-    samples = np.exp(1j * _phase_samples(a0, alpha, beta, n_samples)) / math.sqrt(T)
-    sample_rate = n_samples / T
+    K, L, T = run.K, run.n_samples, run.T
+    samples = _unit_samples(_phase_samples(run.a0, vec[:K], vec[K:], L), T)
+    sample_rate = L / T
     spec = _correlation_fft(samples)
-    lags, values, mag, vertex = _autocorrelation(spec, n_samples, sample_rate, T)
+    values, mag, vertex = _autocorrelation(spec, L, sample_rate, run.lags)
     if vertex is None:
-        params = MtsfmParams(a0, alpha, beta, T)
         scale = (T / (2 * np.pi)) ** 2
-        return (1e3 - scale * closed_form_rms_bandwidth(params),
-                -scale * closed_form_rms_bandwidth_gradient(params))
-    ratio, d_power = _sidelobe_ratio(lags, mag, vertex[1], p, vertex)
-    lag0 = n_samples  # index of lag 0 in values
-    q = 2 * d_power[lag0:lag0 + n_samples] * np.conj(values[lag0:lag0 + n_samples])
-    kernel = 2 * spec.size * np.fft.ifft(q, spec.size).real
-    corr = np.fft.ifft(spec * kernel)[:n_samples]
+        return 1e3 - scale * _beta2(vec, run.weights), -scale * 2 * run.weights * vec
+    ratio, d_power = _sidelobe_ratio(run.lags, run.trapezoid, mag[L:], vertex[1],
+                                     run.p, vertex)
+    n_fft = spec.size
+    kernel = np.fft.irfft(d_power[:L] * np.conj(values[L:2 * L]), n_fft) * (2 * n_fft)
+    corr = np.fft.ifft(spec * kernel)[:L]
     dphi = np.imag(np.conj(samples) * corr) / sample_rate
     return ratio, _phase_adjoint(dphi, K)
-
-
-def _args(params, cfg):
-    return (params.a0, params.T, params.K, cfg.p, cfg.resolve_n_samples(params.K))
 
 
 def objective(params, cfg):
@@ -165,7 +188,7 @@ def objective(params, cfg):
     Deterministic for fixed inputs; see the dB-domain metrics module for
     the reporting form.
     """
-    return _objective_and_gradient(params.coefficient_vector(), *_args(params, cfg))[0]
+    return _objective_and_gradient(params.coefficient_vector(), _run(params, cfg))[0]
 
 
 def gradient(params, cfg):
@@ -173,7 +196,7 @@ def gradient(params, cfg):
 
     The constant term a0 is excluded: every metric is invariant to it.
     """
-    return _objective_and_gradient(params.coefficient_vector(), *_args(params, cfg))[1]
+    return _objective_and_gradient(params.coefficient_vector(), _run(params, cfg))[1]
 
 
 def beta2_band(beta2_ref, delta):
@@ -197,15 +220,22 @@ def project_to_band(params, band):
     midpoint, is at most BAND_SLACK is returned unchanged; so is every
     projected result, which makes the projection idempotent bit for bit.
     """
-    lo, hi = band
-    b2 = closed_form_rms_bandwidth(params)
+    vec = params.coefficient_vector()
+    projected, _ = _project(vec, band, _beta2_weights(params.K, params.T))
+    return params if projected is vec else params.with_coefficients(projected)
+
+
+def _project(vec, band, weights):
+    """project_to_band on a coefficient vector: (vector, its squared
+    bandwidth), the vector itself when it is within the slack."""
+    b2 = _beta2(vec, weights)
     if b2 == 0.0:
         raise ValueError("cannot project all-zero coefficients onto a positive band")
     if _band_residual(b2, band) <= BAND_SLACK:
-        return params
-    edge = lo if b2 < lo else hi
-    scale = math.sqrt(edge / b2)
-    return params.with_coefficients(params.coefficient_vector() * scale)
+        return vec, b2
+    lo, hi = band
+    projected = vec * math.sqrt((lo if b2 < lo else hi) / b2)
+    return projected, _beta2(projected, weights)
 
 
 def _db(x):
@@ -228,36 +258,39 @@ def optimize(initial, cfg):
     gradient with the objective, so one line-search trial is one evaluation.
     A trace record's ``grad_norm`` is the gradient norm at the iterate it
     records.
+
+    The loop works on the coefficient vector: line-search trials are
+    projected as vectors, a trace record takes the squared bandwidth the
+    projection computed for its iterate, and the result's MtsfmParams is
+    built once, at the end.
     """
-    beta2_ref = closed_form_rms_bandwidth(initial)
+    run = _run(initial, cfg)
+    x = initial.coefficient_vector()
+    beta2_ref = b2 = _beta2(x, run.weights)
     if beta2_ref == 0.0:
         raise ValueError("initialization has all-zero coefficients; "
                          "the bandwidth band is empty and cannot be projected onto")
     band = beta2_band(beta2_ref, cfg.delta)
-    args = _args(initial, cfg)
-
-    x = initial.coefficient_vector()
-    f, g = _objective_and_gradient(x, *args)
+    f, g = _objective_and_gradient(x, run)
     n_evals = 1
     step = INITIAL_STEP
 
-    def record(it, b2, step_size, accepted):
+    def record(it, step_size, accepted):
         return TraceRecord(it, _db(f), b2 / beta2_ref, _band_residual(b2, band),
-                           step_size, float(np.linalg.norm(g)), accepted)
+                           step_size, math.sqrt(g @ g), accepted)
 
-    trace = [record(0, beta2_ref, 0.0, True)]
+    trace = [record(0, 0.0, True)]
     reason = "max_iterations"
     history = [f]
 
     for it in range(1, cfg.max_iterations + 1):
         accepted = False
         while step >= MIN_STEP:
-            cand = project_to_band(initial.with_coefficients(x - step * g),
-                                   band).coefficient_vector()
-            fc, gc = _objective_and_gradient(cand, *args)
+            cand, b2c = _project(x - step * g, band, run.weights)
+            fc, gc = _objective_and_gradient(cand, run)
             n_evals += 1
             if fc < f and fc <= f - ARMIJO * float(np.dot(g, x - cand)):
-                x, f, g = cand, fc, gc
+                x, f, g, b2 = cand, fc, gc, b2c
                 accepted = True
                 step = min(step * STEP_GROWTH, MAX_STEP)
                 break
@@ -265,8 +298,7 @@ def optimize(initial, cfg):
         history.append(f)
 
         if it % cfg.log_every == 0 or not accepted or it == cfg.max_iterations:
-            b2_now = closed_form_rms_bandwidth(initial.with_coefficients(x))
-            trace.append(record(it, b2_now, step, accepted))
+            trace.append(record(it, step, accepted))
 
         if not accepted:
             reason = "step_underflow"
@@ -277,13 +309,12 @@ def optimize(initial, cfg):
                 reason = "converged"
                 break
 
-    final_params = initial.with_coefficients(x)
     return OptimizationResult(
-        params=final_params,
+        params=initial.with_coefficients(x),
         initial_gisr_db=_db(history[0]),
         final_gisr_db=_db(f),
         initial_beta2=beta2_ref,
-        final_beta2=closed_form_rms_bandwidth(final_params),
+        final_beta2=b2,
         trace=tuple(trace),
         converged=reason == "converged",
         termination_reason=reason,

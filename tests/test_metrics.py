@@ -37,6 +37,12 @@ def test_spectrum_parseval_various(mseq63_pc, pad):
     assert sp.freqs.size == mseq63_pc.n_samples * pad
 
 
+def test_spectrum_rejects_bad_zero_pad(barker13_wave):
+    for pad in (0, 1.5, float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="zero_pad_factor"):
+            spectrum(barker13_wave, pad)
+
+
 def test_spectrum_dc_bin_matches_direct_integral(barker13_wave):
     w = barker13_wave
     sp = spectrum(w, zero_pad_factor=4)

@@ -177,6 +177,9 @@ def test_synthesize_rejects_undersampling():
     params = make_params(alpha=np.zeros(16))
     with pytest.raises(ValueError, match=str(min_samples(16))):
         synthesize_mtsfm(params, 63)
+    for n in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="n_samples"):
+            synthesize_mtsfm(params, n)
 
 
 def test_synthesize_energy_and_modulus(mseq63_fit32):

@@ -9,7 +9,7 @@ from mtsfm_cpm import (MtsfmParams, OptimizerConfig, acf, barker_code,
                        gradient, isr, objective, optimize, project_to_band,
                        synthesize_mtsfm, trace_csv)
 from mtsfm_cpm.optimizer import BAND_SLACK
-from conftest import fd_gradient
+from conftest import fd_gradient, two_sided_objective_and_gradient
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +26,10 @@ def test_config_validation():
     for p in (1, float("nan")):
         with pytest.raises(ValueError, match="p must be >= 2"):
             OptimizerConfig(p=p)
+    for name in ("max_iterations", "log_every", "n_samples"):
+        for value in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match=name):
+                OptimizerConfig(**{name: value})
     with pytest.raises(ValueError):
         OptimizerConfig(delta=0.0)
     with pytest.raises(ValueError):
@@ -82,10 +86,27 @@ def test_gradient_matches_fd_oracle(mseq63_fit32, barker13_fit, case, p):
     assert np.linalg.norm(g - g_fd) <= 1e-7 * np.linalg.norm(g_fd)
 
 
+def weak_tones():
+    """A weak two-tone phase keeps the ACF a monotone triangle: no interior null."""
+    return MtsfmParams(0.0, np.array([0.05, 0.0, 0.0, 0.0]),
+                       np.array([0.0, 0.02, 0.0, 0.0]), 2.0)
+
+
+@pytest.mark.parametrize("case,p", [("mseq63", 2), ("mseq63", 10), ("barker13", 10),
+                                    ("degenerate", 10)])
+def test_evaluation_matches_two_sided_oracle(mseq63_fit32, barker13_fit, case, p):
+    params, n = {"mseq63": (mseq63_fit32, 2016), "barker13": (barker13_fit, 208),
+                 "degenerate": (weak_tones(), 64)}[case]
+    cfg = OptimizerConfig(p=p, n_samples=n)
+    f_ref, g_ref = two_sided_objective_and_gradient(
+        params.coefficient_vector(), params.a0, params.T, params.K, p, n)
+    assert objective(params, cfg) == pytest.approx(f_ref, rel=1e-12)
+    g = gradient(params, cfg)
+    assert np.linalg.norm(g - g_ref) <= 1e-12 * np.linalg.norm(g_ref)
+
+
 def test_degenerate_gradient_is_penalty_gradient():
-    # a weak single tone keeps the ACF a monotone triangle: no interior null
-    params = MtsfmParams(0.0, np.array([0.05, 0.0, 0.0, 0.0]),
-                         np.array([0.0, 0.02, 0.0, 0.0]), 2.0)
+    params = weak_tones()
     cfg = OptimizerConfig(n_samples=64)
     assert acf(synthesize_mtsfm(params, 64)).degenerate
     expected = -(params.T / (2 * np.pi)) ** 2 * closed_form_rms_bandwidth_gradient(params)
@@ -175,6 +196,9 @@ def test_optimize_trace_within_band_slack(barker13_fit):
     res = optimize(barker13_fit, OptimizerConfig(max_iterations=60))
     assert len(res.trace) > 1
     assert max(r.constraint_residual for r in res.trace) <= BAND_SLACK
+    # the trace records the squared bandwidth of the iterate that is returned
+    assert res.trace[-1].beta2_rel * res.initial_beta2 == pytest.approx(
+        res.final_beta2, rel=1e-15)
 
 
 def test_optimize_rejects_samples_below_floor(barker13_fit):
