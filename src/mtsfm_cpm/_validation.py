@@ -30,6 +30,13 @@ def check_int_at_least(name, value, minimum):
     return int(value)
 
 
+def check_p(p):
+    """Require a finite sidelobe-norm exponent p >= 2 (nan and inf fail)."""
+    if not (math.isfinite(p) and p >= 2):
+        raise ValueError(f"p must be >= 2 and finite, got {p}")
+    return p
+
+
 def check_in_pulse(t, T):
     """Require every time in t to be finite and within [-T/2, T/2]."""
     t = np.asarray(t, dtype=float)

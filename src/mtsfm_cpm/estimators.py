@@ -61,16 +61,19 @@ class MtsfmSmoother(_ParamsMixin):
     def fit(self, X, y=None):
         """Fit to chip phases X (radians, shape (n_chips,))."""
         phases = as_float_vector(getattr(X, "phases", X), "X")
-        self.n_chips_ = phases.size
-        self.min_harmonics_ = min_harmonics(self.n_chips_)
-        K = self.harmonics if self.harmonics is not None else self.min_harmonics_
-        if K < self.min_harmonics_:
+        n_chips = phases.size
+        bound = min_harmonics(n_chips)
+        K = self.harmonics if self.harmonics is not None else bound
+        T = self.pulse_length if self.pulse_length is not None else float(n_chips)
+        # fit before warning or storing, so an invalid K neither warns nor
+        # leaves a half-updated estimator
+        params = fit_fourier(phases, T, K)
+        if K < bound:
             warnings.warn(
-                f"harmonics={K} is below the adequacy bound {self.min_harmonics_} "
-                f"for {self.n_chips_} chips; inter-chip transitions may be lost",
+                f"harmonics={K} is below the adequacy bound {bound} "
+                f"for {n_chips} chips; inter-chip transitions may be lost",
                 UserWarning, stacklevel=2)
-        T = self.pulse_length if self.pulse_length is not None else float(self.n_chips_)
-        self.params_ = fit_fourier(phases, T, K)
+        self.n_chips_, self.min_harmonics_, self.params_ = n_chips, bound, params
         return self
 
     def _check_fitted(self):

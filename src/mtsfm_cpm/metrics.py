@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._validation import check_int_at_least, check_positive
+from ._validation import check_int_at_least, check_p, check_positive
 from .waveform import time_grid
 
 __all__ = [
@@ -200,8 +200,10 @@ def _correlation_fft(u):
 def _cross_correlation(fu, fv, L, sample_rate):
     """Lag-domain cross correlation sum_n u[n+m] conj(v[n]) / f_s from the
     _correlation_fft spectra of u and v, lags -(L-1)..(L-1), with exact zeros
-    appended at lags -L and +L."""
-    cc = np.fft.ifft(fu * np.conj(fv)) / sample_rate
+    appended at lags -L and +L. The scaling is a multiply by 1 / f_s: numpy
+    runs complex-by-real division through its slower complex division loop,
+    and gives the same bits."""
+    cc = np.fft.ifft(fu * np.conj(fv)) * (1.0 / sample_rate)
     return np.concatenate([[0.0], cc[-(L - 1):], cc[:L], [0.0]])
 
 
@@ -343,12 +345,16 @@ def _sidelobe_ratio(lags, trapezoid, mag, dtau, p, vertex=None):
     returns dJ/d|R|^2 at every lag >= 0: J (w_N / N - w_D / D) |R|^(p-2)
     with the null held fixed, plus the term of the null moving. That term is
     small at large p, where |R(dtau)|^p is near zero, but not at p = 2.
+    An N that underflows to 0 (low sidelobes at a large p) raises ValueError.
     """
     mag_p2 = mag ** (p - 2)
     magp = mag_p2 * (mag * mag)
     w_den = _band_weights(lags, 0.0, dtau)
     w_num = trapezoid - w_den
     num = float(w_num @ magp)
+    if num == 0.0:
+        raise ValueError(f"the sidelobe integral of |R|^p underflows to 0 at p={p}; "
+                         "use a smaller p")
     den = float(w_den @ magp)
     ratio = (num / den) ** (2.0 / p)
     if vertex is None:
@@ -370,8 +376,7 @@ def gisr(a, p):
     10*log10( [int_null^T |R|^p / int_0^null |R|^p]^(2/p) ); p = 2 is the
     standard integrated sidelobe ratio, large p approaches the PSL.
     """
-    if not p >= 2:
-        raise ValueError(f"p must be >= 2, got {p}")
+    check_p(p)
     dtau = _require_null(a)
     L = a.lags.size // 2
     lags = a.lags[L:]
@@ -441,8 +446,7 @@ def _metrics_report(sp, a, delta_f, p):
     sc_clamped instead of warning. p is checked whether or not the ACF is
     degenerate, so a bad p never yields a report.
     """
-    if not p >= 2:
-        raise ValueError(f"p must be >= 2, got {p}")
+    check_p(p)
     span = 2 * float(sp.freqs[-1])
     band = min(check_positive("delta_f", delta_f), span)
     sidelobes = ((None,) * 5 if a.degenerate else

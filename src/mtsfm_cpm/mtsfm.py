@@ -188,21 +188,35 @@ def _phase_adjoint(dphi, K):
     return np.concatenate([y.imag, y.real])
 
 
+def _fourier_sum(c, t, T):
+    """Re sum_k c_k e^{j 2 pi k t / T} over k = 1..K at time(s) t within the pulse.
+
+    Horner's rule on z = e^{j 2 pi t / T}: K steps over c_K..c_1, one last
+    multiply by z, then the real part. Memory is O(len(t)), whatever K; the
+    time grid of synthesis is served by _phase_samples instead. A scalar t
+    gives a Python float, an array t an array.
+    """
+    t_arr = check_in_pulse(t, T)
+    z = np.exp(2j * np.pi / T * t_arr)
+    # acc starts as a numpy scalar: for scalar t every step stays scalar
+    # arithmetic; for array t the first *= makes it an array, updated in place
+    acc = c[-1]
+    for ck in c[-2::-1].tolist():
+        acc *= z
+        acc += ck
+    acc *= z
+    return acc.real if np.ndim(t) else float(acc.real)
+
+
 def mtsfm_phase(params, t):
     """Evaluate the Fourier-series phase at time(s) t within the pulse."""
-    t_arr = check_in_pulse(t, params.T)
-    ang = 2 * np.pi * np.outer(np.atleast_1d(t_arr), np.arange(1, params.K + 1)) / params.T
-    out = params.a0 / 2 + np.sin(ang) @ params.alpha + np.cos(ang) @ params.beta
-    return out if np.ndim(t) else float(out[0])
+    return params.a0 / 2 + _fourier_sum(params.beta - 1j * params.alpha, t, params.T)
 
 
 def mtsfm_modulation(params, t):
     """Instantaneous frequency (Hz) at time(s) t: the exact phase derivative / 2 pi."""
-    t_arr = check_in_pulse(t, params.T)
-    k = np.arange(1, params.K + 1, dtype=float)
-    ang = 2 * np.pi * np.outer(np.atleast_1d(t_arr), k) / params.T
-    out = (np.cos(ang) @ (k * params.alpha) - np.sin(ang) @ (k * params.beta)) / params.T
-    return out if np.ndim(t) else float(out[0])
+    k = np.arange(1, params.K + 1)
+    return _fourier_sum(k * (params.alpha + 1j * params.beta), t, params.T) / params.T
 
 
 def min_samples(K):

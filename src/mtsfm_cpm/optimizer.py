@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._validation import check_int_at_least
+from ._validation import check_int_at_least, check_p
 from .metrics import (_autocorrelation, _band_weights, _correlation_fft, _lag_grid,
                       _sidelobe_ratio)
 from .mtsfm import (MtsfmParams, _beta2, _beta2_weights, _phase_adjoint,
@@ -67,8 +67,7 @@ class OptimizerConfig:
     log_every: int = 1
 
     def __post_init__(self):
-        if not self.p >= 2:
-            raise ValueError(f"p must be >= 2, got {self.p}")
+        check_p(self.p)
         if not 0 < self.delta < 1:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if not (math.isfinite(self.objective_tolerance) and self.objective_tolerance >= 0):

@@ -60,7 +60,7 @@ class SampledWaveform:
         object.__setattr__(self, "samples", samples)
         check_positive("T", self.T)
         check_positive("sample_rate", self.sample_rate)
-        if abs(self.energy - 1.0) > 1e-9:
+        if not abs(self.energy - 1.0) <= 1e-9:  # nan or inf samples fail too
             raise ValueError(f"waveform energy {self.energy} is not 1 within 1e-9")
 
     @property
@@ -81,8 +81,8 @@ class SampledWaveform:
         samples = np.asarray(samples, dtype=complex)
         fs = samples.size / T
         e = np.sum(np.abs(samples) ** 2) / fs
-        if e <= 0:
-            raise ValueError("cannot normalize an all-zero sample array")
+        if not 0 < e < np.inf:  # all-zero, nan or inf samples
+            raise ValueError(f"cannot normalize samples of energy {e} to unit energy")
         return cls(samples / np.sqrt(e), T, fs)
 
 

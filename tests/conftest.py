@@ -74,6 +74,28 @@ def dense_fit(phases, T, K):
     return MtsfmParams(2.0 * float(np.mean(phases)), alpha, beta, T)
 
 
+def _dense_angles(params, t):
+    """2 pi k t / T as a dense len(t) x K matrix, plus the harmonic numbers k."""
+    k = np.arange(1, params.K + 1, dtype=float)
+    return 2 * np.pi * np.outer(np.atleast_1d(np.asarray(t, dtype=float)), k) / params.T, k
+
+
+def dense_phase(params, t):
+    """The Fourier-series phase from dense len(t) x K sin/cos matrices: the
+    oracle for the Horner evaluation in mtsfm_phase."""
+    ang, _ = _dense_angles(params, t)
+    out = params.a0 / 2 + np.sin(ang) @ params.alpha + np.cos(ang) @ params.beta
+    return out if np.ndim(t) else float(out[0])
+
+
+def dense_modulation(params, t):
+    """The instantaneous frequency from dense len(t) x K sin/cos matrices:
+    the oracle for the Horner evaluation in mtsfm_modulation."""
+    ang, k = _dense_angles(params, t)
+    out = (np.cos(ang) @ (k * params.alpha) - np.sin(ang) @ (k * params.beta)) / params.T
+    return out if np.ndim(t) else float(out[0])
+
+
 def per_row_ambiguity(w, doppler_grid):
     """Every ambiguity row correlated on its own, none mirrored: the oracle
     for the mirrored rows of ambiguity()."""

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from mtsfm_cpm import MtsfmParams, synthesize_mtsfm
+from mtsfm_cpm import MtsfmParams, barker_code, fit_fourier, synthesize_mtsfm
 from mtsfm_cpm.cli import main
 
 
@@ -203,17 +203,24 @@ def test_reproduce_mseq63_fast_and_deterministic(tmp_path, capsys):
     ["optimize", "{params}", "--objective-tolerance", "nan"],
     ["metrics", "{params}", "--samples", "0"],
     ["fit", "{code}", "-K", "0"],
+    ["optimize", "{fit}", "--p", "700"],
+    ["metrics", "{fit}", "--p", "700"],
 ], ids=["reproduce-delta", "reproduce-p", "reproduce-zero-pad", "optimize-zero-pad",
         "optimize-delta-f", "optimize-objective-tolerance", "metrics-samples-zero",
-        "fit-zero-harmonics"])
+        "fit-zero-harmonics", "optimize-p-underflow", "metrics-p-underflow"])
 def test_bad_flag_writes_nothing(tmp_path, capsys, args):
     pfile = tmp_path / "barker13_k7.json"
     pfile.write_text(MtsfmParams(0.0, np.full(7, 0.1), np.zeros(7), 13.0).to_json())
     code_file = tmp_path / "code3.txt"
     code_file.write_text("0.0\n3.141592653589793\n0.0\n")
+    # a Barker-13 fit has a mainlobe null, and its sidelobes (about 0.08)
+    # raised to p = 700 underflow to 0
+    fit_file = tmp_path / "barker13_fit.json"
+    fit_file.write_text(fit_fourier(barker_code(13), 13.0, 7).to_json())
     out_dir = tmp_path / "out"
     assert main(["--out-dir", str(out_dir)]
-                + [a.format(params=pfile, code=code_file) for a in args]) == 1
+                + [a.format(params=pfile, code=code_file, fit=fit_file)
+                   for a in args]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out_dir.exists() or not any(out_dir.rglob("*"))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,18 @@ def test_smoother_defaults_to_bound_and_chip_seconds():
 def test_smoother_warns_below_bound():
     with pytest.warns(UserWarning, match="bound"):
         MtsfmSmoother(harmonics=3).fit(barker_code(13).phases)
+
+
+def test_smoother_rejects_invalid_harmonics_without_warning(mseq63_code):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="K must be"):
+            MtsfmSmoother(harmonics=0).fit(barker_code(13).phases)
+    # a failed refit leaves the earlier fit whole
+    sm = MtsfmSmoother().fit(barker_code(13).phases)
+    with pytest.raises(ValueError, match="K must be"):
+        sm.set_params(harmonics=0).fit(mseq63_code.phases)
+    assert (sm.n_chips_, sm.min_harmonics_, sm.params_.K) == (13, 7, 7)
 
 
 def test_smoother_predict_matches_phase_model(mseq63_code):

@@ -354,11 +354,21 @@ def test_compute_metrics_degenerate():
                                                                      SamplingConfig(13.0))],
                          ids=["degenerate", "regular"])
 def test_compute_metrics_rejects_p_below_2(build):
-    for p in (1, float("nan")):
+    for p in (1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="p must be >= 2"):
             compute_metrics(build(), 8.0, p=p)
         with pytest.raises(ValueError, match="p must be >= 2"):
             gisr(acf(build()), p)
+
+
+def test_sidelobe_underflow_names_p(barker13_wave):
+    # Barker-13 sidelobes are at most 1/13; raised to p = 700 they underflow
+    a = acf(barker13_wave)
+    assert math.isfinite(gisr(a, 100))
+    with pytest.raises(ValueError, match="underflows to 0 at p=700"):
+        gisr(a, 700)
+    with pytest.raises(ValueError, match="underflows to 0 at p=700"):
+        compute_metrics(barker13_wave, 2.0, p=700)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])

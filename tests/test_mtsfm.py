@@ -1,14 +1,16 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mtsfm_cpm import (MtsfmParams, PhaseCode, closed_form_rms_bandwidth,
                        closed_form_rms_bandwidth_gradient, compute_metrics,
-                       fit_fourier, min_harmonics, min_samples, mtsfm_modulation,
-                       mtsfm_phase, rms_bandwidth_spectral, spectral_compactness,
-                       spectrum, synthesize_mtsfm, time_grid)
-from conftest import MSEQ63_BAND, MSEQ63_T, dense_fit
+                       fit_fourier, generate_msequence, min_harmonics, min_samples,
+                       mtsfm_modulation, mtsfm_phase, rms_bandwidth_spectral,
+                       spectral_compactness, spectrum, synthesize_mtsfm, time_grid)
+from conftest import (MSEQ63_BAND, MSEQ63_T, dense_fit, dense_modulation,
+                      dense_phase)
 
 
 def make_params(a0=0.0, alpha=(1.0,), beta=None, T=1.0):
@@ -136,8 +138,11 @@ def test_phase_step_partial_sum_far_from_jump():
 
 
 def test_phase_rejects_outside_pulse():
-    with pytest.raises(ValueError):
-        mtsfm_phase(make_params(), 0.51)
+    params = make_params(alpha=[0.3, 0.1])
+    for fn in (mtsfm_phase, mtsfm_modulation):
+        for t in (0.51, -0.51, [0.0, 0.75], np.nan, [0.0, np.inf], -np.inf):
+            with pytest.raises(ValueError, match="time"):
+                fn(params, t)
 
 
 def test_modulation_zero_and_single_tone():
@@ -147,6 +152,44 @@ def test_modulation_zero_and_single_tone():
     assert mtsfm_modulation(params, 0.0) == pytest.approx(a / T)
     t = np.linspace(-T / 2, T / 2, 7)
     assert np.allclose(mtsfm_modulation(params, t), a / T * np.cos(2 * np.pi * t / T))
+
+
+@pytest.mark.parametrize("K", [1, 2, 7, 32, 512, 2000])
+@pytest.mark.parametrize("T", [1.0, 3.0, 63.0])
+def test_phase_and_modulation_match_dense_oracles(K, T):
+    rng = np.random.default_rng(K * 100 + int(T))
+    params = MtsfmParams(rng.normal(), rng.normal(size=K), rng.normal(size=K), T)
+    magnitude = np.hypot(params.alpha, params.beta)
+    phase_scale = np.sum(magnitude)
+    modulation_scale = np.sum(np.arange(1, K + 1) * magnitude) / T
+    t = np.concatenate([[-T / 2, T / 2, 0.0], rng.uniform(-T / 2, T / 2, 200)])
+    for times in (t, t[:1], -T / 2, T / 2, 0.3 * T, np.float64(-0.2 * T),
+                  np.array(0.1 * T)):
+        for fn, oracle, scale in ((mtsfm_phase, dense_phase, phase_scale),
+                                  (mtsfm_modulation, dense_modulation, modulation_scale)):
+            got = fn(params, times)
+            if np.ndim(times):
+                assert isinstance(got, np.ndarray) and got.shape == np.shape(times)
+            else:
+                assert type(got) is float
+            assert np.max(np.abs(got - oracle(params, times))) <= 1e-12 * scale
+
+
+def test_phase_and_modulation_memory_is_linear_in_times():
+    # the degree-10 m-sequence fit: K = 512 harmonics on 32 * 1023 times,
+    # where one dense len(t) x K float matrix alone takes 128 MiB
+    code = generate_msequence(10)
+    params = fit_fourier(code, float(code.n), min_harmonics(code.n))
+    t = time_grid(32 * code.n, params.T)
+    assert (params.K, t.size) == (512, 32736)
+    for fn in (mtsfm_phase, mtsfm_modulation):
+        tracemalloc.start()
+        try:
+            fn(params, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20, (fn.__name__, peak)
 
 
 def test_modulation_integrates_to_phase():

@@ -23,7 +23,7 @@ def small_cfg():
 
 
 def test_config_validation():
-    for p in (1, float("nan")):
+    for p in (1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="p must be >= 2"):
             OptimizerConfig(p=p)
     for name in ("max_iterations", "log_every", "n_samples"):
@@ -38,6 +38,11 @@ def test_config_validation():
         with pytest.raises(ValueError, match="objective_tolerance"):
             OptimizerConfig(objective_tolerance=tol)
     assert OptimizerConfig(objective_tolerance=0.0).objective_tolerance == 0.0
+
+
+def test_objective_sidelobe_underflow_names_p(barker13_fit):
+    with pytest.raises(ValueError, match="underflows to 0 at p=700"):
+        objective(barker13_fit, OptimizerConfig(p=700, n_samples=13 * 16))
 
 
 def test_objective_zero_params_penalized():

@@ -7,13 +7,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from mtsfm_cpm import (MtsfmParams, OptimizerConfig, PhaseCode,  # noqa: E402
-                       SamplingConfig, acf, barker_code, beta2_band,
+                       SamplingConfig, acf, ambiguity, barker_code, beta2_band,
                        closed_form_rms_bandwidth, compute_metrics, fit_fourier,
-                       gradient, objective, project_to_band, synthesize_mtsfm,
-                       synthesize_pc)
+                       gradient, mtsfm_phase, objective, project_to_band,
+                       synthesize_mtsfm, synthesize_pc, time_grid)
 from mtsfm_cpm.mtsfm import _phase_samples  # noqa: E402
 from mtsfm_cpm.optimizer import BAND_SLACK  # noqa: E402
-from conftest import fd_gradient, two_sided_objective_and_gradient  # noqa: E402
+from conftest import (dense_fit, fd_gradient, per_row_ambiguity,  # noqa: E402
+                      two_sided_objective_and_gradient)
 
 BARKER13_FIT = fit_fourier(barker_code(13), 13.0, 7)
 
@@ -112,3 +113,49 @@ def test_evaluation_and_metrics_invariant_to_a0(seed, scale, a0):
             assert value_shifted is None
         else:
             assert value_shifted == pytest.approx(value, rel=1e-9, abs=1e-9)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), mtsfm=st.booleans(), n=st.integers(2, 24),
+       n_doppler=st.integers(1, 6), n_negated=st.integers(0, 6))
+def test_ambiguity_conjugate_symmetry_on_random_grids(seed, mtsfm, n, n_doppler,
+                                                      n_negated):
+    rng = np.random.default_rng(seed)
+    code = PhaseCode(rng.uniform(-np.pi, np.pi, n))
+    w = (synthesize_mtsfm(fit_fourier(code, float(n), n), 8 * n) if mtsfm
+         else synthesize_pc(code, SamplingConfig(float(n), samples_per_chip=8)))
+    nus = rng.uniform(-2.0, 2.0, n_doppler)
+    grid = rng.permutation(np.concatenate([nus, -nus[:n_negated], [0.0]]))
+    rows = ambiguity(w, grid)
+    oracle = per_row_ambiguity(w, grid)
+    assert np.max(np.abs(rows - oracle)) <= 1e-12
+    # chi(-tau, -nu) = conj(chi(tau, nu)), on rows correlated one by one
+    negated = per_row_ambiguity(w, -grid)
+    assert np.max(np.abs(negated - np.conj(oracle[:, ::-1]))) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 200), K=st.integers(1, 300),
+       T=st.floats(0.1, 100.0))
+def test_fit_matches_dense_oracle_on_random_codes(seed, n, K, T):
+    phases = np.random.default_rng(seed).uniform(-np.pi, np.pi, n)
+    params = fit_fourier(PhaseCode(phases), T, K)
+    oracle = dense_fit(phases, T, K)
+    assert params.a0 == oracle.a0 and params.T == oracle.T
+    assert np.max(np.abs(params.alpha - oracle.alpha)) <= 1e-12
+    assert np.max(np.abs(params.beta - oracle.beta)) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), K=st.integers(1, 64),
+       oversample=st.integers(4, 16), T=st.floats(0.1, 100.0),
+       scale=st.sampled_from([0.05, 1.0, 30.0]))
+def test_horner_phase_matches_fft_phase_on_the_grid(seed, K, oversample, T, scale):
+    rng = np.random.default_rng(seed)
+    params = MtsfmParams(rng.uniform(-np.pi, np.pi), scale * rng.normal(size=K),
+                         scale * rng.normal(size=K), T)
+    n = oversample * K
+    grid_phase = _phase_samples(params.a0, params.alpha, params.beta, n)
+    # a0 / 2 is added last on both sides, so it enters the bound at face value
+    bound = 1e-12 * (abs(params.a0) / 2 + np.sum(np.hypot(params.alpha, params.beta)))
+    assert np.max(np.abs(mtsfm_phase(params, time_grid(n, T)) - grid_phase)) <= bound

@@ -69,6 +69,17 @@ def test_sampled_waveform_rejects_wrong_energy():
         SampledWaveform(2.0 * np.ones(8), T=1.0, sample_rate=8.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan)])
+def test_sampled_waveform_rejects_non_finite_samples(bad):
+    # an energy of nan compares False against any tolerance
+    with pytest.raises(ValueError, match="energy"):
+        SampledWaveform([bad, bad], 1.0, 2.0)
+    with pytest.raises(ValueError, match="energy"):
+        SampledWaveform([bad, 1.0], 1.0, 2.0)
+    with pytest.raises(ValueError, match="energy"):
+        SampledWaveform.from_samples([bad, 1.0], 1.0)
+
+
 def test_from_samples_normalizes():
     w = SampledWaveform.from_samples(3.7 * np.ones(8), T=1.0)
     assert abs(w.energy - 1.0) < 1e-12
