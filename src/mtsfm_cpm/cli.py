@@ -2,8 +2,8 @@
 
 Subcommands: gen-code, fit, metrics, optimize, reproduce. All outputs are
 deterministic for fixed inputs and flags, JSON outputs embed the input
-configuration, and files are written atomically (write to a temp name in the
-same directory, then rename).
+configuration, and a command's files appear together, only if it succeeds
+(each is staged beside its target; the set is renamed into place at the end).
 
 File formats
 ------------
@@ -34,8 +34,8 @@ from .metrics import _metrics_report, acf, acf_csv, spectrum, spectrum_csv
 from .mtsfm import (MtsfmParams, _phase_samples, fit_fourier, min_harmonics,
                     synthesize_mtsfm)
 from .optimizer import OptimizerConfig, optimize, trace_csv
-from .waveform import (SamplingConfig, pc_phase, synthesize_pc, waveform_csv,
-                       waveform_raw_bytes)
+from .waveform import (DEFAULT_SAMPLES_PER_CHIP, SamplingConfig, pc_phase,
+                       synthesize_pc, waveform_csv, waveform_raw_bytes)
 
 # Reference configurations for the two built-in worked examples.
 MSEQ63 = dict(degree=6, taps=0b1100000, seed=62, harmonics=(64, 32),
@@ -44,18 +44,34 @@ POLY65_FILE = Path("data") / "polyphase_barker_n65.txt"
 POLY65 = dict(harmonics=(65, 33), optimize_harmonics=(33, 65))
 
 
-def _atomic_write(path, data):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    mode = "wb" if isinstance(data, bytes) else "w"
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, mode) as fh:
+class _Outputs:
+    """A command's files, staged until commit() renames them into place;
+    discard() removes what is still staged and the directories made for it."""
+
+    def __init__(self):
+        self.staged = []  # (temp path, target path)
+        self.made = []    # directories created, in order
+
+    def write(self, path, data):
+        new = [d for d in reversed(path.parents) if not d.exists()]
+        path.parent.mkdir(parents=True, exist_ok=True)
+        self.made += new
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+        self.staged.append((tmp, path))
+        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
             fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+
+    def commit(self):
+        for tmp, path in self.staged:
+            os.replace(tmp, path)
+        self.staged, self.made = [], []
+
+    def discard(self):
+        for tmp, _ in self.staged:
+            Path(tmp).unlink(missing_ok=True)
+        for d in reversed(self.made):
+            if not any(d.iterdir()):
+                d.rmdir()
 
 
 def _phase_csv(times, phases):
@@ -75,7 +91,7 @@ def _report_csv(report):
 EXPORTS = ("spectrum", "acf", "waveform", "waveform-raw", "phase")
 
 
-def _write_variant(args, out_dir, stem, w, phase, delta_f, exports=(), fmt="json"):
+def _write_variant(write, args, out_dir, stem, w, phase, delta_f, exports=(), fmt="json"):
     """Write one waveform's metric report and the requested exports.
 
     spectrum and ACF are computed once and serve both the report and the
@@ -86,21 +102,23 @@ def _write_variant(args, out_dir, stem, w, phase, delta_f, exports=(), fmt="json
     report = _metrics_report(sp, a, delta_f, args.p)
     if fmt == "csv":
         report_path = out_dir / f"{stem}_metrics.csv"
-        _atomic_write(report_path, _report_csv(report))
+        write(report_path, _report_csv(report))
     else:
         report_path = out_dir / f"{stem}_metrics.json"
-        _atomic_write(report_path, report.to_json(extra={"config": _provenance(args)}))
+        write(report_path, report.to_json(extra={"config": _provenance(args)}))
     for kind in exports:
         if kind == "spectrum":
-            _atomic_write(out_dir / f"{stem}_spectrum.csv", spectrum_csv(sp))
+            write(out_dir / f"{stem}_spectrum.csv", spectrum_csv(sp))
         elif kind == "acf":
-            _atomic_write(out_dir / f"{stem}_acf.csv", acf_csv(a))
+            write(out_dir / f"{stem}_acf.csv", acf_csv(a))
         elif kind == "waveform":
-            _atomic_write(out_dir / f"{stem}_waveform.csv", waveform_csv(w))
+            write(out_dir / f"{stem}_waveform.csv", waveform_csv(w))
         elif kind == "waveform-raw":
-            _atomic_write(out_dir / f"{stem}_waveform.f64", waveform_raw_bytes(w))
+            write(out_dir / f"{stem}_waveform.f64", waveform_raw_bytes(w))
+        elif kind == "phase":
+            write(out_dir / f"{stem}_phase.csv", _phase_csv(w.times, phase))
         else:
-            _atomic_write(out_dir / f"{stem}_phase.csv", _phase_csv(w.times, phase))
+            raise ValueError(f"unknown export {kind!r}; choose from {','.join(EXPORTS)}")
     return report, report_path
 
 
@@ -116,7 +134,7 @@ def _provenance(args):
             for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def cmd_gen_code(args):
+def cmd_gen_code(args, write):
     if args.kind == "mseq":
         code = generate_msequence(args.degree, args.taps, args.seed)
     else:
@@ -124,12 +142,11 @@ def cmd_gen_code(args):
     path = Path(args.output) if args.output else Path(args.out_dir) / f"{code.label}.txt"
     buf = io.StringIO()
     dump_phase_code(code, buf)
-    _atomic_write(path, buf.getvalue())
+    write(path, buf.getvalue())
     print(f"{code.label}: N={code.n} -> {path}")
-    return 0
 
 
-def cmd_fit(args):
+def cmd_fit(args, write):
     code = load_phase_code(args.code_file)
     T = args.pulse_length if args.pulse_length is not None else float(code.n)
     bound = min_harmonics(code.n)
@@ -140,9 +157,8 @@ def cmd_fit(args):
               "inter-chip transitions may be lost", file=sys.stderr)
     path = (Path(args.output) if args.output
             else Path(args.out_dir) / f"{Path(args.code_file).stem}_k{K}.json")
-    _atomic_write(path, params.to_json(extra={"config": _provenance(args)}))
+    write(path, params.to_json(extra={"config": _provenance(args)}))
     print(f"K={K} (bound {bound}), N={code.n}, T={T} -> {path}")
-    return 0
 
 
 def _default_band(params):
@@ -167,24 +183,20 @@ def _load_input(args):
     return w, pc_phase(code, T, w.times), delta_f, path.stem
 
 
-def cmd_metrics(args):
+def cmd_metrics(args, write):
     exports = [e for e in (args.export or "").split(",") if e]
-    unknown = [e for e in exports if e not in EXPORTS]
-    if unknown:  # checked before anything is written
-        raise ValueError(f"unknown export {unknown[0]!r}; choose from {','.join(EXPORTS)}")
     w, phase, delta_f, stem = _load_input(args)
-    report, path = _write_variant(args, Path(args.out_dir), stem, w, phase, delta_f,
-                                  exports, args.format)
+    report, path = _write_variant(write, args, Path(args.out_dir), stem, w, phase,
+                                  delta_f, exports, args.format)
     flag = " (degenerate mainlobe)" if report.degenerate else ""
     print(f"SC={report.sc:.4f} @ delta_f={report.delta_f} PSL={report.psl_db} "
           f"ISR={report.isr_db} GISR(p={report.p})={report.gisr_db}{flag} -> {path}")
-    return 0
 
 
-def cmd_optimize(args):
+def cmd_optimize(args, write):
     params = MtsfmParams.from_json(Path(args.params_file).read_text())
     delta_f = args.delta_f if args.delta_f is not None else _default_band(params)
-    check_positive("--delta-f", delta_f)  # first read after the result is written
+    check_positive("--delta-f", delta_f)
     cfg = OptimizerConfig(p=args.p, delta=args.delta,
                           max_iterations=args.max_iterations,
                           objective_tolerance=args.objective_tolerance,
@@ -192,21 +204,19 @@ def cmd_optimize(args):
     result = optimize(params, cfg)
     out_dir = Path(args.out_dir)
     stem = args.output_stem or f"{Path(args.params_file).stem}_opt"
-    _atomic_write(out_dir / f"{stem}.json",
-                  result.to_json(extra={"config": _provenance(args)}))
-    _atomic_write(out_dir / f"{stem}_trace.csv", trace_csv(result.trace))
+    write(out_dir / f"{stem}.json", result.to_json(extra={"config": _provenance(args)}))
+    write(out_dir / f"{stem}_trace.csv", trace_csv(result.trace))
 
     n_report = max(cfg.resolve_n_samples(params.K), 64 * params.K)
     for tag, prm in (("before", params), ("after", result.params)):
-        _write_variant(args, out_dir, f"{stem}_{tag}",
+        _write_variant(write, args, out_dir, f"{stem}_{tag}",
                        *_mtsfm_waveform(prm, n_report), delta_f)
     print(f"GISR(p={args.p}): {result.initial_gisr_db:.2f} -> "
           f"{result.final_gisr_db:.2f} dB ({result.termination_reason}) "
           f"-> {out_dir / (stem + '.json')}")
-    return 0
 
 
-def cmd_reproduce(args):
+def cmd_reproduce(args, write):
     if args.example == "mseq63":
         code = generate_msequence(MSEQ63["degree"], MSEQ63["taps"], MSEQ63["seed"])
         spec_cfg = MSEQ63
@@ -235,31 +245,29 @@ def cmd_reproduce(args):
     summary = {"config": prov, "variants": {}}
 
     def variant(name, w, phase):
-        report, _ = _write_variant(args, out_dir, name, w, phase, delta_f,
+        report, _ = _write_variant(write, args, out_dir, name, w, phase, delta_f,
                                    ("spectrum", "acf", "phase"))
         summary["variants"][name] = json.loads(report.to_json())
 
     buf = io.StringIO()
     dump_phase_code(code, buf)
-    _atomic_write(out_dir / "pc_code.txt", buf.getvalue())
+    write(out_dir / "pc_code.txt", buf.getvalue())
     w_pc = synthesize_pc(code, scfg)
     variant("pc", w_pc, pc_phase(code, T, w_pc.times))
 
     fits = {}
     for K in spec_cfg["harmonics"]:
         fits[K] = fit_fourier(code, T, K)
-        _atomic_write(out_dir / f"fit_k{K}.json",
-                      fits[K].to_json(extra={"config": prov}))
+        write(out_dir / f"fit_k{K}.json", fits[K].to_json(extra={"config": prov}))
         variant(f"init_k{K}", *_mtsfm_waveform(fits[K], n_samples))
 
     for K in spec_cfg["optimize_harmonics"]:
         result = optimize(fits[K], cfg)
-        _atomic_write(out_dir / f"opt_k{K}_result.json",
-                      result.to_json(extra={"config": prov}))
-        _atomic_write(out_dir / f"opt_k{K}_trace.csv", trace_csv(result.trace))
+        write(out_dir / f"opt_k{K}_result.json", result.to_json(extra={"config": prov}))
+        write(out_dir / f"opt_k{K}_trace.csv", trace_csv(result.trace))
         variant(f"opt_k{K}", *_mtsfm_waveform(result.params, n_samples))
 
-    _atomic_write(out_dir / "summary.json", json.dumps(summary, indent=2))
+    write(out_dir / "summary.json", json.dumps(summary, indent=2))
 
     print(f"{'variant':<10} {'SC':>8} {'ISR dB':>8} {'PSL dB':>8}")
     for name, v in summary["variants"].items():
@@ -267,7 +275,6 @@ def cmd_reproduce(args):
         psl_s = "-" if v["psl_db"] is None else f"{v['psl_db']:8.2f}"
         print(f"{name:<10} {v['sc_fraction']:8.4f} {isr_s:>8} {psl_s:>8}")
     print(f"outputs -> {out_dir}")
-    return 0
 
 
 def build_parser():
@@ -279,7 +286,7 @@ def build_parser():
     parser.add_argument("--out-dir", default=".", help="output directory")
     parser.add_argument("--format", choices=("json", "csv"), default="json",
                         help="encoding of the metrics report")
-    parser.add_argument("--samples-per-chip", type=int, default=32,
+    parser.add_argument("--samples-per-chip", type=int, default=DEFAULT_SAMPLES_PER_CHIP,
                         help="synthesis density for phase-coded inputs")
     parser.add_argument("--zero-pad", type=int, default=4,
                         help="zero-padding factor for spectra (the ACF is exact "
@@ -351,13 +358,17 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    outputs = _Outputs()
     try:
-        # a global flag, first read after some commands have written files
         check_int_at_least("--zero-pad", args.zero_pad, 1)
-        return args.func(args)
+        args.func(args, outputs.write)
+        outputs.commit()
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        outputs.discard()
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ import warnings
 from ._validation import as_float_vector
 from .mtsfm import fit_fourier, min_harmonics, mtsfm_modulation, mtsfm_phase, synthesize_mtsfm
 from .optimizer import OptimizerConfig, optimize
+from .waveform import DEFAULT_SAMPLES_PER_CHIP
 
 __all__ = ["MtsfmSmoother", "GisrOptimizer"]
 
@@ -92,10 +93,10 @@ class MtsfmSmoother(_ParamsMixin):
 
     def synthesize(self, n_samples=None):
         """Unit-energy waveform from the fitted phase; default density is
-        32 samples per chip."""
+        DEFAULT_SAMPLES_PER_CHIP samples per chip."""
         self._check_fitted()
         if n_samples is None:
-            n_samples = max(32 * self.n_chips_, 4 * self.params_.K)
+            n_samples = max(DEFAULT_SAMPLES_PER_CHIP * self.n_chips_, 4 * self.params_.K)
         return synthesize_mtsfm(self.params_, n_samples)
 
 

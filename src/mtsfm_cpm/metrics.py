@@ -166,22 +166,8 @@ class AcfResult:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
-        self._freeze(self.lags, values, np.abs(values))
-
-    @classmethod
-    def _with_magnitudes(cls, lags, values, magnitudes, first_null, degenerate):
-        """The AcfResult of these fields, given magnitudes == np.abs(values)
-        already computed, so they are not computed twice."""
-        self = cls.__new__(cls)
-        object.__setattr__(self, "first_null", first_null)
-        object.__setattr__(self, "degenerate", degenerate)
-        self._freeze(lags, values, magnitudes)
-        return self
-
-    def _freeze(self, lags, values, magnitudes):
-        for name, arr in (("lags", np.asarray(lags, dtype=float)),
-                          ("values", np.asarray(values, dtype=complex)),
-                          ("magnitudes", magnitudes)):
+        for name, arr in (("lags", np.asarray(self.lags, dtype=float)),
+                          ("values", values), ("magnitudes", np.abs(values))):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -215,13 +201,13 @@ def _lag_grid(L, sample_rate, T):
 
 def _autocorrelation(spec, L, sample_rate, lags):
     """(values, magnitudes, vertex) of the autocorrelation of L samples with
-    _correlation_fft spectrum spec. values and magnitudes cover the whole
-    _lag_grid; vertex is the _null_vertex of the lags >= 0 (``lags``, the
-    last L + 1 entries of that grid), scanned once here for every consumer.
+    _correlation_fft spectrum spec: values on the whole _lag_grid, |R| on its
+    lags >= 0 (``lags``, the last L + 1 entries) and the _null_vertex of
+    those, scanned once here for every consumer.
     """
     values = _cross_correlation(spec, spec, L, sample_rate)
-    magnitudes = np.abs(values)
-    return values, magnitudes, _null_vertex(lags, magnitudes[L:])
+    magnitudes = np.abs(values[L:])
+    return values, magnitudes, _null_vertex(lags, magnitudes)
 
 
 def acf(w):
@@ -236,10 +222,10 @@ def acf(w):
     """
     L = w.n_samples
     lags = _lag_grid(L, w.sample_rate, w.T)
-    values, magnitudes, vertex = _autocorrelation(_correlation_fft(w.samples), L,
-                                                  w.sample_rate, lags[L:])
+    values, _, vertex = _autocorrelation(_correlation_fft(w.samples), L, w.sample_rate,
+                                         lags[L:])
     first_null = float(lags[-1]) if vertex is None else vertex[1]
-    return AcfResult._with_magnitudes(lags, values, magnitudes, first_null, vertex is None)
+    return AcfResult(lags, values, first_null, vertex is None)
 
 
 def ambiguity(w, doppler_grid):
@@ -345,18 +331,19 @@ def _sidelobe_ratio(lags, trapezoid, mag, dtau, p, vertex=None):
     returns dJ/d|R|^2 at every lag >= 0: J (w_N / N - w_D / D) |R|^(p-2)
     with the null held fixed, plus the term of the null moving. That term is
     small at large p, where |R(dtau)|^p is near zero, but not at p = 2.
-    An N that underflows to 0 (low sidelobes at a large p) raises ValueError.
+    An N that underflows to 0 (low sidelobes at a large p) raises ValueError;
+    with the gradient, so does one so small that J / N or 1 / N overflows.
     """
     mag_p2 = mag ** (p - 2)
     magp = mag_p2 * (mag * mag)
     w_den = _band_weights(lags, 0.0, dtau)
     w_num = trapezoid - w_den
     num = float(w_num @ magp)
-    if num == 0.0:
-        raise ValueError(f"the sidelobe integral of |R|^p underflows to 0 at p={p}; "
-                         "use a smaller p")
     den = float(w_den @ magp)
     ratio = (num / den) ** (2.0 / p)
+    if num == 0.0 or (vertex is not None and not math.isfinite((ratio + 1.0) / num)):
+        raise ValueError(f"the sidelobe integral of |R|^p underflows to 0 at p={p}; "
+                         "use a smaller p")
     if vertex is None:
         return ratio
     d_power = (w_num * (ratio / num) - w_den * (ratio / den)) * mag_p2

@@ -172,8 +172,8 @@ def _objective_and_gradient(vec, run):
     if vertex is None:
         scale = (T / (2 * np.pi)) ** 2
         return 1e3 - scale * _beta2(vec, run.weights), -scale * 2 * run.weights * vec
-    ratio, d_power = _sidelobe_ratio(run.lags, run.trapezoid, mag[L:], vertex[1],
-                                     run.p, vertex)
+    ratio, d_power = _sidelobe_ratio(run.lags, run.trapezoid, mag, vertex[1], run.p,
+                                     vertex)
     n_fft = spec.size
     kernel = np.fft.irfft(d_power[:L] * np.conj(values[L:2 * L]), n_fft) * (2 * n_fft)
     corr = np.fft.ifft(spec * kernel)[:L]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mtsfm_cpm import MtsfmParams, barker_code, fit_fourier, synthesize_mtsfm
+from mtsfm_cpm import cli
 from mtsfm_cpm.cli import main
 
 
@@ -205,9 +206,12 @@ def test_reproduce_mseq63_fast_and_deterministic(tmp_path, capsys):
     ["fit", "{code}", "-K", "0"],
     ["optimize", "{fit}", "--p", "700"],
     ["metrics", "{fit}", "--p", "700"],
+    ["reproduce", "mseq63", "--p", "700"],
+    ["reproduce", "mseq63", "--p", "400", "--max-iterations", "4"],
 ], ids=["reproduce-delta", "reproduce-p", "reproduce-zero-pad", "optimize-zero-pad",
         "optimize-delta-f", "optimize-objective-tolerance", "metrics-samples-zero",
-        "fit-zero-harmonics", "optimize-p-underflow", "metrics-p-underflow"])
+        "fit-zero-harmonics", "optimize-p-underflow", "metrics-p-underflow",
+        "reproduce-p-underflow", "reproduce-p-gradient-overflow"])
 def test_bad_flag_writes_nothing(tmp_path, capsys, args):
     pfile = tmp_path / "barker13_k7.json"
     pfile.write_text(MtsfmParams(0.0, np.full(7, 0.1), np.zeros(7), 13.0).to_json())
@@ -224,6 +228,27 @@ def test_bad_flag_writes_nothing(tmp_path, capsys, args):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out_dir.exists() or not any(out_dir.rglob("*"))
+
+
+def test_failed_rerun_keeps_earlier_outputs(tmp_path, capsys):
+    assert run(["reproduce", "mseq63", "--max-iterations", "2"], tmp_path) == 0
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert len(before) == 22
+    assert run(["reproduce", "mseq63", "--p", "400", "--max-iterations", "4"],
+               tmp_path) == 1
+    assert "underflows to 0 at p=400" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+def test_unexpected_exception_propagates_and_writes_nothing(tmp_path, monkeypatch):
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "optimize", interrupted)
+    out_dir = tmp_path / "a" / "b"
+    with pytest.raises(KeyboardInterrupt):
+        run(["reproduce", "mseq63"], out_dir)
+    assert not any(tmp_path.iterdir())
 
 
 def test_reproduce_poly65_missing_file(tmp_path, capsys):

@@ -45,6 +45,17 @@ def test_objective_sidelobe_underflow_names_p(barker13_fit):
         objective(barker13_fit, OptimizerConfig(p=700, n_samples=13 * 16))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("p, iterations", [(400, 6), (300, 45)])
+def test_optimize_sidelobe_near_underflow_names_p(mseq63_fit32, p, iterations):
+    # within these iterations the sidelobe integral N turns subnormal: the
+    # gradient's J / N (p = 400) or 1 / N (p = 300) overflows, which would
+    # turn the gradient into NaN rather than stop the run
+    cfg = OptimizerConfig(p=p, n_samples=2016, max_iterations=iterations)
+    with pytest.raises(ValueError, match=f"underflows to 0 at p={p}"):
+        optimize(mseq63_fit32, cfg)
+
+
 def test_objective_zero_params_penalized():
     params = MtsfmParams(0.0, np.zeros(4), np.zeros(4), 1.0)
     value = objective(params, OptimizerConfig(n_samples=64))

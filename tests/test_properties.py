@@ -1,16 +1,22 @@
 """Property tests over random inputs (need hypothesis)."""
 
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from mtsfm_cpm import (MtsfmParams, OptimizerConfig, PhaseCode,  # noqa: E402
                        SamplingConfig, acf, ambiguity, barker_code, beta2_band,
-                       closed_form_rms_bandwidth, compute_metrics, fit_fourier,
-                       gradient, mtsfm_phase, objective, project_to_band,
+                       closed_form_rms_bandwidth, compute_metrics, dump_phase_code,
+                       fit_fourier, gradient, mtsfm_phase, objective, project_to_band,
                        synthesize_mtsfm, synthesize_pc, time_grid)
+from mtsfm_cpm.cli import main  # noqa: E402
 from mtsfm_cpm.mtsfm import _phase_samples  # noqa: E402
 from mtsfm_cpm.optimizer import BAND_SLACK  # noqa: E402
 from conftest import (dense_fit, fd_gradient, per_row_ambiguity,  # noqa: E402
@@ -159,3 +165,63 @@ def test_horner_phase_matches_fft_phase_on_the_grid(seed, K, oversample, T, scal
     # a0 / 2 is added last on both sides, so it enters the bound at face value
     bound = 1e-12 * (abs(params.a0) / 2 + np.sum(np.hypot(params.alpha, params.beta)))
     assert np.max(np.abs(mtsfm_phase(params, time_grid(n, T)) - grid_phase)) <= bound
+
+
+# Each flag is a pair (values that succeed, values that may fail); "" leaves
+# the flag out.
+_P = (["", "--p 2", "--p 10"], ["--p 1", "--p 400", "--p 700"])
+_DELTA = (["", "--delta 0.2"], ["--delta 2"])
+_DELTA_F = (["", "--delta-f 4"], ["--delta-f -1"])
+_SAMPLES = (["", "--samples 448"], ["--samples 0", "--samples 27"])
+_ITERATIONS = ([f"--max-iterations {n}" for n in range(5)], [])
+_EXPORT = (["", "--export spectrum,acf,waveform,waveform-raw,phase"], ["--export phase,bogus"])
+_GLOBAL = [(["", "--zero-pad 1"], ["--zero-pad 0"]), (["", "--format csv"], [])]
+_COMMANDS = [
+    ("gen-code barker", [(["--length 13"], ["--length 6"])]),
+    ("gen-code mseq", [(["--degree 6"], ["--degree 1"])]),
+    ("fit {code}", [(["", "-K 7", "-K 3"], ["-K 0"])]),
+    ("metrics {code}", [_P, _DELTA_F, _EXPORT]),
+    ("metrics {params}", [_P, _DELTA_F, _SAMPLES, _EXPORT]),
+    ("optimize {params}", [_P, _DELTA, _DELTA_F, _SAMPLES, _ITERATIONS]),
+    ("reproduce mseq63", [_P, _DELTA, _ITERATIONS]),
+]
+
+
+@st.composite
+def _argv(draw):
+    """A command with succeeding values for its flags, half the time with one
+    of them swapped for a value that may fail."""
+    command, flags = draw(st.sampled_from(_COMMANDS))
+    flags = _GLOBAL + flags
+    picks = [draw(st.sampled_from(good)) for good, _ in flags]
+    if draw(st.booleans()):
+        i = draw(st.sampled_from([i for i, (_, bad) in enumerate(flags) if bad]))
+        picks[i] = draw(st.sampled_from(flags[i][1]))
+    return " ".join(picks[:2] + [command] + picks[2:]).split()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(argv=_argv())
+@example(argv=["reproduce", "mseq63", "--p", "700"])
+@example(argv=["reproduce", "mseq63", "--p", "400", "--max-iterations", "4"])
+def test_cli_succeeds_or_fails_whole(argv):
+    """Any documented command either exits 0, or exits 1 with one error line
+    and no file in its out-dir."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        code, params, out_dir = tmp / "barker13.txt", tmp / "barker13_k7.json", tmp / "out"
+        with code.open("w") as fh:
+            dump_phase_code(barker_code(13), fh)
+        params.write_text(BARKER13_FIT.to_json())
+        argv = [a.format(code=code, params=params) for a in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            status = main(["--out-dir", str(out_dir)] + argv)
+        errors = [ln for ln in err.getvalue().splitlines() if ln.startswith("error: ")]
+        if status == 0:
+            assert not errors
+        else:
+            assert status == 1
+            assert len(errors) == 1 and err.getvalue().endswith(errors[0] + "\n")
+            assert not out_dir.exists() or not any(out_dir.rglob("*"))
