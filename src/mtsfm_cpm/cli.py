@@ -18,6 +18,7 @@ waveform     CSV ``t,re,im`` or raw interleaved little-endian float64 (re, im)
 """
 
 import argparse
+import errno
 import io
 import json
 import os
@@ -34,7 +35,7 @@ from .metrics import _metrics_report, acf, acf_csv, spectrum, spectrum_csv
 from .mtsfm import (MtsfmParams, _phase_samples, fit_fourier, min_harmonics,
                     synthesize_mtsfm)
 from .optimizer import OptimizerConfig, optimize, trace_csv
-from .waveform import (DEFAULT_SAMPLES_PER_CHIP, SamplingConfig, pc_phase,
+from .waveform import (DEFAULT_SAMPLES_PER_CHIP, SamplingConfig, _csv, pc_phase,
                        synthesize_pc, waveform_csv, waveform_raw_bytes)
 
 # Reference configurations for the two built-in worked examples.
@@ -62,6 +63,9 @@ class _Outputs:
             fh.write(data)
 
     def commit(self):
+        for _, path in self.staged:  # os.replace cannot overwrite a directory
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         for tmp, path in self.staged:
             os.replace(tmp, path)
         self.staged, self.made = [], []
@@ -75,10 +79,7 @@ class _Outputs:
 
 
 def _phase_csv(times, phases):
-    lines = ["t_s,phase_rad"]
-    for t, p in zip(times.tolist(), np.asarray(phases).tolist()):
-        lines.append(f"{t!r},{p!r}")
-    return "\n".join(lines) + "\n"
+    return _csv("t_s,phase_rad", times, np.asarray(phases).tolist())
 
 
 def _report_csv(report):

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._validation import check_int_at_least, check_p, check_positive
-from .waveform import time_grid
+from .waveform import _csv, time_grid
 
 __all__ = [
     "DegenerateMainlobe",
@@ -112,7 +112,7 @@ def spectrum(w, zero_pad_factor=4):
     """
     zero_pad_factor = check_int_at_least("zero_pad_factor", zero_pad_factor, 1)
     n_fft = w.n_samples * zero_pad_factor
-    x = np.fft.fft(w.samples, n_fft) / w.sample_rate
+    x = np.fft.fft(w.samples, n_fft) * (1.0 / w.sample_rate)
     psd = np.fft.fftshift(np.abs(x) ** 2)
     freqs = np.fft.fftshift(np.fft.fftfreq(n_fft, d=1.0 / w.sample_rate))
     centroid = float(np.sum(freqs * psd) / np.sum(psd))
@@ -445,15 +445,10 @@ def _metrics_report(sp, a, delta_f, p):
 
 def spectrum_csv(sp):
     """CSV text with header ``f_hz,psd``."""
-    lines = ["f_hz,psd"]
-    for f, v in zip(sp.freqs.tolist(), sp.psd.tolist()):
-        lines.append(f"{f!r},{v!r}")
-    return "\n".join(lines) + "\n"
+    return _csv("f_hz,psd", sp.freqs, sp.psd.tolist())
 
 
 def acf_csv(a):
     """CSV text with header ``tau_s,abs_r,arg_r``."""
-    lines = ["tau_s,abs_r,arg_r"]
-    for tau, v in zip(a.lags.tolist(), a.values.tolist()):
-        lines.append(f"{tau!r},{abs(v)!r},{math.atan2(v.imag, v.real)!r}")
-    return "\n".join(lines) + "\n"
+    return _csv("tau_s,abs_r,arg_r", a.lags, map(abs, a.values.tolist()),
+                map(math.atan2, a.values.imag.tolist(), a.values.real.tolist()))

@@ -5,6 +5,7 @@ normalized to unit energy, matching the 1/sqrt(T) amplitude of the
 constant-modulus pulse model.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,10 +132,33 @@ def synthesize_pc(code, cfg):
 
 def waveform_csv(w):
     """CSV text with header ``t,re,im``."""
-    lines = ["t,re,im"]
-    for t, s in zip(w.times.tolist(), w.samples.tolist()):
-        lines.append(f"{t!r},{s.real!r},{s.imag!r}")
-    return "\n".join(lines) + "\n"
+    return _csv("t,re,im", w.times, w.samples.real.tolist(), w.samples.imag.tolist())
+
+
+@functools.lru_cache(maxsize=4)
+def _grid_text(key):
+    return "\n".join(map(repr, np.frombuffer(key).tolist()))
+
+
+def _grid_column(x):
+    """The repr strings of a grid column (frequencies, lags or times),
+    formatted once per distinct content."""
+    return _grid_text(np.ascontiguousarray(x, float).tobytes()).split("\n")
+
+
+def _csv(header, grid, *columns):
+    """CSV text: a header line, then one row per grid entry holding its repr
+    and the reprs of the Python floats of each column, each row ending in a
+    newline.
+
+    The waveform variants of one command share their sampling grid, so a grid
+    column is formatted once and cached by its bytes. The cache keeps one
+    joined string per column, split on use: a cached list of per-value str
+    objects is faster, but its thousands of small objects pin allocator
+    arenas and raise the peak RSS.
+    """
+    rows = map(",".join, zip(_grid_column(grid), *[map(repr, c) for c in columns]))
+    return "\n".join([header, *rows, ""])
 
 
 def waveform_raw_bytes(w):

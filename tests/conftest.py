@@ -164,3 +164,35 @@ def two_sided_objective_and_gradient(vec, a0, T, K, p, n_samples):
     corr = np.fft.ifft(spec * kernel)[:n_samples]
     dphi = np.imag(np.conj(samples) * corr) / sample_rate
     return ratio, _phase_adjoint(dphi, K)
+
+
+def spectrum_csv_oracle(sp):
+    """A row-by-row f-string loop: the oracle for metrics.spectrum_csv."""
+    lines = ["f_hz,psd"]
+    for f, v in zip(sp.freqs.tolist(), sp.psd.tolist()):
+        lines.append(f"{f!r},{v!r}")
+    return "\n".join(lines) + "\n"
+
+
+def acf_csv_oracle(a):
+    """A row-by-row f-string loop: the oracle for metrics.acf_csv."""
+    lines = ["tau_s,abs_r,arg_r"]
+    for tau, v in zip(a.lags.tolist(), a.values.tolist()):
+        lines.append(f"{tau!r},{abs(v)!r},{math.atan2(v.imag, v.real)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def waveform_csv_oracle(w):
+    """A row-by-row f-string loop: the oracle for waveform.waveform_csv."""
+    lines = ["t,re,im"]
+    for t, s in zip(w.times.tolist(), w.samples.tolist()):
+        lines.append(f"{t!r},{s.real!r},{s.imag!r}")
+    return "\n".join(lines) + "\n"
+
+
+def phase_csv_oracle(times, phases):
+    """A row-by-row f-string loop: the oracle for cli._phase_csv."""
+    lines = ["t_s,phase_rad"]
+    for t, p in zip(times.tolist(), np.asarray(phases).tolist()):
+        lines.append(f"{t!r},{p!r}")
+    return "\n".join(lines) + "\n"

@@ -190,9 +190,10 @@ def test_reproduce_mseq63_fast_and_deterministic(tmp_path, capsys):
         assert_phase_csv_synthesizes(out_dir / f"{variant}_phase.csv",
                                      MtsfmParams.from_json(params), 63 * 32)
 
-    first = (out_dir / "summary.json").read_bytes()
-    assert run(args, tmp_path) == 0
-    assert (out_dir / "summary.json").read_bytes() == first
+    first = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert len(first) == 22
+    assert run(args, tmp_path) == 0  # in process: the CSV grid columns come cached
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == first
 
 
 @pytest.mark.parametrize("args", [
@@ -238,6 +239,16 @@ def test_failed_rerun_keeps_earlier_outputs(tmp_path, capsys):
                tmp_path) == 1
     assert "underflows to 0 at p=400" in capsys.readouterr().err
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+def test_directory_target_renames_nothing(tmp_path, capsys):
+    blocker = tmp_path / "mseq63" / "summary.json"
+    blocker.mkdir(parents=True)
+    assert run(["reproduce", "mseq63", "--max-iterations", "2"], tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.rstrip().endswith(f"'{blocker}'") and "summary.json." not in err
+    assert sorted(tmp_path.rglob("*")) == [blocker.parent, blocker]
 
 
 def test_unexpected_exception_propagates_and_writes_nothing(tmp_path, monkeypatch):
