@@ -4,6 +4,7 @@ Subcommands: gen-code, fit, metrics, optimize, reproduce. All outputs are
 deterministic for fixed inputs and flags, JSON outputs embed the input
 configuration, and a command's files appear together, only if it succeeds
 (each is staged beside its target; the set is renamed into place at the end).
+Each command returns its summary text, printed only after that rename.
 
 File formats
 ------------
@@ -144,7 +145,7 @@ def cmd_gen_code(args, write):
     buf = io.StringIO()
     dump_phase_code(code, buf)
     write(path, buf.getvalue())
-    print(f"{code.label}: N={code.n} -> {path}")
+    return f"{code.label}: N={code.n} -> {path}"
 
 
 def cmd_fit(args, write):
@@ -159,7 +160,7 @@ def cmd_fit(args, write):
     path = (Path(args.output) if args.output
             else Path(args.out_dir) / f"{Path(args.code_file).stem}_k{K}.json")
     write(path, params.to_json(extra={"config": _provenance(args)}))
-    print(f"K={K} (bound {bound}), N={code.n}, T={T} -> {path}")
+    return f"K={K} (bound {bound}), N={code.n}, T={T} -> {path}"
 
 
 def _default_band(params):
@@ -190,8 +191,8 @@ def cmd_metrics(args, write):
     report, path = _write_variant(write, args, Path(args.out_dir), stem, w, phase,
                                   delta_f, exports, args.format)
     flag = " (degenerate mainlobe)" if report.degenerate else ""
-    print(f"SC={report.sc:.4f} @ delta_f={report.delta_f} PSL={report.psl_db} "
-          f"ISR={report.isr_db} GISR(p={report.p})={report.gisr_db}{flag} -> {path}")
+    return (f"SC={report.sc:.4f} @ delta_f={report.delta_f} PSL={report.psl_db} "
+            f"ISR={report.isr_db} GISR(p={report.p})={report.gisr_db}{flag} -> {path}")
 
 
 def cmd_optimize(args, write):
@@ -212,9 +213,9 @@ def cmd_optimize(args, write):
     for tag, prm in (("before", params), ("after", result.params)):
         _write_variant(write, args, out_dir, f"{stem}_{tag}",
                        *_mtsfm_waveform(prm, n_report), delta_f)
-    print(f"GISR(p={args.p}): {result.initial_gisr_db:.2f} -> "
-          f"{result.final_gisr_db:.2f} dB ({result.termination_reason}) "
-          f"-> {out_dir / (stem + '.json')}")
+    return (f"GISR(p={args.p}): {result.initial_gisr_db:.2f} -> "
+            f"{result.final_gisr_db:.2f} dB ({result.termination_reason}) "
+            f"-> {out_dir / (stem + '.json')}")
 
 
 def cmd_reproduce(args, write):
@@ -270,12 +271,13 @@ def cmd_reproduce(args, write):
 
     write(out_dir / "summary.json", json.dumps(summary, indent=2))
 
-    print(f"{'variant':<10} {'SC':>8} {'ISR dB':>8} {'PSL dB':>8}")
+    lines = [f"{'variant':<10} {'SC':>8} {'ISR dB':>8} {'PSL dB':>8}"]
     for name, v in summary["variants"].items():
         isr_s = "-" if v["isr_db"] is None else f"{v['isr_db']:8.2f}"
         psl_s = "-" if v["psl_db"] is None else f"{v['psl_db']:8.2f}"
-        print(f"{name:<10} {v['sc_fraction']:8.4f} {isr_s:>8} {psl_s:>8}")
-    print(f"outputs -> {out_dir}")
+        lines.append(f"{name:<10} {v['sc_fraction']:8.4f} {isr_s:>8} {psl_s:>8}")
+    lines.append(f"outputs -> {out_dir}")
+    return "\n".join(lines)
 
 
 def build_parser():
@@ -362,14 +364,15 @@ def main(argv=None):
     outputs = _Outputs()
     try:
         check_int_at_least("--zero-pad", args.zero_pad, 1)
-        args.func(args, outputs.write)
+        text = args.func(args, outputs.write)
         outputs.commit()
-        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
         outputs.discard()
+    print(text)  # only once the command's files are in place
+    return 0
 
 
 if __name__ == "__main__":

@@ -199,17 +199,6 @@ def _lag_grid(L, sample_rate, T):
     return np.concatenate([[-T], np.arange(-(L - 1), L) / sample_rate, [T]])
 
 
-def _autocorrelation(spec, L, sample_rate, lags):
-    """(values, magnitudes, vertex) of the autocorrelation of L samples with
-    _correlation_fft spectrum spec: values on the whole _lag_grid, |R| on its
-    lags >= 0 (``lags``, the last L + 1 entries) and the _null_vertex of
-    those, scanned once here for every consumer.
-    """
-    values = _cross_correlation(spec, spec, L, sample_rate)
-    magnitudes = np.abs(values[L:])
-    return values, magnitudes, _null_vertex(lags, magnitudes)
-
-
 def acf(w):
     """Autocorrelation of a sampled waveform at its native lag spacing 1/f_s.
 
@@ -222,10 +211,10 @@ def acf(w):
     """
     L = w.n_samples
     lags = _lag_grid(L, w.sample_rate, w.T)
-    values, _, vertex = _autocorrelation(_correlation_fft(w.samples), L, w.sample_rate,
-                                         lags[L:])
-    first_null = float(lags[-1]) if vertex is None else vertex[1]
-    return AcfResult(lags, values, first_null, vertex is None)
+    spec = _correlation_fft(w.samples)
+    values = _cross_correlation(spec, spec, L, w.sample_rate)
+    tau = _null_vertex(lags[L:], np.abs(values[L:]))
+    return AcfResult(lags, values, float(lags[-1]) if tau is None else tau, tau is None)
 
 
 def ambiguity(w, doppler_grid):
@@ -268,28 +257,20 @@ def ambiguity(w, doppler_grid):
 def _null_vertex(lags, magnitudes):
     """First strict local minimum of |R| for tau > 0, refined parabolically.
 
-    lags and magnitudes hold the lags >= 0 only (|R| is even). Returns
-    (i, tau, dtau): the index of the minimum in those arrays, the refined
-    null location, and the derivative of tau over magnitudes[i-1:i+2] as a
-    3-tuple (zero where the refinement is clipped). None when no interior
-    minimum exists, e.g. the pure triangle of an unmodulated pulse.
+    lags and magnitudes hold the lags >= 0 only (|R| is even). Returns the
+    refined null location, or None when no interior minimum exists, e.g.
+    the pure triangle of an unmodulated pulse.
     """
     inner = magnitudes[1:-1]
     is_min = (inner < magnitudes[:-2]) & (inner < magnitudes[2:])
     i = int(is_min.argmax())  # the first True, if any
     if not is_min[i]:
         return None
-    i += 1
-    y0, y1, y2 = magnitudes[i - 1:i + 2].tolist()
-    t0, t1 = lags[i - 1:i + 1].tolist()
-    step = t1 - t0
+    y0, y1, y2 = magnitudes[i:i + 3].tolist()
+    t0, t1 = lags[i:i + 2].tolist()
     denom = y0 - 2 * y1 + y2
     offset = 0.5 * (y0 - y2) / denom if denom > 0 else 0.0
-    dtau = (0.0, 0.0, 0.0)
-    if denom > 0 and abs(offset) < 1.0:
-        dtau = tuple(step * d / denom ** 2 for d in (y2 - y1, y0 - y2, y1 - y0))
-    offset = min(max(offset, -1.0), 1.0)
-    return i, t1 + offset * step, dtau
+    return t1 + min(max(offset, -1.0), 1.0) * (t1 - t0)
 
 
 def first_null(a):
@@ -318,43 +299,39 @@ def psl(a):
     return 20 * math.log10(float(side.max()))
 
 
-def _sidelobe_ratio(lags, trapezoid, mag, dtau, p, vertex=None):
-    """Linear p-norm sidelobe ratio J = (N / D)^(2/p), N = int_dtau^T |R|^p and
-    D = int_0^dtau |R|^p, shared by gisr() and the optimizer objective.
+def _sidelobe_weights(a):
+    """(w_num, w_den): the trapezoid weights over the lags >= 0 of an ACF of
+    its sidelobe region [first null, T] and of its mainlobe region
+    [0, first null]. Raises DegenerateMainlobe when the ACF has no null."""
+    tau = _require_null(a)
+    lags = a.lags[a.lags.size // 2:]
+    w_den = _band_weights(lags, 0.0, tau)
+    return _band_weights(lags, 0.0, float(lags[-1])) - w_den, w_den
 
-    lags and mag hold the lags >= 0 only: |R| is even, so both integrals
-    over the whole grid are twice those over tau >= 0 and the ratio is the
-    same. trapezoid is _band_weights(lags, 0, lags[-1]), the weights of the
-    whole grid; the weights of N are those less the weights of D, which
-    differ from zero only up to the null. N and D are weighted sums of
-    |R|^p, so given the _null_vertex of mag (whose tau is dtau) this also
-    returns dJ/d|R|^2 at every lag >= 0: J (w_N / N - w_D / D) |R|^(p-2)
-    with the null held fixed, plus the term of the null moving. That term is
-    small at large p, where |R(dtau)|^p is near zero, but not at p = 2.
+
+def _sidelobe_ratio(w_num, w_den, mag, p, with_gradient=False):
+    """Linear p-norm sidelobe ratio J = (N / D)^(2/p), N = w_num @ |R|^p and
+    D = w_den @ |R|^p, shared by gisr() and the optimizer objective.
+
+    mag holds |R| on the lags >= 0 only and the weights are the
+    _sidelobe_weights of those lags: |R| is even, so both integrals over the
+    whole grid are twice those over tau >= 0 and the ratio is the same.
+    with_gradient also returns dJ/d|R|^2 at every lag >= 0 with the regions
+    held fixed: J (w_num / N - w_den / D) |R|^(p-2).
     An N that underflows to 0 (low sidelobes at a large p) raises ValueError;
     with the gradient, so does one so small that J / N or 1 / N overflows.
     """
     mag_p2 = mag ** (p - 2)
     magp = mag_p2 * (mag * mag)
-    w_den = _band_weights(lags, 0.0, dtau)
-    w_num = trapezoid - w_den
     num = float(w_num @ magp)
     den = float(w_den @ magp)
     ratio = (num / den) ** (2.0 / p)
-    if num == 0.0 or (vertex is not None and not math.isfinite((ratio + 1.0) / num)):
+    if num == 0.0 or (with_gradient and not math.isfinite((ratio + 1.0) / num)):
         raise ValueError(f"the sidelobe integral of |R|^p underflows to 0 at p={p}; "
                          "use a smaller p")
-    if vertex is None:
+    if not with_gradient:
         return ratio
-    d_power = (w_num * (ratio / num) - w_den * (ratio / den)) * mag_p2
-    i, _, d_tau = vertex
-    # dN/dtau = -|R(tau)|^p and dD/dtau = |R(tau)|^p, linearly interpolated
-    at_null = float(np.interp(dtau, lags, magp))
-    d_ratio_tau = -(2.0 / p) * ratio * at_null * (1 / num + 1 / den)
-    for j, (y, d) in enumerate(zip(mag[i - 1:i + 2].tolist(), d_tau), start=i - 1):
-        if y > 0:
-            d_power[j] += d_ratio_tau * d / (2 * y)
-    return ratio, d_power
+    return ratio, (w_num * (ratio / num) - w_den * (ratio / den)) * mag_p2
 
 
 def gisr(a, p):
@@ -364,11 +341,8 @@ def gisr(a, p):
     standard integrated sidelobe ratio, large p approaches the PSL.
     """
     check_p(p)
-    dtau = _require_null(a)
-    L = a.lags.size // 2
-    lags = a.lags[L:]
-    trapezoid = _band_weights(lags, 0.0, float(lags[-1]))
-    return 10 * math.log10(_sidelobe_ratio(lags, trapezoid, a.magnitudes[L:], dtau, p))
+    mag = a.magnitudes[a.lags.size // 2:]
+    return 10 * math.log10(_sidelobe_ratio(*_sidelobe_weights(a), mag, p))
 
 
 def isr(a):

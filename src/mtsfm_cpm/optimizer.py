@@ -17,10 +17,10 @@ from typing import NamedTuple
 import numpy as np
 
 from ._validation import check_int_at_least, check_p
-from .metrics import (_autocorrelation, _band_weights, _correlation_fft, _lag_grid,
-                      _sidelobe_ratio)
+from .metrics import (_correlation_fft, _cross_correlation, _sidelobe_ratio,
+                      _sidelobe_weights, acf, gisr)
 from .mtsfm import (MtsfmParams, _beta2, _beta2_weights, _phase_adjoint,
-                    _phase_samples, _unit_samples)
+                    _phase_samples, _unit_samples, synthesize_mtsfm)
 
 __all__ = [
     "OptimizerConfig",
@@ -130,27 +130,30 @@ class _Run(NamedTuple):
     K: int
     p: int
     n_samples: int
-    lags: np.ndarray  # the lags >= 0 of the native lag grid
-    trapezoid: np.ndarray  # their trapezoid weights over [0, T]
+    w_num: np.ndarray  # sidelobe-region weights on the lags >= 0
+    w_den: np.ndarray  # mainlobe-region weights on the lags >= 0
     weights: np.ndarray  # _beta2_weights of the coefficient vector
 
 
 def _run(params, cfg):
-    """The _Run of optimizing params under cfg."""
+    """The _Run of optimizing params under cfg: its mainlobe region is fixed
+    at the first ACF null of the waveform params synthesize, found once here
+    (DegenerateMainlobe when that ACF has none)."""
     n = cfg.resolve_n_samples(params.K)
-    lags = _lag_grid(n, n / params.T, params.T)[n:]
-    return _Run(params.a0, params.T, params.K, cfg.p, n, lags,
-                _band_weights(lags, 0.0, params.T), _beta2_weights(params.K, params.T))
+    return _Run(params.a0, params.T, params.K, cfg.p, n,
+                *_sidelobe_weights(acf(synthesize_mtsfm(params, n))),
+                _beta2_weights(params.K, params.T))
 
 
 def _objective_and_gradient(vec, run):
     """Linear-scale sidelobe ratio J of the waveform built from a coefficient
-    vector, and its exact gradient over the 2K coefficients.
+    vector, scored on the run's fixed mainlobe and sidelobe regions, and its
+    exact gradient over the 2K coefficients.
 
     The sidelobe ratio is scored on lags >= 0 only, since |R| is even. With
     q[m] = 2 dJ/d|R[m]|^2 conj(R[m]) for lags m = 0..L-1 (from
-    metrics._sidelobe_ratio, first-null movement included), the phase
-    gradient is dJ/dphi[n] = Im(conj(s[n]) sum_m h[m] s[n+m]) / f_s, where
+    metrics._sidelobe_ratio), the phase gradient is
+    dJ/dphi[n] = Im(conj(s[n]) sum_m h[m] s[n+m]) / f_s, where
     h[m] = q[m] + conj(q[-m]) is Hermitian; the lag sum is one FFT
     correlation with the real spectrum 2 n_fft Re(ifft(q)), reusing the
     spectrum of s. q lives on lags below n_fft / 2, so that spectrum is
@@ -160,20 +163,14 @@ def _objective_and_gradient(vec, run):
     is the energy whatever the phase), so one inverse real FFT gives the
     phase gradient. The coefficient gradient is the adjoint of the FFT
     synthesis.
-
-    A degenerate mainlobe returns a large penalty that decreases as the
-    bandwidth re-opens, with its exact gradient, keeping line searches total.
     """
     K, L, T = run.K, run.n_samples, run.T
     samples = _unit_samples(_phase_samples(run.a0, vec[:K], vec[K:], L), T)
     sample_rate = L / T
     spec = _correlation_fft(samples)
-    values, mag, vertex = _autocorrelation(spec, L, sample_rate, run.lags)
-    if vertex is None:
-        scale = (T / (2 * np.pi)) ** 2
-        return 1e3 - scale * _beta2(vec, run.weights), -scale * 2 * run.weights * vec
-    ratio, d_power = _sidelobe_ratio(run.lags, run.trapezoid, mag, vertex[1], run.p,
-                                     vertex)
+    values = _cross_correlation(spec, spec, L, sample_rate)
+    ratio, d_power = _sidelobe_ratio(run.w_num, run.w_den, np.abs(values[L:]), run.p,
+                                     with_gradient=True)
     n_fft = spec.size
     kernel = np.fft.irfft(d_power[:L] * np.conj(values[L:2 * L]), n_fft) * (2 * n_fft)
     corr = np.fft.ifft(spec * kernel)[:L]
@@ -182,18 +179,22 @@ def _objective_and_gradient(vec, run):
 
 
 def objective(params, cfg):
-    """Linear-scale sidelobe ratio at cfg.p for one parameter set.
+    """Linear-scale sidelobe ratio at cfg.p for one parameter set, scored on
+    its own first ACF null: 10**(gisr / 10) of the waveform it synthesizes.
 
     Deterministic for fixed inputs; see the dB-domain metrics module for
-    the reporting form.
+    the reporting form. Raises DegenerateMainlobe when that ACF has no null.
     """
     return _objective_and_gradient(params.coefficient_vector(), _run(params, cfg))[0]
 
 
 def gradient(params, cfg):
-    """Exact gradient of objective() over the 2K coefficients.
+    """Exact gradient over the 2K coefficients of the sidelobe ratio with its
+    mainlobe region held fixed at params' own first ACF null.
 
-    The constant term a0 is excluded: every metric is invariant to it.
+    The null does not move with the coefficients here, as it does not
+    within an optimize() run. The constant term a0 is excluded: every metric
+    is invariant to it.
     """
     return _objective_and_gradient(params.coefficient_vector(), _run(params, cfg))[1]
 
@@ -253,6 +254,12 @@ def optimize(initial, cfg):
     strictly lowers the objective, so the last iterate is also the best
     one seen. Two runs with identical inputs produce identical traces.
 
+    Every evaluation scores the sidelobe ratio on one mainlobe region,
+    [0, first ACF null of the initialization]; the bandwidth band is what
+    holds the mainlobe width. An initialization whose ACF has no null
+    raises DegenerateMainlobe. final_gisr_db is the gisr metric of the
+    result, scanned at its own null.
+
     ``n_evaluations`` counts objective evaluations; each returns the
     gradient with the objective, so one line-search trial is one evaluation.
     A trace record's ``grad_norm`` is the gradient norm at the iterate it
@@ -263,12 +270,12 @@ def optimize(initial, cfg):
     projection computed for its iterate, and the result's MtsfmParams is
     built once, at the end.
     """
-    run = _run(initial, cfg)
     x = initial.coefficient_vector()
-    beta2_ref = b2 = _beta2(x, run.weights)
-    if beta2_ref == 0.0:
+    if not x.any():
         raise ValueError("initialization has all-zero coefficients; "
                          "the bandwidth band is empty and cannot be projected onto")
+    run = _run(initial, cfg)
+    beta2_ref = b2 = _beta2(x, run.weights)
     band = beta2_band(beta2_ref, cfg.delta)
     f, g = _objective_and_gradient(x, run)
     n_evals = 1
@@ -308,10 +315,11 @@ def optimize(initial, cfg):
                 reason = "converged"
                 break
 
+    params = initial.with_coefficients(x)
     return OptimizationResult(
-        params=initial.with_coefficients(x),
+        params=params,
         initial_gisr_db=_db(history[0]),
-        final_gisr_db=_db(f),
+        final_gisr_db=gisr(acf(synthesize_mtsfm(params, run.n_samples)), cfg.p),
         initial_beta2=beta2_ref,
         final_beta2=b2,
         trace=tuple(trace),

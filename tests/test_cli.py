@@ -1,6 +1,8 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,9 @@ import pytest
 from mtsfm_cpm import MtsfmParams, barker_code, fit_fourier, synthesize_mtsfm
 from mtsfm_cpm import cli
 from mtsfm_cpm.cli import main
+from conftest import weak_tones
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(args, tmp_path):
@@ -165,6 +170,27 @@ def test_optimize_rejects_zero_params(tmp_path, capsys):
     assert "zero" in capsys.readouterr().err
 
 
+def test_optimize_degenerate_start_is_one_line_error(tmp_path, capsys):
+    pfile = tmp_path / "weak.json"
+    pfile.write_text(weak_tones().to_json())
+    out_dir = tmp_path / "out"
+    assert run(["optimize", str(pfile), "--samples", "64"], out_dir) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "no interior null" in captured.err
+    assert not out_dir.exists()
+
+
+def test_reproduce_mseq63_table_matches_readme(tmp_path, capsys):
+    assert run(["reproduce", "mseq63"], tmp_path) == 0
+    table = capsys.readouterr().out.splitlines()
+    assert table[-1] == f"outputs -> {tmp_path / 'mseq63'}"
+    block = re.search(r"`reproduce mseq63` ends with a table like:\n\n```\n(.*?)```",
+                      README.read_text(), re.S)
+    assert table[:-1] == block.group(1).splitlines()
+
+
 def test_reproduce_mseq63_fast_and_deterministic(tmp_path, capsys):
     args = ["reproduce", "mseq63", "--max-iterations", "2"]
     assert run(args, tmp_path) == 0
@@ -245,7 +271,9 @@ def test_directory_target_renames_nothing(tmp_path, capsys):
     blocker = tmp_path / "mseq63" / "summary.json"
     blocker.mkdir(parents=True)
     assert run(["reproduce", "mseq63", "--max-iterations", "2"], tmp_path) == 1
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""  # nothing is reported for files that never appeared
+    err = captured.err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert err.rstrip().endswith(f"'{blocker}'") and "summary.json." not in err
     assert sorted(tmp_path.rglob("*")) == [blocker.parent, blocker]

@@ -206,8 +206,8 @@ def _argv(draw):
 @example(argv=["reproduce", "mseq63", "--p", "700"])
 @example(argv=["reproduce", "mseq63", "--p", "400", "--max-iterations", "4"])
 def test_cli_succeeds_or_fails_whole(argv):
-    """Any documented command either exits 0, or exits 1 with one error line
-    and no file in its out-dir."""
+    """Any documented command either exits 0, or exits 1 with one error line,
+    nothing on stdout and no file in its out-dir."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         code, params, out_dir = tmp / "barker13.txt", tmp / "barker13_k7.json", tmp / "out"
@@ -215,13 +215,13 @@ def test_cli_succeeds_or_fails_whole(argv):
             dump_phase_code(barker_code(13), fh)
         params.write_text(BARKER13_FIT.to_json())
         argv = [a.format(code=code, params=params) for a in argv]
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             status = main(["--out-dir", str(out_dir)] + argv)
         errors = [ln for ln in err.getvalue().splitlines() if ln.startswith("error: ")]
         if status == 0:
             assert not errors
         else:
-            assert status == 1
+            assert status == 1 and out.getvalue() == ""
             assert len(errors) == 1 and err.getvalue().endswith(errors[0] + "\n")
             assert not out_dir.exists() or not any(out_dir.rglob("*"))
