@@ -6,6 +6,7 @@ Conventions: PSL is 20*log10 of a magnitude ratio; ISR and its p-norm
 generalization are 10*log10 of energy ratios.
 """
 
+import cmath
 import json
 import math
 import warnings
@@ -156,18 +157,24 @@ def rms_bandwidth_spectral(sp):
 
 @dataclass(frozen=True)
 class AcfResult:
-    """Aperiodic autocorrelation over lags [-T, T], normalized so R(0) = 1."""
+    """Aperiodic autocorrelation over lags [-T, T], normalized so R(0) = 1.
+
+    magnitudes defaults to |values|; acf() passes the |R| it scanned the
+    first null on, so each call takes |R| once.
+    """
 
     lags: np.ndarray
     values: np.ndarray
     first_null: float
     degenerate: bool
-    magnitudes: np.ndarray = field(init=False, repr=False, compare=False)
+    magnitudes: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
+        magnitudes = (np.abs(values) if self.magnitudes is None
+                      else np.asarray(self.magnitudes, dtype=float))
         for name, arr in (("lags", np.asarray(self.lags, dtype=float)),
-                          ("values", values), ("magnitudes", np.abs(values))):
+                          ("values", values), ("magnitudes", magnitudes)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -189,8 +196,17 @@ def _cross_correlation(fu, fv, L, sample_rate):
     appended at lags -L and +L. The scaling is a multiply by 1 / f_s: numpy
     runs complex-by-real division through its slower complex division loop,
     and gives the same bits."""
-    cc = np.fft.ifft(fu * np.conj(fv)) * (1.0 / sample_rate)
-    return np.concatenate([[0.0], cc[-(L - 1):], cc[:L], [0.0]])
+    return _lag_window(np.fft.ifft(fu * np.conj(fv)), L, 1.0 / sample_rate,
+                       np.empty(2 * L + 1, dtype=complex))
+
+
+def _lag_window(cc, L, scale, out):
+    """out = scale times the lags -(L-1)..(L-1) of a circular correlation cc
+    of length >= 2L, with exact zeros at lags -L and +L."""
+    out[0] = out[-1] = 0.0
+    np.multiply(cc[-(L - 1):], scale, out=out[1:L])
+    np.multiply(cc[:L], scale, out=out[L:2 * L])
+    return out
 
 
 def _lag_grid(L, sample_rate, T):
@@ -213,40 +229,93 @@ def acf(w):
     lags = _lag_grid(L, w.sample_rate, w.T)
     spec = _correlation_fft(w.samples)
     values = _cross_correlation(spec, spec, L, w.sample_rate)
-    tau = _null_vertex(lags[L:], np.abs(values[L:]))
-    return AcfResult(lags, values, float(lags[-1]) if tau is None else tau, tau is None)
+    magnitudes = np.abs(values)
+    tau = _null_vertex(lags[L:], magnitudes[L:])
+    return AcfResult(lags, values, float(lags[-1]) if tau is None else tau, tau is None,
+                     magnitudes)
+
+
+def _shift_spectra(samples, f, n_fft):
+    """The n_fft-point spectra U and conj(V) of samples times
+    e^{+j 2 pi f n / n_fft} and times e^{-j 2 pi f n / n_fft}: the plain
+    spectrum shifted by -f and by +f bins. At f = 0 both are that spectrum."""
+    if f == 0:
+        fu = fv = _correlation_fft(samples)
+    else:
+        # e^{j x} as cos x + j sin x: numpy's complex exp is slower
+        x = (2 * np.pi * f / n_fft) * np.arange(samples.size)
+        ramp = np.empty(x.size, dtype=complex)
+        np.cos(x, out=ramp.real)
+        np.sin(x, out=ramp.imag)
+        fu, fv = _correlation_fft(samples * ramp), _correlation_fft(samples * ramp.conj())
+    return fu, np.conj(fv)
+
+
+def _shifted_product(fu, fvc, i, out):
+    """out[m] = fu[m - i] * fvc[m + i], indices mod the common length: the two
+    circular shifts as at most three contiguous products, with no copy."""
+    n = out.size
+    ru, rv = i % n, -i % n
+    cuts = sorted({0, ru, rv, n})
+    for a, b in zip(cuts, cuts[1:]):
+        np.multiply(fu[(a - ru) % n:][:b - a], fvc[(a - rv) % n:][:b - a], out=out[a:b])
+    return out
 
 
 def ambiguity(w, doppler_grid):
     """Matched-filter response over (lag, Doppler): one row per Doppler shift.
 
     Row nu is the cross correlation of s(t) e^{+j pi nu t} with
-    s(t) e^{-j pi nu t}, which reduces to the plain autocorrelation at nu = 0
-    (same code path, so the nu = 0 row matches acf() bit for bit).
+    s(t) e^{-j pi nu t}; doppler_grid must be 1-D (it may be empty).
+
+    On the midpoint grid t_n = t_0 + n/f_s the modulation shifts the
+    correlation spectrum S of s by d = nu T n_fft / (2L) bins, +d for the
+    first factor and -d for the second. With d = i + f, i = floor(d), row nu
+    is e^{j 2 pi nu t_0} ifft(U_f[m - i] conj(V_f[m + i])) / f_s, where U_f and
+    V_f are the spectra of s e^{+-j 2 pi f n / n_fft}. Rows with the same
+    fractional part f share U_f and V_f, computed once per class and one
+    class at a time; the f = 0 class uses S itself, so an on-bin row costs
+    one inverse FFT. The nu = 0 row is acf()'s own correlation of S with
+    itself, so it matches acf() bit for bit.
 
     The surface obeys chi(-tau, -nu) = conj(chi(tau, nu)), and the lag axis
     is symmetric, so a row whose exact negation -nu (nu != 0) occurs earlier
     in the grid is mirrored from the first such row as conj(row[::-1])
-    instead of being correlated. Every other row, nu = 0 included, is
-    correlated directly.
+    instead of being correlated.
     """
-    doppler_grid = np.atleast_1d(np.asarray(doppler_grid, dtype=float))
-    if doppler_grid.size and not np.all(np.isfinite(doppler_grid)):
-        raise ValueError("doppler_grid must be finite")
+    doppler_grid = np.asarray(doppler_grid, dtype=float)
+    if doppler_grid.ndim != 1:
+        raise ValueError(f"doppler_grid must be 1-D, not of shape {doppler_grid.shape}")
     L = w.n_samples
-    t = time_grid(L, w.T)
+    n_fft = _next_pow2(2 * L)
+    with np.errstate(over="ignore"):  # an overflow is the error below
+        shifts = doppler_grid * (w.T * n_fft / (2 * L))  # d of each row, in bins
+    if not np.all(np.isfinite(shifts)):
+        raise ValueError("doppler_grid must be finite, and so must its spectral shifts")
+    t0 = float(time_grid(L, w.T)[0])
     rows = np.empty((doppler_grid.size, 2 * L + 1), dtype=complex)
-    first = {}  # Doppler value -> index of its first row
-    for i, nu in enumerate(doppler_grid.tolist()):
+    first, mirrors, classes = {}, [], {}  # classes: f -> [(row, i, nu)]
+    for k, (nu, d) in enumerate(zip(doppler_grid.tolist(), shifts.tolist())):
         j = first.get(-nu) if nu != 0 else None
-        if j is not None:
-            rows[i] = np.conj(rows[j][::-1])
+        if j is None:
+            i = math.floor(d)
+            classes.setdefault(d - i, []).append((k, i, nu))
         else:
-            kernel = np.exp(1j * np.pi * nu * t)
-            rows[i] = _cross_correlation(_correlation_fft(w.samples * kernel),
-                                         _correlation_fft(w.samples / kernel), L,
-                                         w.sample_rate)
-        first.setdefault(nu, i)
+            mirrors.append((k, j))
+        first.setdefault(nu, k)
+    product = np.empty(n_fft, dtype=complex)
+    for f, members in classes.items():  # one class's spectra alive at a time: O(n_fft)
+        fu, fvc = _shift_spectra(w.samples, f, n_fft)
+        for k, i, nu in members:
+            if nu == 0:
+                # acf()'s own expression: numpy may evaluate it with an elided
+                # temporary, whose operand order sets the last bits
+                rows[k] = _cross_correlation(fu, fu, L, w.sample_rate)
+            else:
+                _lag_window(np.fft.ifft(_shifted_product(fu, fvc, i, product)), L,
+                            cmath.exp(2j * math.pi * nu * t0) / w.sample_rate, rows[k])
+    for k, j in mirrors:
+        np.conj(rows[j][::-1], out=rows[k])
     return rows
 
 

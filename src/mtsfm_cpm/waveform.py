@@ -47,7 +47,11 @@ class SamplingConfig:
 
 @dataclass(frozen=True)
 class SampledWaveform:
-    """Unit-energy complex baseband samples on a midpoint grid over [-T/2, T/2]."""
+    """Unit-energy complex baseband samples on a midpoint grid over [-T/2, T/2].
+
+    sample_rate must be n_samples / T (to a relative 1e-12): the metrics take
+    their lag and frequency spacing from it.
+    """
 
     samples: np.ndarray
     T: float
@@ -61,6 +65,9 @@ class SampledWaveform:
         object.__setattr__(self, "samples", samples)
         check_positive("T", self.T)
         check_positive("sample_rate", self.sample_rate)
+        rate = samples.size / self.T
+        if not abs(self.sample_rate - rate) <= 1e-12 * rate:
+            raise ValueError(f"sample_rate {self.sample_rate} is not n_samples / T = {rate}")
         if not abs(self.energy - 1.0) <= 1e-9:  # nan or inf samples fail too
             raise ValueError(f"waveform energy {self.energy} is not 1 within 1e-9")
 

@@ -43,6 +43,12 @@ def mseq63_wave32(mseq63_fit32):
 
 
 @pytest.fixture(scope="session")
+def mseq511_pc():
+    """L = 16352 samples, correlation FFT size 32768."""
+    return synthesize_pc(generate_msequence(9), SamplingConfig(511.0))
+
+
+@pytest.fixture(scope="session")
 def barker13_wave():
     return synthesize_pc(barker_code(13), SamplingConfig(13.0))
 
@@ -104,8 +110,9 @@ def dense_modulation(params, t):
 
 
 def per_row_ambiguity(w, doppler_grid):
-    """Every ambiguity row correlated on its own, none mirrored: the oracle
-    for the mirrored rows of ambiguity()."""
+    """Every ambiguity row correlated on its own from its own modulated
+    samples, none mirrored and none spectrum-shifted: the oracle for
+    ambiguity()."""
     L = w.n_samples
     t = time_grid(L, w.T)
     rows = []

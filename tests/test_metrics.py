@@ -7,10 +7,11 @@ import pytest
 from mtsfm_cpm import (AcfResult, DegenerateMainlobe, MtsfmParams, PhaseCode,
                        SampledWaveform, SamplingConfig, acf, ambiguity,
                        barker_code, closed_form_rms_bandwidth, compute_metrics,
-                       first_null, generate_msequence, gisr, isr,
+                       first_null, gisr, isr,
                        mainlobe_area, psl, rms_bandwidth_spectral,
                        spectral_compactness, spectrum, synthesize_mtsfm,
                        synthesize_pc)
+from mtsfm_cpm.metrics import _next_pow2
 from conftest import MSEQ63_BAND, MSEQ63_T, per_row_ambiguity
 
 
@@ -125,6 +126,21 @@ def test_acf_magnitudes_stored_once_read_only(mseq63_pc):
     assert np.array_equal(b.magnitudes, a.magnitudes)
 
 
+def test_acf_takes_magnitudes_once(mseq63_pc, monkeypatch):
+    expected = acf(mseq63_pc)
+    calls = []
+
+    def counting_abs(x, *args, **kwargs):
+        calls.append(np.shape(x))
+        return np.absolute(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "abs", counting_abs)
+    a = acf(mseq63_pc)
+    assert calls == [a.values.shape]
+    assert np.array_equal(a.magnitudes, expected.magnitudes)
+    assert (a.first_null, a.degenerate) == (expected.first_null, expected.degenerate)
+
+
 def direct_acf(w):
     """O(L^2) time-domain correlation oracle: r[m] = sum_n s[n+m] conj(s[n]) / f_s."""
     s = w.samples
@@ -160,13 +176,12 @@ def test_acf_mseq_matches_direct(mseq63_pc):
 # ambiguity
 # --------------------------------------------------------------------------
 
-@pytest.mark.parametrize("build", [
-    lambda: synthesize_pc(barker_code(13), SamplingConfig(13.0)),
-    # L = 16352, FFT size 32768: above numpy's temporary-elision threshold
-    lambda: synthesize_pc(generate_msequence(9), SamplingConfig(511.0)),
+@pytest.mark.parametrize("wave", [
+    "barker13_wave",
+    "mseq511_pc",  # FFT size 32768: above numpy's temporary-elision threshold
 ], ids=["barker13", "mseq511"])
-def test_ambiguity_zero_doppler_row_is_acf(build):
-    w = build()
+def test_ambiguity_zero_doppler_row_is_acf(request, wave):
+    w = request.getfixturevalue(wave)
     rows = ambiguity(w, [0.0])
     a = acf(w)
     assert np.array_equal(rows[0], a.values)
@@ -194,9 +209,43 @@ def test_ambiguity_matches_per_row_oracle(request, wave, grid):
             # mirrored from the first earlier -nu row
             assert np.array_equal(rows[i], np.conj(rows[earlier[0]][::-1]))
             mirrored += 1
-        else:
+        elif nu == 0:
+            # the plain autocorrelation; shifted rows are held to the bound above
             assert np.array_equal(rows[i], oracle[i])
     assert mirrored > 0
+
+
+def _class_sizes(w, grid):
+    """Sorted row counts of the fractional spectral shifts f = d - floor(d)
+    of a grid, d = nu T n_fft / (2L) bins."""
+    L = w.n_samples
+    d = np.asarray(grid) * (w.T * _next_pow2(2 * L) / (2 * L))
+    return sorted(np.unique(d - np.floor(d), return_counts=True)[1].tolist())
+
+
+@pytest.mark.parametrize("wave, grid, sizes", [
+    # the analyze-sweep grid: 64 bins per Hz, so every row is a whole 2k bins
+    ("mseq63_wave32", np.linspace(-0.5, 0.5, 33), [33]),
+    # L = 16352, FFT size 32768: 512 bins per Hz, every row a whole 4k bins
+    ("mseq511_pc", np.arange(-6, 7) / 128, [13]),
+    # in bins: on-bin rows (nu = 0 and a mirrored pair among them), f = 1/2
+    # three times, f = 1/4 twice, and two off-bin singletons
+    ("mseq63_wave32", np.array([16, -8, 3.5, -2.5, 7.5, 1.25, -6.75, 19.2, -10.88, 0,
+                                -16]) / 64, [1, 1, 2, 3, 4]),
+], ids=["analyze-sweep-grid", "mseq511-on-bin", "mixed-classes"])
+def test_ambiguity_shift_classes_match_per_row_oracle(request, wave, grid, sizes):
+    w = request.getfixturevalue(wave)
+    assert _class_sizes(w, grid) == sizes
+    rows = ambiguity(w, grid)
+    assert np.max(np.abs(rows - per_row_ambiguity(w, grid))) <= 1e-12
+    assert np.array_equal(rows[np.flatnonzero(grid == 0.0)[0]], acf(w).values)
+
+
+def test_ambiguity_rejects_a_grid_that_is_not_1d(barker13_wave):
+    for grid in ([[0.1, 0.2]], np.zeros((2, 3)), 0.1):
+        with pytest.raises(ValueError, match="1-D"):
+            ambiguity(barker13_wave, grid)
+    assert ambiguity(barker13_wave, []).shape == (0, 2 * barker13_wave.n_samples + 1)
 
 
 def test_ambiguity_volume_is_unity():
@@ -210,8 +259,10 @@ def test_ambiguity_volume_is_unity():
 
 
 def test_ambiguity_rejects_nonfinite_grid(barker13_wave):
-    with pytest.raises(ValueError):
-        ambiguity(barker13_wave, [0.0, np.inf])
+    # 1e308 Hz is finite, but its shift in spectral bins overflows
+    for grid in ([0.0, np.inf], [np.nan], [0.0, 1e308]):
+        with pytest.raises(ValueError, match="finite"):
+            ambiguity(barker13_wave, grid)
 
 
 # --------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from mtsfm_cpm import (MtsfmParams, OptimizerConfig, PhaseCode,  # noqa: E402
                        fit_fourier, gradient, mtsfm_phase, objective, project_to_band,
                        synthesize_mtsfm, synthesize_pc, time_grid)
 from mtsfm_cpm.cli import main  # noqa: E402
+from mtsfm_cpm.metrics import _next_pow2  # noqa: E402
 from mtsfm_cpm.mtsfm import _phase_samples  # noqa: E402
 from mtsfm_cpm.optimizer import BAND_SLACK  # noqa: E402
 from conftest import (dense_fit, fd_gradient, per_row_ambiguity,  # noqa: E402
@@ -138,6 +139,30 @@ def test_ambiguity_conjugate_symmetry_on_random_grids(seed, mtsfm, n, n_doppler,
     # chi(-tau, -nu) = conj(chi(tau, nu)), on rows correlated one by one
     negated = per_row_ambiguity(w, -grid)
     assert np.max(np.abs(negated - np.conj(oracle[:, ::-1]))) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), mtsfm=st.booleans(), n=st.integers(2, 24),
+       bins=st.lists(st.integers(-40, 40), min_size=1, max_size=8),
+       fractions=st.lists(st.sampled_from([0.0, 0.125, 0.25, 0.5, 0.75, 0.875]),
+                          min_size=1, max_size=3))
+def test_ambiguity_on_shared_fractional_shifts(seed, mtsfm, n, bins, fractions):
+    rng = np.random.default_rng(seed)
+    code = PhaseCode(rng.uniform(-np.pi, np.pi, n))
+    w = (synthesize_mtsfm(fit_fourier(code, float(n), n), 8 * n) if mtsfm
+         else synthesize_pc(code, SamplingConfig(float(n), samples_per_chip=8)))
+    # T n_fft / (2L) = n_fft / 16 bins per Hz, a power of two, so each row's
+    # shift d is exact: whole bins plus one of a few fractions shared by rows
+    bins_per_hz = w.T * _next_pow2(2 * w.n_samples) / (2 * w.n_samples)
+    shifts = np.array(bins) + np.resize(fractions, len(bins))
+    grid = np.concatenate([shifts, -shifts[:2], [0.0]]) / bins_per_hz
+    rows = ambiguity(w, grid)
+    assert np.max(np.abs(rows - per_row_ambiguity(w, grid))) <= 1e-12
+    assert np.array_equal(rows[-1], acf(w).values)
+    for i in range(len(bins), len(bins) + min(2, len(bins))):  # the -shifts rows
+        if grid[i] != 0:  # mirrored from the first row at -grid[i]
+            j = int(np.flatnonzero(grid == -grid[i])[0])
+            assert np.array_equal(rows[i], np.conj(rows[j][::-1]))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

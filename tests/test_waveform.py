@@ -69,6 +69,17 @@ def test_sampled_waveform_rejects_wrong_energy():
         SampledWaveform(2.0 * np.ones(8), T=1.0, sample_rate=8.0)
 
 
+def test_sampled_waveform_rejects_a_sample_rate_off_n_over_t(barker13_wave):
+    w = barker13_wave
+    rate = w.n_samples / w.T
+    # twice the rate would halve every lag and frequency spacing of the metrics
+    for bad in (2 * rate, rate * (1 + 1e-11), rate * (1 - 1e-11)):
+        with pytest.raises(ValueError, match="sample_rate"):
+            SampledWaveform(w.samples * np.sqrt(bad / rate), w.T, bad)
+    for ok in (rate * (1 + 1e-13), rate * (1 - 1e-13)):
+        assert SampledWaveform(w.samples, w.T, ok).sample_rate == ok
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan)])
 def test_sampled_waveform_rejects_non_finite_samples(bad):
     # an energy of nan compares False against any tolerance
