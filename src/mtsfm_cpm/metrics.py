@@ -10,7 +10,7 @@ import cmath
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -159,20 +159,22 @@ def rms_bandwidth_spectral(sp):
 class AcfResult:
     """Aperiodic autocorrelation over lags [-T, T], normalized so R(0) = 1.
 
-    magnitudes defaults to |values|; acf() passes the |R| it scanned the
-    first null on, so each call takes |R| once.
+    magnitudes is always |values|. acf() hands in the |R| it scanned the
+    first null on through the private _magnitudes, so each call takes |R|
+    once; dataclasses.replace() does not pass it on, so a replaced object
+    takes |values| anew.
     """
 
     lags: np.ndarray
     values: np.ndarray
     first_null: float
     degenerate: bool
-    magnitudes: np.ndarray = field(default=None, repr=False, compare=False)
+    magnitudes: np.ndarray = field(init=False, repr=False, compare=False)
+    _magnitudes: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _magnitudes):
         values = np.asarray(self.values, dtype=complex)
-        magnitudes = (np.abs(values) if self.magnitudes is None
-                      else np.asarray(self.magnitudes, dtype=float))
+        magnitudes = np.abs(values) if _magnitudes is None else _magnitudes
         for name, arr in (("lags", np.asarray(self.lags, dtype=float)),
                           ("values", values), ("magnitudes", magnitudes)):
             arr.flags.writeable = False
@@ -232,7 +234,7 @@ def acf(w):
     magnitudes = np.abs(values)
     tau = _null_vertex(lags[L:], magnitudes[L:])
     return AcfResult(lags, values, float(lags[-1]) if tau is None else tau, tau is None,
-                     magnitudes)
+                     _magnitudes=magnitudes)
 
 
 def _shift_spectra(samples, f, n_fft):
@@ -252,8 +254,11 @@ def _shift_spectra(samples, f, n_fft):
 
 
 def _shifted_product(fu, fvc, i, out):
-    """out[m] = fu[m - i] * fvc[m + i], indices mod the common length: the two
-    circular shifts as at most three contiguous products, with no copy."""
+    """out[m] = fu[m - i] * fvc[m + i], indices mod the common length: the
+    product np.roll(fu, i) * np.roll(fvc, -i), as at most three contiguous
+    products of slices with no copy. With the two np.roll copies per row,
+    off-bin grids ran slower than modulating each row's samples directly
+    (BENCH_12.json)."""
     n = out.size
     ru, rv = i % n, -i % n
     cuts = sorted({0, ru, rv, n})

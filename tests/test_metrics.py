@@ -11,7 +11,7 @@ from mtsfm_cpm import (AcfResult, DegenerateMainlobe, MtsfmParams, PhaseCode,
                        mainlobe_area, psl, rms_bandwidth_spectral,
                        spectral_compactness, spectrum, synthesize_mtsfm,
                        synthesize_pc)
-from mtsfm_cpm.metrics import _next_pow2
+from mtsfm_cpm.metrics import _next_pow2, _shifted_product
 from conftest import MSEQ63_BAND, MSEQ63_T, per_row_ambiguity
 
 
@@ -241,6 +241,15 @@ def test_ambiguity_shift_classes_match_per_row_oracle(request, wave, grid, sizes
     assert np.array_equal(rows[np.flatnonzero(grid == 0.0)[0]], acf(w).values)
 
 
+def test_shifted_product_is_the_rolled_product():
+    rng = np.random.default_rng(3)
+    n = 16
+    fu, fvc = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+    for i in (0, 1, -1, 5, -7, n // 2, n, -n - 3, 3 * n + 5):
+        out = _shifted_product(fu, fvc, i, np.empty(n, dtype=complex))
+        assert np.array_equal(out, np.roll(fu, i) * np.roll(fvc, -i)), i
+
+
 def test_ambiguity_rejects_a_grid_that_is_not_1d(barker13_wave):
     for grid in ([[0.1, 0.2]], np.zeros((2, 3)), 0.1):
         with pytest.raises(ValueError, match="1-D"):
@@ -368,6 +377,12 @@ def test_gisr_nonincreasing_in_p(mseq63_pc, barker13_wave):
         a = acf(w)
         values = [gisr(a, p) for p in (2, 4, 10, 64)]
         assert all(b <= a_ + 1e-12 for a_, b in zip(values, values[1:]))
+
+
+def test_replaced_acf_takes_magnitudes_of_its_own_values(barker13_wave):
+    a = acf(barker13_wave)
+    scaled = dataclasses.replace(a, values=0.5 * a.values)
+    assert np.array_equal(scaled.magnitudes, 0.5 * a.magnitudes)
 
 
 def test_gisr_scale_invariant(barker13_wave):
