@@ -84,7 +84,7 @@ def generate_msequence(degree, taps=None, seed=1):
         Primitivity is not verified here: a non-primitive mask yields a
         shorter-period sequence and is the caller's responsibility.
     seed : int
-        Nonzero initial register state.
+        Positive initial register state.
 
     Returns
     -------
@@ -98,8 +98,8 @@ def generate_msequence(degree, taps=None, seed=1):
         taps = PRIMITIVE_TAPS[degree]
     n_states = (1 << degree) - 1
     seed = int(seed)
-    if seed == 0:
-        raise ValueError("seed must be a nonzero register state")
+    if seed <= 0:
+        raise ValueError(f"seed must be a positive register state, got {seed}")
     state = seed & n_states
     if state == 0:
         raise ValueError(f"seed must have a nonzero low {degree} bits")

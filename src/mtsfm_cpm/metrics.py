@@ -283,10 +283,11 @@ def ambiguity(w, doppler_grid):
     one inverse FFT. The nu = 0 row is acf()'s own correlation of S with
     itself, so it matches acf() bit for bit.
 
-    The surface obeys chi(-tau, -nu) = conj(chi(tau, nu)), and the lag axis
-    is symmetric, so a row whose exact negation -nu (nu != 0) occurs earlier
-    in the grid is mirrored from the first such row as conj(row[::-1])
-    instead of being correlated.
+    A row whose exact value nu occurs earlier in the grid is copied from the
+    first such row. The surface obeys chi(-tau, -nu) = conj(chi(tau, nu)),
+    and the lag axis is symmetric, so a row whose exact negation -nu
+    (nu != 0) occurs earlier is mirrored from the first such row as
+    conj(row[::-1]). Neither is correlated.
     """
     doppler_grid = np.asarray(doppler_grid, dtype=float)
     if doppler_grid.ndim != 1:
@@ -299,14 +300,15 @@ def ambiguity(w, doppler_grid):
         raise ValueError("doppler_grid must be finite, and so must its spectral shifts")
     t0 = float(time_grid(L, w.T)[0])
     rows = np.empty((doppler_grid.size, 2 * L + 1), dtype=complex)
-    first, mirrors, classes = {}, [], {}  # classes: f -> [(row, i, nu)]
+    first, copies, classes = {}, [], {}  # classes: f -> [(row, i, nu)]
     for k, (nu, d) in enumerate(zip(doppler_grid.tolist(), shifts.tolist())):
-        j = first.get(-nu) if nu != 0 else None
-        if j is None:
+        if nu in first:
+            copies.append((k, first[nu], False))
+        elif nu != 0 and -nu in first:
+            copies.append((k, first[-nu], True))
+        else:
             i = math.floor(d)
             classes.setdefault(d - i, []).append((k, i, nu))
-        else:
-            mirrors.append((k, j))
         first.setdefault(nu, k)
     product = np.empty(n_fft, dtype=complex)
     for f, members in classes.items():  # one class's spectra alive at a time: O(n_fft)
@@ -319,8 +321,11 @@ def ambiguity(w, doppler_grid):
             else:
                 _lag_window(np.fft.ifft(_shifted_product(fu, fvc, i, product)), L,
                             cmath.exp(2j * math.pi * nu * t0) / w.sample_rate, rows[k])
-    for k, j in mirrors:
-        np.conj(rows[j][::-1], out=rows[k])
+    for k, j, mirrored in copies:  # row j < k is filled by now
+        if mirrored:
+            np.conj(rows[j][::-1], out=rows[k])
+        else:
+            rows[k] = rows[j]
     return rows
 
 
@@ -374,49 +379,80 @@ def psl(a):
 
 
 def _sidelobe_weights(a):
-    """(w_num, w_den): the trapezoid weights over the lags >= 0 of an ACF of
-    its sidelobe region [first null, T] and of its mainlobe region
-    [0, first null]. Raises DegenerateMainlobe when the ACF has no null."""
+    """The sidelobe region [first null, T] and the mainlobe region
+    [0, first null] of an ACF over its lags >= 0, each as (support, weights):
+    its trapezoid weights on the slice of lags from its first to its last
+    non-zero weight. Raises DegenerateMainlobe when the ACF has no null."""
     tau = _require_null(a)
     lags = a.lags[a.lags.size // 2:]
     w_den = _band_weights(lags, 0.0, tau)
-    return _band_weights(lags, 0.0, float(lags[-1])) - w_den, w_den
+    w_num = _band_weights(lags, 0.0, float(lags[-1])) - w_den
+    return _on_support(w_num), _on_support(w_den)
 
 
-def _sidelobe_ratio(w_num, w_den, mag, p, with_gradient=False):
+def _on_support(w):
+    nz = w != 0
+    support = slice(int(nz.argmax()), w.size - int(nz[::-1].argmax()))
+    return support, w[support]
+
+
+def _scaled_power_sum(w, mag, p):
+    """(m, w @ (mag / m)^p, w (mag / m)^(p-2)) with m = max(mag): each term
+    of the sum is at most its weight, and the one at the peak equals it."""
+    m = float(mag.max())
+    x = mag * (1.0 / m)
+    wx_p2 = x ** (p - 2)
+    wx_p2 *= w
+    x *= x
+    return m, float(wx_p2 @ x), wx_p2
+
+
+def _sidelobe_ratio(regions, mag, p, with_gradient=False):
     """Linear p-norm sidelobe ratio J = (N / D)^(2/p), N = w_num @ |R|^p and
     D = w_den @ |R|^p, shared by gisr() and the optimizer objective.
 
-    mag holds |R| on the lags >= 0 only and the weights are the
-    _sidelobe_weights of those lags: |R| is even, so both integrals over the
-    whole grid are twice those over tau >= 0 and the ratio is the same.
+    mag holds |R| on the lags >= 0 only and regions are the _sidelobe_weights
+    of those lags: |R| is even, so both integrals over the whole grid are
+    twice those over tau >= 0 and the ratio is the same.
+
+    Each sum is scaled by the peak |R| on its own region's support:
+    J = (m_s / m_0)^2 (N~ / D~)^(2/p) with N~ = w_num @ (|R| / m_s)^p and
+    D~ = w_den @ (|R| / m_0)^p, m_s the largest sidelobe |R| and m_0 the
+    largest mainlobe |R|, |R(0)|. Each power is taken on its own support
+    only, where it is at most 1, and N~ and D~ are at least the weight at
+    their peak, so every finite p >= 2 is defined: nothing overflows or
+    underflows. m_s > 0 because the first null is a strict local minimum of
+    |R|, refined to within half a lag, so the next lag lies in the sidelobe
+    support with |R| above the null's.
+
     with_gradient also returns dJ/d|R|^2 at every lag >= 0 with the regions
-    held fixed: J (w_num / N - w_den / D) |R|^(p-2).
-    An N that underflows to 0 (low sidelobes at a large p) raises ValueError;
-    with the gradient, so does one so small that J / N or 1 / N overflows.
+    held fixed, J (w_num / N - w_den / D) |R|^(p-2) in the same scaling:
+    J (w_num (|R| / m_s)^(p-2) / (m_s^2 N~) - w_den (|R| / m_0)^(p-2) / (m_0^2 D~)).
     """
-    mag_p2 = mag ** (p - 2)
-    magp = mag_p2 * (mag * mag)
-    num = float(w_num @ magp)
-    den = float(w_den @ magp)
-    ratio = (num / den) ** (2.0 / p)
-    if num == 0.0 or (with_gradient and not math.isfinite((ratio + 1.0) / num)):
-        raise ValueError(f"the sidelobe integral of |R|^p underflows to 0 at p={p}; "
-                         "use a smaller p")
+    (side, w_num), (main, w_den) = regions
+    m_s, num, w_num_p2 = _scaled_power_sum(w_num, mag[side], p)
+    m_0, den, w_den_p2 = _scaled_power_sum(w_den, mag[main], p)
+    ratio = (m_s / m_0) ** 2 * (num / den) ** (2.0 / p)
     if not with_gradient:
         return ratio
-    return ratio, (w_num * (ratio / num) - w_den * (ratio / den)) * mag_p2
+    d_power = np.zeros(mag.size)
+    np.multiply(w_num_p2, ratio / (m_s * m_s * num), out=d_power[side])
+    d_power[main] -= w_den_p2 * (ratio / (m_0 * m_0 * den))
+    return ratio, d_power
 
 
 def gisr(a, p):
     """Sidelobe-to-mainlobe ratio of the p-norm of |R|, in dB.
 
     10*log10( [int_null^T |R|^p / int_0^null |R|^p]^(2/p) ); p = 2 is the
-    standard integrated sidelobe ratio, large p approaches the PSL.
+    standard integrated sidelobe ratio, and as p grows the ratio tends to
+    the PSL. Each integral is taken scaled by its own region's peak |R|
+    (the sidelobe peak m_s > 0, and |R(0)|), so it neither overflows nor
+    underflows and every finite p >= 2 is defined; see _sidelobe_ratio.
     """
     check_p(p)
     mag = a.magnitudes[a.lags.size // 2:]
-    return 10 * math.log10(_sidelobe_ratio(*_sidelobe_weights(a), mag, p))
+    return 10 * math.log10(_sidelobe_ratio(_sidelobe_weights(a), mag, p))
 
 
 def isr(a):

@@ -130,8 +130,7 @@ class _Run(NamedTuple):
     K: int
     p: int
     n_samples: int
-    w_num: np.ndarray  # sidelobe-region weights on the lags >= 0
-    w_den: np.ndarray  # mainlobe-region weights on the lags >= 0
+    regions: tuple  # _sidelobe_weights: sidelobe, mainlobe weights on the lags >= 0
     weights: np.ndarray  # _beta2_weights of the coefficient vector
 
 
@@ -141,7 +140,7 @@ def _run(params, cfg):
     (DegenerateMainlobe when that ACF has none)."""
     n = cfg.resolve_n_samples(params.K)
     return _Run(params.a0, params.T, params.K, cfg.p, n,
-                *_sidelobe_weights(acf(synthesize_mtsfm(params, n))),
+                _sidelobe_weights(acf(synthesize_mtsfm(params, n))),
                 _beta2_weights(params.K, params.T))
 
 
@@ -169,7 +168,7 @@ def _objective_and_gradient(vec, run):
     sample_rate = L / T
     spec = _correlation_fft(samples)
     values = _cross_correlation(spec, spec, L, sample_rate)
-    ratio, d_power = _sidelobe_ratio(run.w_num, run.w_den, np.abs(values[L:]), run.p,
+    ratio, d_power = _sidelobe_ratio(run.regions, np.abs(values[L:]), run.p,
                                      with_gradient=True)
     n_fft = spec.size
     kernel = np.fft.irfft(d_power[:L] * np.conj(values[L:2 * L]), n_fft) * (2 * n_fft)

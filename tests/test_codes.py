@@ -61,8 +61,9 @@ def test_msequence_deterministic():
 
 
 def test_msequence_rejects_bad_args():
-    with pytest.raises(ValueError):
-        generate_msequence(6, seed=0)
+    for seed in (0, -1):
+        with pytest.raises(ValueError, match="seed must be a positive register state"):
+            generate_msequence(6, seed=seed)
     with pytest.raises(ValueError):
         generate_msequence(1)
     with pytest.raises(ValueError):

@@ -192,9 +192,9 @@ def test_horner_phase_matches_fft_phase_on_the_grid(seed, K, oversample, T, scal
     assert np.max(np.abs(mtsfm_phase(params, time_grid(n, T)) - grid_phase)) <= bound
 
 
-# Each flag is a pair (values that succeed, values that may fail); "" leaves
-# the flag out.
-_P = (["", "--p 2", "--p 10"], ["--p 1", "--p 400", "--p 700"])
+# Each flag is a pair (values that must succeed, values that may fail); ""
+# leaves the flag out.
+_P = (["", "--p 2", "--p 10", "--p 400", "--p 700"], ["--p 1"])
 _DELTA = (["", "--delta 0.2"], ["--delta 2"])
 _DELTA_F = (["", "--delta-f 4"], ["--delta-f -1"])
 _SAMPLES = (["", "--samples 448"], ["--samples 0", "--samples 27"])
@@ -203,7 +203,8 @@ _EXPORT = (["", "--export spectrum,acf,waveform,waveform-raw,phase"], ["--export
 _GLOBAL = [(["", "--zero-pad 1"], ["--zero-pad 0"]), (["", "--format csv"], [])]
 _COMMANDS = [
     ("gen-code barker", [(["--length 13"], ["--length 6"])]),
-    ("gen-code mseq", [(["--degree 6"], ["--degree 1"])]),
+    ("gen-code mseq", [(["--degree 6"], ["--degree 1"]),
+                       (["", "--seed 5"], ["--seed -1"])]),
     ("fit {code}", [(["", "-K 7", "-K 3"], ["-K 0"])]),
     ("metrics {code}", [_P, _DELTA_F, _EXPORT]),
     ("metrics {params}", [_P, _DELTA_F, _SAMPLES, _EXPORT]),
@@ -214,25 +215,28 @@ _COMMANDS = [
 
 @st.composite
 def _argv(draw):
-    """A command with succeeding values for its flags, half the time with one
-    of them swapped for a value that may fail."""
+    """(argv, must_succeed): a command with succeeding values for its flags,
+    half the time with one of them swapped for a value that may fail."""
     command, flags = draw(st.sampled_from(_COMMANDS))
     flags = _GLOBAL + flags
     picks = [draw(st.sampled_from(good)) for good, _ in flags]
-    if draw(st.booleans()):
+    swap = draw(st.booleans())
+    if swap:
         i = draw(st.sampled_from([i for i, (_, bad) in enumerate(flags) if bad]))
         picks[i] = draw(st.sampled_from(flags[i][1]))
-    return " ".join(picks[:2] + [command] + picks[2:]).split()
+    return " ".join(picks[:2] + [command] + picks[2:]).split(), not swap
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(argv=_argv())
-@example(argv=["reproduce", "mseq63", "--p", "700"])
-@example(argv=["reproduce", "mseq63", "--p", "400", "--max-iterations", "4"])
-def test_cli_succeeds_or_fails_whole(argv):
+@given(case=_argv())
+@example(case=(["reproduce", "mseq63", "--p", "700"], True))
+@example(case=(["reproduce", "mseq63", "--p", "400", "--max-iterations", "4"], True))
+def test_cli_succeeds_or_fails_whole(case):
     """Any documented command either exits 0, or exits 1 with one error line,
-    nothing on stdout and no file in its out-dir."""
+    nothing on stdout and no file in its out-dir; with only succeeding flag
+    values it exits 0."""
+    argv, must_succeed = case
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         code, params, out_dir = tmp / "barker13.txt", tmp / "barker13_k7.json", tmp / "out"
@@ -247,6 +251,7 @@ def test_cli_succeeds_or_fails_whole(argv):
         if status == 0:
             assert not errors
         else:
+            assert not must_succeed, err.getvalue()
             assert status == 1 and out.getvalue() == ""
             assert len(errors) == 1 and err.getvalue().endswith(errors[0] + "\n")
             assert not out_dir.exists() or not any(out_dir.rglob("*"))
