@@ -201,7 +201,6 @@ def cmd_optimize(args, write):
     check_positive("--delta-f", delta_f)
     cfg = OptimizerConfig(p=args.p, delta=args.delta,
                           max_iterations=args.max_iterations,
-                          objective_tolerance=args.objective_tolerance,
                           n_samples=args.samples, log_every=args.log_every)
     result = optimize(params, cfg)
     out_dir = Path(args.out_dir)
@@ -339,8 +338,6 @@ def build_parser():
     p.add_argument("--p", type=int, default=OptimizerConfig.p)
     p.add_argument("--delta", type=float, default=OptimizerConfig.delta)
     p.add_argument("--max-iterations", type=int, default=OptimizerConfig.max_iterations)
-    p.add_argument("--objective-tolerance", type=float,
-                   default=OptimizerConfig.objective_tolerance)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--log-every", type=int, default=OptimizerConfig.log_every)
     p.add_argument("--output-stem", default=None)

@@ -84,7 +84,7 @@ def generate_msequence(degree, taps=None, seed=1):
         Primitivity is not verified here: a non-primitive mask yields a
         shorter-period sequence and is the caller's responsibility.
     seed : int
-        Positive initial register state.
+        Initial register state, 1..2**degree - 1.
 
     Returns
     -------
@@ -97,12 +97,10 @@ def generate_msequence(degree, taps=None, seed=1):
     if taps is None:
         taps = PRIMITIVE_TAPS[degree]
     n_states = (1 << degree) - 1
-    seed = int(seed)
-    if seed <= 0:
-        raise ValueError(f"seed must be a positive register state, got {seed}")
-    state = seed & n_states
-    if state == 0:
-        raise ValueError(f"seed must have a nonzero low {degree} bits")
+    state = seed = int(seed)
+    if not 0 < seed <= n_states:
+        raise ValueError("seed must be a positive register state below "
+                         f"2**{degree}, got {seed}")
     toggle = (taps >> 1) & n_states
     bits = np.empty(n_states, dtype=np.int8)
     for i in range(n_states):

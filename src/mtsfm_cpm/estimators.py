@@ -103,24 +103,25 @@ class MtsfmSmoother(_ParamsMixin):
 class GisrOptimizer(_ParamsMixin):
     """Minimize the p-norm sidelobe ratio under the RMS-bandwidth band constraint.
 
-    The constructor mirrors OptimizerConfig's fields; ``fit`` takes an
-    MtsfmParams initialization (for instance MtsfmSmoother().fit(code).params_).
+    The constructor mirrors OptimizerConfig's fields (p, delta,
+    max_iterations, n_samples, log_every); ``fit`` takes an MtsfmParams
+    initialization (for instance MtsfmSmoother().fit(code).params_) and runs
+    the L-BFGS of ``optimize`` from it.
 
     Attributes (after fit)
     ----------------------
     result_ : OptimizationResult
     params_ : MtsfmParams, the last (and best) feasible iterate
-    converged_ : bool
+    converged_ : bool, True when the run stopped stationary on the band: its
+        tangent gradient norm fell to optimizer.GTOL times the starting one
     """
 
     def __init__(self, p=OptimizerConfig.p, delta=OptimizerConfig.delta,
                  max_iterations=OptimizerConfig.max_iterations,
-                 objective_tolerance=OptimizerConfig.objective_tolerance,
                  n_samples=OptimizerConfig.n_samples, log_every=OptimizerConfig.log_every):
         self.p = p
         self.delta = delta
         self.max_iterations = max_iterations
-        self.objective_tolerance = objective_tolerance
         self.n_samples = n_samples
         self.log_every = log_every
 

@@ -451,8 +451,14 @@ def gisr(a, p):
     underflows and every finite p >= 2 is defined; see _sidelobe_ratio.
     """
     check_p(p)
+    return _gisr_db(a, _sidelobe_weights(a), p)
+
+
+def _gisr_db(a, regions, p):
+    """gisr of the ACF a on its _sidelobe_weights regions, found by the
+    caller, so that a report scores ISR and GISR on one scan of them."""
     mag = a.magnitudes[a.lags.size // 2:]
-    return 10 * math.log10(_sidelobe_ratio(_sidelobe_weights(a), mag, p))
+    return 10 * math.log10(_sidelobe_ratio(regions, mag, p))
 
 
 def isr(a):
@@ -520,8 +526,12 @@ def _metrics_report(sp, a, delta_f, p):
     check_p(p)
     span = 2 * float(sp.freqs[-1])
     band = min(check_positive("delta_f", delta_f), span)
-    sidelobes = ((None,) * 5 if a.degenerate else
-                 (a.first_null, mainlobe_area(a), psl(a), isr(a), gisr(a, p)))
+    if a.degenerate:
+        sidelobes = (None,) * 5
+    else:
+        regions = _sidelobe_weights(a)
+        sidelobes = (a.first_null, mainlobe_area(a), psl(a),
+                     _gisr_db(a, regions, 2), _gisr_db(a, regions, p))
     return MetricsReport(spectral_compactness(sp, band), band,
                          rms_bandwidth_spectral(sp), a.degenerate, *sidelobes,
                          p=p, sc_clamped=delta_f > span)

@@ -4,13 +4,16 @@ Minimizes the p-norm sidelobe-to-mainlobe ratio of the autocorrelation
 (linear scale) subject to keeping the squared RMS bandwidth within a
 (1 +/- delta) band around its initial value. Because the closed-form squared
 RMS bandwidth is homogeneous of degree 2 in the coefficients, the band
-constraint admits an exact radial projection, so a projected gradient descent
-with a backtracking line search replaces any general-purpose constrained
-solver. The search is fully deterministic.
+constraint admits an exact radial projection. The search is L-BFGS on the
+tangent plane of the band edge that holds the iterate, with that projection
+as the retraction (Nocedal & Wright, Numerical Optimization, ch. 7 and 16),
+so no general-purpose constrained solver is needed. It stops when it is
+stationary on the band, and it is fully deterministic.
 """
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -39,16 +42,18 @@ __all__ = [
 # oscillate.
 BAND_SLACK = 1e-12
 
-# Backtracking line search: the step grows geometrically after an accepted
-# move, shrinks on rejection, and the run stops when it underflows. PATIENCE
-# is the iteration window of the objective_tolerance convergence test.
-INITIAL_STEP = 0.1
-STEP_GROWTH = 1.5
-MAX_STEP = 1.0
+# An edge holds the iterate when its squared bandwidth is within EDGE_TOL of
+# the edge, relative to the reference value, and -g points out of the band.
+EDGE_TOL = 1e-9
+
+# L-BFGS with MEMORY correction pairs and a backtracking Armijo line search
+# from t = 1; the run has converged when the tangent gradient norm falls to
+# GTOL times its value at the start.
+MEMORY = 8
+GTOL = 1e-3
+ARMIJO = 1e-4
 STEP_SHRINK = 0.5
 MIN_STEP = 1e-12
-ARMIJO = 1e-4
-PATIENCE = 25
 
 
 @dataclass(frozen=True)
@@ -62,7 +67,6 @@ class OptimizerConfig:
     p: int = 10
     delta: float = 0.1
     max_iterations: int = 400
-    objective_tolerance: float = 1e-8
     n_samples: int | None = None
     log_every: int = 1
 
@@ -70,9 +74,6 @@ class OptimizerConfig:
         check_p(self.p)
         if not 0 < self.delta < 1:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if not (math.isfinite(self.objective_tolerance) and self.objective_tolerance >= 0):
-            raise ValueError("objective_tolerance must be finite and >= 0, "
-                             f"got {self.objective_tolerance}")
         check_int_at_least("max_iterations", self.max_iterations, 0)
         check_int_at_least("log_every", self.log_every, 1)
         if self.n_samples is not None:
@@ -241,17 +242,69 @@ def _db(x):
     return 10 * math.log10(max(x, 1e-300))
 
 
-def optimize(initial, cfg):
-    """Projected gradient descent from the given initialization.
+def _active_edge(x, g, b2, band, beta2_ref, weights):
+    """The band edge that holds the iterate x, with its unit normal:
+    ("lower" or "upper", W x / |W x|) when b2 is within EDGE_TOL of that
+    edge and -g points out of the band there, (None, None) otherwise."""
+    lo, hi = band
+    # the outward normal is W x on the upper edge and -W x on the lower one
+    if abs(b2 - hi) <= EDGE_TOL * beta2_ref:
+        edge, outward = "upper", 1.0
+    elif abs(b2 - lo) <= EDGE_TOL * beta2_ref:
+        edge, outward = "lower", -1.0
+    else:
+        return None, None
+    normal = weights * x
+    if outward * float(g @ normal) >= 0:  # -g points into the band
+        return None, None
+    return edge, normal / math.sqrt(normal @ normal)
 
-    Steps along the negative analytic gradient, projects onto the
-    bandwidth band, and accepts on sufficient decrease. Every recorded
-    iterate is feasible: its constraint_residual is at most BAND_SLACK.
-    Terminates on the iteration cap, on a relative objective decrease
-    below cfg.objective_tolerance across PATIENCE iterations, or on step
-    underflow. Returns the last iterate: a step is accepted only if it
-    strictly lowers the objective, so the last iterate is also the best
-    one seen. Two runs with identical inputs produce identical traces.
+
+def _tangent(v, normal):
+    """v projected onto the plane with the given unit normal (v if None)."""
+    return v if normal is None else v - float(v @ normal) * normal
+
+
+def _lbfgs_direction(g_t, memory):
+    """-H g_t, with H the L-BFGS inverse Hessian of the (s, y, 1 / s.y)
+    pairs in memory, oldest first: the two-loop recursion (Nocedal & Wright,
+    Algorithm 7.4) with H0 = (s.y / y.y) I from the newest pair."""
+    q = -g_t
+    alphas = []
+    for s, y, rho in reversed(memory):
+        a = rho * float(s @ q)
+        q -= a * y
+        alphas.append(a)
+    if memory:
+        _, y, rho = memory[-1]
+        q *= 1.0 / (rho * float(y @ y))
+    for (s, y, rho), a in zip(memory, reversed(alphas)):
+        q += (a - rho * float(y @ q)) * s
+    return q
+
+
+def optimize(initial, cfg):
+    """L-BFGS on the bandwidth band from the given initialization.
+
+    Each iteration tries t = 1, 1/2, ... down to MIN_STEP along the L-BFGS
+    direction of the tangent gradient g_t, projects each trial onto the band
+    and accepts the first with a strict, Armijo-sufficient decrease. On an
+    edge that holds the iterate (_active_edge), g_t and the direction are
+    projected onto the edge's tangent plane; elsewhere g_t is the gradient.
+    The memory is cleared when the active edge changes, and when a line
+    search fails while memory is held; that search is then retried once
+    along -g_t.
+
+    Terminates as "converged" when |g_t| <= GTOL |g_t(start)|, as
+    "step_underflow" when a line search along -g_t fails, or at the
+    iteration cap. Returns the last iterate: a step is accepted only if it
+    strictly lowers the objective, so the last iterate is also the best one
+    seen. Every recorded iterate is feasible: its constraint_residual is at
+    most BAND_SLACK. The trace records every log_every-th iteration and
+    always the last, so it ends with the returned iterate. A record's
+    step_size is the t its iterate was accepted at (the last t tried when
+    none was) and its grad_norm is the full |g|. Two runs with identical
+    inputs produce identical traces.
 
     Every evaluation scores the sidelobe ratio on one mainlobe region,
     [0, first ACF null of the initialization]; the bandwidth band is what
@@ -261,8 +314,6 @@ def optimize(initial, cfg):
 
     ``n_evaluations`` counts objective evaluations; each returns the
     gradient with the objective, so one line-search trial is one evaluation.
-    A trace record's ``grad_norm`` is the gradient norm at the iterate it
-    records.
 
     The loop works on the coefficient vector: line-search trials are
     projected as vectors, a trace record takes the squared bandwidth the
@@ -278,52 +329,69 @@ def optimize(initial, cfg):
     band = beta2_band(beta2_ref, cfg.delta)
     f, g = _objective_and_gradient(x, run)
     n_evals = 1
-    step = INITIAL_STEP
+    edge, normal = _active_edge(x, g, b2, band, beta2_ref, run.weights)
+    g_t = _tangent(g, normal)
+    g_t_stop = GTOL * math.sqrt(g_t @ g_t)
+    memory = deque(maxlen=MEMORY)
+
+    def line_search(d):
+        """(t, accepted (x, b2, f, g) or None) of a backtracking search along d."""
+        nonlocal n_evals
+        t = 1.0
+        while True:
+            cand, b2c = _project(x + t * d, band, run.weights)
+            fc, gc = _objective_and_gradient(cand, run)
+            n_evals += 1
+            if fc < f and fc <= f + ARMIJO * float(g @ (cand - x)):
+                return t, (cand, b2c, fc, gc)
+            if t * STEP_SHRINK < MIN_STEP:
+                return t, None
+            t *= STEP_SHRINK
 
     def record(it, step_size, accepted):
         return TraceRecord(it, _db(f), b2 / beta2_ref, _band_residual(b2, band),
                            step_size, math.sqrt(g @ g), accepted)
 
     trace = [record(0, 0.0, True)]
-    reason = "max_iterations"
-    history = [f]
+    reason = None
 
     for it in range(1, cfg.max_iterations + 1):
-        accepted = False
-        while step >= MIN_STEP:
-            cand, b2c = _project(x - step * g, band, run.weights)
-            fc, gc = _objective_and_gradient(cand, run)
-            n_evals += 1
-            if fc < f and fc <= f - ARMIJO * float(np.dot(g, x - cand)):
-                x, f, g, b2 = cand, fc, gc, b2c
-                accepted = True
-                step = min(step * STEP_GROWTH, MAX_STEP)
-                break
-            step *= STEP_SHRINK
-        history.append(f)
-
-        if it % cfg.log_every == 0 or not accepted or it == cfg.max_iterations:
-            trace.append(record(it, step, accepted))
-
-        if not accepted:
+        step, new = line_search(_tangent(_lbfgs_direction(g_t, memory), normal))
+        if new is None and memory:
+            memory.clear()
+            step, new = line_search(-g_t)
+        if new is None:
             reason = "step_underflow"
-            break
-        if (cfg.objective_tolerance > 0 and len(history) > PATIENCE):
-            prev = history[-1 - PATIENCE]
-            if (prev - f) <= cfg.objective_tolerance * max(prev, 1e-300):
+        else:
+            x_new, b2, f, g = new
+            edge_new, normal = _active_edge(x_new, g, b2, band, beta2_ref, run.weights)
+            g_t_new = _tangent(g, normal)
+            if edge_new != edge:
+                memory.clear()
+            else:
+                s, y = x_new - x, g_t_new - g_t
+                sy = float(s @ y)
+                if sy > 0:  # a pair without positive curvature would make H indefinite
+                    memory.append((s, y, 1.0 / sy))
+            x, g_t, edge = x_new, g_t_new, edge_new
+            if math.sqrt(g_t @ g_t) <= g_t_stop:
                 reason = "converged"
-                break
+
+        if reason or it % cfg.log_every == 0 or it == cfg.max_iterations:
+            trace.append(record(it, step, new is not None))
+        if reason:
+            break
 
     params = initial.with_coefficients(x)
     return OptimizationResult(
         params=params,
-        initial_gisr_db=_db(history[0]),
+        initial_gisr_db=trace[0].objective_db,
         final_gisr_db=gisr(acf(synthesize_mtsfm(params, run.n_samples)), cfg.p),
         initial_beta2=beta2_ref,
         final_beta2=b2,
         trace=tuple(trace),
         converged=reason == "converged",
-        termination_reason=reason,
+        termination_reason=reason or "max_iterations",
         n_evaluations=n_evals,
     )
 

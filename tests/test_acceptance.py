@@ -98,6 +98,15 @@ def test_criterion_4_optimization(mseq63_fit32, optimized63):
           f"{len(result.trace)} feasible trace records [{elapsed:.0f} s]")
 
 
+def test_criterion_4_converges_on_the_band(optimized63):
+    # the L-BFGS stop is stationarity on the band, reached inside the cap
+    _, result, _ = optimized63
+    w_opt = m.synthesize_mtsfm(result.params, 63 * 32)
+    assert result.converged and result.termination_reason == "converged"
+    assert m.psl(m.acf(w_opt)) <= -27.0
+    assert result.n_evaluations < 401
+
+
 def test_mainlobe_preserved_by_constraint(mseq63_fit32, optimized63):
     # empirical envelope implied by pinning the squared RMS bandwidth
     _, result, _ = optimized63

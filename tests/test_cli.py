@@ -228,12 +228,11 @@ def test_reproduce_mseq63_fast_and_deterministic(tmp_path, capsys):
     ["--zero-pad", "0", "reproduce", "mseq63"],
     ["--zero-pad", "0", "optimize", "{params}"],
     ["optimize", "{params}", "--delta-f", "-1"],
-    ["optimize", "{params}", "--objective-tolerance", "nan"],
     ["metrics", "{params}", "--samples", "0"],
     ["fit", "{code}", "-K", "0"],
     ["gen-code", "mseq", "--degree", "6", "--seed", "-1"],
 ], ids=["reproduce-delta", "reproduce-p", "reproduce-zero-pad", "optimize-zero-pad",
-        "optimize-delta-f", "optimize-objective-tolerance", "metrics-samples-zero",
+        "optimize-delta-f", "metrics-samples-zero",
         "fit-zero-harmonics", "gen-code-negative-seed"])
 def test_bad_flag_writes_nothing(tmp_path, capsys, args):
     pfile = tmp_path / "barker13_k7.json"

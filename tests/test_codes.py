@@ -61,9 +61,11 @@ def test_msequence_deterministic():
 
 
 def test_msequence_rejects_bad_args():
-    for seed in (0, -1):
+    # a seed wider than the register would be masked to another state's code
+    for seed in (0, -1, 64, 65):
         with pytest.raises(ValueError, match="seed must be a positive register state"):
             generate_msequence(6, seed=seed)
+    assert generate_msequence(6, seed=63).label.endswith("-seed63")
     with pytest.raises(ValueError):
         generate_msequence(1)
     with pytest.raises(ValueError):

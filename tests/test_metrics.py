@@ -430,6 +430,19 @@ def test_compute_metrics_regular(mseq63_pc):
     assert '"psl_db"' in rep.to_json() and '"sc_fraction"' in rep.to_json()
 
 
+def test_compute_metrics_finds_sidelobe_regions_once(mseq63_wave32, monkeypatch):
+    import mtsfm_cpm.metrics as metrics
+    calls = []
+    scan = metrics._sidelobe_weights
+    monkeypatch.setattr(metrics, "_sidelobe_weights",
+                        lambda a: calls.append(a) or scan(a))
+    rep = compute_metrics(mseq63_wave32, MSEQ63_BAND, p=7)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    a = acf(mseq63_wave32)
+    assert (rep.isr_db, rep.gisr_db) == (isr(a), gisr(a, 7))  # bit for bit
+
+
 def test_compute_metrics_degenerate():
     rep = compute_metrics(rect_pulse(), 8.0)
     assert rep.degenerate

@@ -7,7 +7,9 @@ from mtsfm_cpm import (DegenerateMainlobe, MtsfmParams, OptimizerConfig, acf,
                        barker_code, beta2_band, closed_form_rms_bandwidth,
                        fit_fourier, gisr, gradient, isr, objective, optimize,
                        project_to_band, synthesize_mtsfm, trace_csv)
-from mtsfm_cpm.optimizer import BAND_SLACK, _objective_and_gradient, _run
+import mtsfm_cpm.optimizer as opt
+from mtsfm_cpm.optimizer import (BAND_SLACK, GTOL, MIN_STEP, STEP_SHRINK, _active_edge,
+                                 _objective_and_gradient, _run, _tangent)
 from conftest import fd_gradient, two_sided_objective_and_gradient, weak_tones
 
 
@@ -33,10 +35,6 @@ def test_config_validation():
         OptimizerConfig(delta=0.0)
     with pytest.raises(ValueError):
         OptimizerConfig(delta=1.5)
-    for tol in (float("nan"), float("inf"), -1e-8):
-        with pytest.raises(ValueError, match="objective_tolerance"):
-            OptimizerConfig(objective_tolerance=tol)
-    assert OptimizerConfig(objective_tolerance=0.0).objective_tolerance == 0.0
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -260,3 +258,87 @@ def test_result_json_embeds_params(barker13_fit, small_cfg):
     obj = json.loads(res.to_json())
     assert set(obj["params"]) == {"T", "a0", "alpha", "beta"}
     assert obj["termination_reason"] in ("max_iterations", "converged", "step_underflow")
+
+
+def test_converged_is_stationary_on_the_band(barker13_fit):
+    cfg = OptimizerConfig(n_samples=208)
+    res = optimize(barker13_fit, cfg)
+    assert res.converged and res.termination_reason == "converged"
+    run = _run(barker13_fit, cfg)
+    band = beta2_band(res.initial_beta2, cfg.delta)
+
+    def tangent_norm(vec, b2):
+        _, g = _objective_and_gradient(vec, run)
+        _, normal = _active_edge(vec, g, b2, band, res.initial_beta2, run.weights)
+        return np.linalg.norm(_tangent(g, normal))
+
+    start = tangent_norm(barker13_fit.coefficient_vector(), res.initial_beta2)
+    end = tangent_norm(res.params.coefficient_vector(), res.final_beta2)
+    assert end <= GTOL * start
+    # the run ends held by the upper edge, where the full gradient is not small
+    assert res.final_beta2 == pytest.approx(res.initial_beta2 * (1 + cfg.delta), rel=1e-9)
+    assert end < 0.1 * res.trace[-1].grad_norm
+
+
+def test_memory_resets_when_the_active_edge_changes(barker13_fit, monkeypatch):
+    edges, memory = [], []
+    active_edge, direction = opt._active_edge, opt._lbfgs_direction
+    monkeypatch.setattr(opt, "_active_edge",
+                        lambda *a: edges.append((r := active_edge(*a))[0]) or r)
+    monkeypatch.setattr(opt, "_lbfgs_direction",
+                        lambda g_t, mem: memory.append(len(mem)) or direction(g_t, mem))
+    res = optimize(barker13_fit, OptimizerConfig(n_samples=208))
+    # edges[i] is the edge holding iterate i, memory[i] the memory the
+    # direction from iterate i was built with
+    assert len(edges) == len(memory) + 1 == len(res.trace)
+    changes = [i for i in range(1, len(memory)) if edges[i] != edges[i - 1]]
+    assert changes and edges[0] is None and edges[-1] == "upper"
+    assert memory[changes[0] - 1] > 0  # a reset, not an empty memory
+    assert all(memory[i] == 0 for i in changes)
+    assert max(memory) == opt.MEMORY
+
+
+def test_failed_search_with_memory_retries_along_tangent_gradient(barker13_fit,
+                                                                  monkeypatch):
+    trials, t = 1, 1.0  # the trials of one line search from t = 1
+    while t * STEP_SHRINK >= MIN_STEP:
+        t, trials = t * STEP_SHRINK, trials + 1
+    memory, poisoned = [], [0]
+    direction, evaluate = opt._lbfgs_direction, opt._objective_and_gradient
+
+    def spy_direction(g_t, mem):
+        if len(mem) >= 3 and max(memory, default=0) < 3:
+            poisoned[0] = trials  # fail the first search built on 3 pairs
+        memory.append(len(mem))
+        return direction(g_t, mem)
+
+    def failing(vec, run):
+        f, g = evaluate(vec, run)
+        if poisoned[0]:
+            poisoned[0] -= 1
+            return f + 1.0, g  # every trial along the L-BFGS direction fails
+        return f, g
+
+    monkeypatch.setattr(opt, "_lbfgs_direction", spy_direction)
+    monkeypatch.setattr(opt, "_objective_and_gradient", failing)
+    res = optimize(barker13_fit, OptimizerConfig(n_samples=208, max_iterations=12))
+    k = next(i for i, m in enumerate(memory) if m >= 3)  # the failed search
+    assert all(r.accepted for r in res.trace)  # the retry along -g_t succeeded
+    assert res.termination_reason == "max_iterations"
+    assert memory[k + 1] <= 1  # built from the retry's pair alone
+    assert res.n_evaluations >= 1 + 12 + trials
+
+
+def test_trace_ends_with_the_returned_iterate_off_stride(barker13_fit):
+    cfg = OptimizerConfig(n_samples=208, log_every=7)
+    res = optimize(barker13_fit, cfg)
+    last = res.trace[-1]
+    assert res.converged and last.iteration % cfg.log_every != 0
+    assert [r.iteration for r in res.trace[:-1]] == list(range(0, last.iteration, 7))
+    f, g = _objective_and_gradient(res.params.coefficient_vector(), _run(barker13_fit, cfg))
+    assert last.objective_db == 10 * math.log10(f)
+    assert last.grad_norm == pytest.approx(np.linalg.norm(g), rel=1e-12)
+    assert last.beta2_rel * res.initial_beta2 == pytest.approx(res.final_beta2, rel=1e-15)
+    # a record's step is the one its iterate was accepted at: 1, 1/2, 1/4, ...
+    assert all(r.accepted and r.step_size in STEP_SHRINK ** np.arange(40)
+               for r in res.trace[1:])

@@ -204,7 +204,7 @@ _GLOBAL = [(["", "--zero-pad 1"], ["--zero-pad 0"]), (["", "--format csv"], [])]
 _COMMANDS = [
     ("gen-code barker", [(["--length 13"], ["--length 6"])]),
     ("gen-code mseq", [(["--degree 6"], ["--degree 1"]),
-                       (["", "--seed 5"], ["--seed -1"])]),
+                       (["", "--seed 5"], ["--seed -1", "--seed 64"])]),
     ("fit {code}", [(["", "-K 7", "-K 3"], ["-K 0"])]),
     ("metrics {code}", [_P, _DELTA_F, _EXPORT]),
     ("metrics {params}", [_P, _DELTA_F, _SAMPLES, _EXPORT]),
