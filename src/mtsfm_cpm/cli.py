@@ -14,7 +14,7 @@ metrics      JSON with unit-suffixed keys (or one-row CSV with --format csv)
 spectrum     CSV ``f_hz,psd``
 acf          CSV ``tau_s,abs_r,arg_r``
 phase        CSV ``t_s,phase_rad``: the grid phase the waveform was synthesized from
-trace        CSV ``iter,objective_db,beta2_rel,step_size,grad_norm,accepted``
+trace        CSV ``iter,objective_db,beta2_rel,step_size,grad_norm,tangent_grad_norm,accepted``
 waveform     CSV ``t,re,im`` or raw interleaved little-endian float64 (re, im)
 """
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._validation import check_int_at_least, check_p, check_positive
-from .waveform import _csv, time_grid
+from .waveform import _csv, _text_csv, time_grid
 
 __all__ = [
     "DegenerateMainlobe",
@@ -192,14 +192,36 @@ def _correlation_fft(u):
     return np.fft.fft(u, _next_pow2(2 * u.size))
 
 
-def _cross_correlation(fu, fv, L, sample_rate):
-    """Lag-domain cross correlation sum_n u[n+m] conj(v[n]) / f_s from the
-    _correlation_fft spectra of u and v, lags -(L-1)..(L-1), with exact zeros
-    appended at lags -L and +L. The scaling is a multiply by 1 / f_s: numpy
-    runs complex-by-real division through its slower complex division loop,
-    and gives the same bits."""
-    return _lag_window(np.fft.ifft(fu * np.conj(fv)), L, 1.0 / sample_rate,
-                       np.empty(2 * L + 1, dtype=complex))
+def _conj_autocorrelation(spec, L, sample_rate):
+    """conj(R) at the lags 0..L-1, then the exact zero at lag T, from the
+    _correlation_fft spectrum S of samples of length L, where
+    R[m] = sum_n s[n+m] conj(s[n]) / f_s.
+
+    R is the inverse transform of the real energy spectrum |S|^2, so conj(R)
+    is its forward real FFT: one rfft of S.real^2 + S.imag^2 instead of a
+    complex ifft of S conj(S). The scaling is a multiply by 1 / (n_fft f_s)
+    of the L lags kept; numpy runs complex-by-real division through its
+    slower complex division loop."""
+    power = spec.real * spec.real
+    power += spec.imag * spec.imag
+    h = np.empty(L + 1, dtype=complex)
+    np.multiply(np.fft.rfft(power)[:L], 1.0 / (spec.size * sample_rate), out=h[:L])
+    h[L] = 0.0
+    return h
+
+
+def _autocorrelation(spec, L, sample_rate):
+    """The autocorrelation R of samples of length L from their
+    _correlation_fft spectrum, lags -(L-1)..(L-1) with exact zeros at lags
+    -L and +L. R(-m) = conj(R(m)) bit for bit: the negative lags are the
+    mirror of the lags > 0, and R(0) has imaginary part +0.0."""
+    h = _conj_autocorrelation(spec, L, sample_rate)
+    out = np.empty(2 * L + 1, dtype=complex)
+    np.conj(h, out=out[L:])
+    out[L] = h[0].real  # conj would make its imaginary part -0.0
+    out[0] = out[-1] = 0.0
+    out[1:L] = h[L - 1:0:-1]
+    return out
 
 
 def _lag_window(cc, L, scale, out):
@@ -226,11 +248,15 @@ def acf(w):
     pulse the symmetric-lag form R(tau) = integral of s(t - tau/2) s*(t + tau/2)
     equals the one-sided-lag correlation computed here up to conjugation, so
     all magnitude-based metrics agree.
+
+    R is the inverse transform of the real energy spectrum |S|^2, so it is
+    exactly Hermitian: R(-tau) = conj(R(tau)) bit for bit, and R(0) is real
+    with imaginary part +0.0.
     """
     L = w.n_samples
     lags = _lag_grid(L, w.sample_rate, w.T)
     spec = _correlation_fft(w.samples)
-    values = _cross_correlation(spec, spec, L, w.sample_rate)
+    values = _autocorrelation(spec, L, w.sample_rate)
     magnitudes = np.abs(values)
     tau = _null_vertex(lags[L:], magnitudes[L:])
     return AcfResult(lags, values, float(lags[-1]) if tau is None else tau, tau is None,
@@ -240,7 +266,9 @@ def acf(w):
 def _shift_spectra(samples, f, n_fft):
     """The n_fft-point spectra U and conj(V) of samples times
     e^{+j 2 pi f n / n_fft} and times e^{-j 2 pi f n / n_fft}: the plain
-    spectrum shifted by -f and by +f bins. At f = 0 both are that spectrum."""
+    spectrum shifted by -f and by +f bins. At f = 0 both are that spectrum.
+    At f = 1/2 one FFT gives both: V[k] = U[k + 1], since in general
+    V_f[k] = U_{1-f}[k + 1]."""
     if f == 0:
         fu = fv = _correlation_fft(samples)
     else:
@@ -249,7 +277,8 @@ def _shift_spectra(samples, f, n_fft):
         ramp = np.empty(x.size, dtype=complex)
         np.cos(x, out=ramp.real)
         np.sin(x, out=ramp.imag)
-        fu, fv = _correlation_fft(samples * ramp), _correlation_fft(samples * ramp.conj())
+        fu = _correlation_fft(samples * ramp)
+        fv = np.roll(fu, -1) if f == 0.5 else _correlation_fft(samples * ramp.conj())
     return fu, np.conj(fv)
 
 
@@ -280,14 +309,16 @@ def ambiguity(w, doppler_grid):
     V_f are the spectra of s e^{+-j 2 pi f n / n_fft}. Rows with the same
     fractional part f share U_f and V_f, computed once per class and one
     class at a time; the f = 0 class uses S itself, so an on-bin row costs
-    one inverse FFT. The nu = 0 row is acf()'s own correlation of S with
-    itself, so it matches acf() bit for bit.
+    one inverse FFT, and the f = 1/2 class takes one forward FFT. The nu = 0
+    row is acf()'s own autocorrelation of S, so it matches acf() bit for bit.
 
-    A row whose exact value nu occurs earlier in the grid is copied from the
-    first such row. The surface obeys chi(-tau, -nu) = conj(chi(tau, nu)),
-    and the lag axis is symmetric, so a row whose exact negation -nu
+    The surface obeys chi(-tau, -nu) = conj(chi(tau, nu)), and the lag axis
+    is symmetric. A row whose exact value nu occurs earlier in the grid is
+    copied from the first such row, and a row whose exact negation -nu
     (nu != 0) occurs earlier is mirrored from the first such row as
-    conj(row[::-1]). Neither is correlated.
+    conj(row[::-1]); neither is correlated. A row with f > 1/2 is the mirror
+    of the row at -nu, whose fraction is 1 - f, so classes f and 1 - f share
+    one pair of spectra.
     """
     doppler_grid = np.asarray(doppler_grid, dtype=float)
     if doppler_grid.ndim != 1:
@@ -300,27 +331,29 @@ def ambiguity(w, doppler_grid):
         raise ValueError("doppler_grid must be finite, and so must its spectral shifts")
     t0 = float(time_grid(L, w.T)[0])
     rows = np.empty((doppler_grid.size, 2 * L + 1), dtype=complex)
-    first, copies, classes = {}, [], {}  # classes: f -> [(row, i, nu)]
+    first, copies, classes = {}, [], {}  # classes: f -> [(row, i, nu, mirrored)]
     for k, (nu, d) in enumerate(zip(doppler_grid.tolist(), shifts.tolist())):
         if nu in first:
             copies.append((k, first[nu], False))
         elif nu != 0 and -nu in first:
             copies.append((k, first[-nu], True))
         else:
-            i = math.floor(d)
-            classes.setdefault(d - i, []).append((k, i, nu))
+            mirrored = d - math.floor(d) > 0.5  # correlated as the row at -nu
+            nu_c, d_c = (-nu, -d) if mirrored else (nu, d)
+            i = math.floor(d_c)
+            classes.setdefault(d_c - i, []).append((k, i, nu_c, mirrored))
         first.setdefault(nu, k)
     product = np.empty(n_fft, dtype=complex)
     for f, members in classes.items():  # one class's spectra alive at a time: O(n_fft)
         fu, fvc = _shift_spectra(w.samples, f, n_fft)
-        for k, i, nu in members:
+        for k, i, nu, mirrored in members:
             if nu == 0:
-                # acf()'s own expression: numpy may evaluate it with an elided
-                # temporary, whose operand order sets the last bits
-                rows[k] = _cross_correlation(fu, fu, L, w.sample_rate)
+                rows[k] = _autocorrelation(fu, L, w.sample_rate)
             else:
                 _lag_window(np.fft.ifft(_shifted_product(fu, fvc, i, product)), L,
                             cmath.exp(2j * math.pi * nu * t0) / w.sample_rate, rows[k])
+                if mirrored:
+                    rows[k] = np.conj(rows[k][::-1])
     for k, j, mirrored in copies:  # row j < k is filled by now
         if mirrored:
             np.conj(rows[j][::-1], out=rows[k])
@@ -543,6 +576,36 @@ def spectrum_csv(sp):
 
 
 def acf_csv(a):
-    """CSV text with header ``tau_s,abs_r,arg_r``."""
-    return _csv("tau_s,abs_r,arg_r", a.lags, map(abs, a.values.tolist()),
-                map(math.atan2, a.values.imag.tolist(), a.values.real.tolist()))
+    """CSV text with header ``tau_s,abs_r,arg_r``.
+
+    acf() results are Hermitian, so each mirrored pair of rows is formatted
+    once: a row in the first half reuses the text of its mirror row in the
+    second half when its |R| equals the mirror's bit for bit, and when its
+    arg equals the mirror's negated arg bit for bit (sign of zero included),
+    with the sign flipped. Every other row, NaN included, is formatted on
+    its own, so the text is that of formatting each value, whatever a holds.
+    |R| and arg R are Python's abs and math.atan2: numpy's change last bits.
+    """
+    mag = list(map(abs, a.values.tolist()))
+    arg = list(map(math.atan2, a.values.imag.tolist(), a.values.real.tolist()))
+    return _text_csv("tau_s,abs_r,arg_r", a.lags, _mirrored_text(mag, False),
+                     _mirrored_text(arg, True))
+
+
+def _mirrored_text(x, negate):
+    """The repr text of the floats x, entry n of the first half taken from
+    its mirror entry N - 1 - n (negated if negate) when x[n] equals that
+    mirror (negated) bit for bit and is not NaN."""
+    half = len(x) // 2
+    v = np.array(x, dtype=float)
+    mirror = v[::-1][:half]
+    if negate:
+        mirror = -mirror
+    same = (v[:half].view(np.int64) == mirror.view(np.int64)) & ~np.isnan(mirror)
+    text = list(map(repr, x[half:]))
+    head = text[::-1][:half]
+    if negate:  # repr(-x) from repr(x), x not NaN
+        head = [t[1:] if t[0] == "-" else "-" + t for t in head]
+    for i in np.flatnonzero(~same).tolist():
+        head[i] = repr(x[i])
+    return head + text

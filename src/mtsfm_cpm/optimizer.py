@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._validation import check_int_at_least, check_p
-from .metrics import (_correlation_fft, _cross_correlation, _sidelobe_ratio,
+from .metrics import (_conj_autocorrelation, _correlation_fft, _sidelobe_ratio,
                       _sidelobe_weights, acf, gisr)
 from .mtsfm import (MtsfmParams, _beta2, _beta2_weights, _phase_adjoint,
                     _phase_samples, _unit_samples, synthesize_mtsfm)
@@ -91,6 +91,7 @@ class TraceRecord:
     constraint_residual: float
     step_size: float
     grad_norm: float
+    tangent_grad_norm: float
     accepted: bool
 
 
@@ -150,7 +151,8 @@ def _objective_and_gradient(vec, run):
     vector, scored on the run's fixed mainlobe and sidelobe regions, and its
     exact gradient over the 2K coefficients.
 
-    The sidelobe ratio is scored on lags >= 0 only, since |R| is even. With
+    The sidelobe ratio is scored on lags >= 0 only, since |R| is even, from
+    conj(R) there (metrics._conj_autocorrelation). With
     q[m] = 2 dJ/d|R[m]|^2 conj(R[m]) for lags m = 0..L-1 (from
     metrics._sidelobe_ratio), the phase gradient is
     dJ/dphi[n] = Im(conj(s[n]) sum_m h[m] s[n+m]) / f_s, where
@@ -168,11 +170,11 @@ def _objective_and_gradient(vec, run):
     samples = _unit_samples(_phase_samples(run.a0, vec[:K], vec[K:], L), T)
     sample_rate = L / T
     spec = _correlation_fft(samples)
-    values = _cross_correlation(spec, spec, L, sample_rate)
-    ratio, d_power = _sidelobe_ratio(run.regions, np.abs(values[L:]), run.p,
+    r_conj = _conj_autocorrelation(spec, L, sample_rate)
+    ratio, d_power = _sidelobe_ratio(run.regions, np.abs(r_conj), run.p,
                                      with_gradient=True)
     n_fft = spec.size
-    kernel = np.fft.irfft(d_power[:L] * np.conj(values[L:2 * L]), n_fft) * (2 * n_fft)
+    kernel = np.fft.irfft(d_power[:L] * r_conj[:L], n_fft) * (2 * n_fft)
     corr = np.fft.ifft(spec * kernel)[:L]
     dphi = np.imag(np.conj(samples) * corr) / sample_rate
     return ratio, _phase_adjoint(dphi, K)
@@ -303,8 +305,9 @@ def optimize(initial, cfg):
     most BAND_SLACK. The trace records every log_every-th iteration and
     always the last, so it ends with the returned iterate. A record's
     step_size is the t its iterate was accepted at (the last t tried when
-    none was) and its grad_norm is the full |g|. Two runs with identical
-    inputs produce identical traces.
+    none was), its grad_norm is the full |g| and its tangent_grad_norm the
+    |g_t| the stop test reads. Two runs with identical inputs produce
+    identical traces.
 
     Every evaluation scores the sidelobe ratio on one mainlobe region,
     [0, first ACF null of the initialization]; the bandwidth band is what
@@ -350,7 +353,7 @@ def optimize(initial, cfg):
 
     def record(it, step_size, accepted):
         return TraceRecord(it, _db(f), b2 / beta2_ref, _band_residual(b2, band),
-                           step_size, math.sqrt(g @ g), accepted)
+                           step_size, math.sqrt(g @ g), math.sqrt(g_t @ g_t), accepted)
 
     trace = [record(0, 0.0, True)]
     reason = None
@@ -398,9 +401,9 @@ def optimize(initial, cfg):
 
 def trace_csv(trace):
     """CSV text with header
-    ``iter,objective_db,beta2_rel,step_size,grad_norm,accepted``."""
-    lines = ["iter,objective_db,beta2_rel,step_size,grad_norm,accepted"]
+    ``iter,objective_db,beta2_rel,step_size,grad_norm,tangent_grad_norm,accepted``."""
+    lines = ["iter,objective_db,beta2_rel,step_size,grad_norm,tangent_grad_norm,accepted"]
     for r in trace:
-        lines.append(f"{r.iteration},{r.objective_db!r},{r.beta2_rel!r},"
-                     f"{r.step_size!r},{r.grad_norm!r},{int(r.accepted)}")
+        lines.append(f"{r.iteration},{r.objective_db!r},{r.beta2_rel!r},{r.step_size!r},"
+                     f"{r.grad_norm!r},{r.tangent_grad_norm!r},{int(r.accepted)}")
     return "\n".join(lines) + "\n"

@@ -164,7 +164,12 @@ def _csv(header, grid, *columns):
     objects is faster, but its thousands of small objects pin allocator
     arenas and raise the peak RSS.
     """
-    rows = map(",".join, zip(_grid_column(grid), *[map(repr, c) for c in columns]))
+    return _text_csv(header, grid, *[map(repr, c) for c in columns])
+
+
+def _text_csv(header, grid, *texts):
+    """_csv with each data column given as its text, one str per row."""
+    rows = map(",".join, zip(_grid_column(grid), *texts))
     return "\n".join([header, *rows, ""])
 
 

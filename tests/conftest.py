@@ -5,7 +5,7 @@ import pytest
 
 from mtsfm_cpm import (MtsfmParams, SamplingConfig, barker_code, fit_fourier,
                        generate_msequence, synthesize_mtsfm, synthesize_pc, time_grid)
-from mtsfm_cpm.metrics import _band_weights, _correlation_fft, _cross_correlation
+from mtsfm_cpm.metrics import _band_weights, _correlation_fft, _lag_window
 from mtsfm_cpm.mtsfm import _phase_adjoint, _phase_samples
 from mtsfm_cpm.optimizer import _objective_and_gradient, _run
 
@@ -107,6 +107,21 @@ def dense_modulation(params, t):
     ang, k = _dense_angles(params, t)
     out = (np.cos(ang) @ (k * params.alpha) - np.sin(ang) @ (k * params.beta)) / params.T
     return out if np.ndim(t) else float(out[0])
+
+
+def _cross_correlation(fu, fv, L, sample_rate):
+    """Lag-domain cross correlation sum_n u[n+m] conj(v[n]) / f_s from the
+    _correlation_fft spectra of u and v by one complex inverse FFT, lags
+    -(L-1)..(L-1), with exact zeros appended at lags -L and +L: the
+    complex-path oracle for metrics._autocorrelation."""
+    return _lag_window(np.fft.ifft(fu * np.conj(fv)), L, 1.0 / sample_rate,
+                       np.empty(2 * L + 1, dtype=complex))
+
+
+def complex_acf(w):
+    """acf(w).values by the complex path: the oracle for metrics.acf."""
+    spec = _correlation_fft(w.samples)
+    return _cross_correlation(spec, spec, w.n_samples, w.sample_rate)
 
 
 def per_row_ambiguity(w, doppler_grid):

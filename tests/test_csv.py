@@ -10,6 +10,7 @@ from mtsfm_cpm import (AcfResult, SampledWaveform, SamplingConfig, Spectrum, acf
                        acf_csv, pc_phase, spectrum, spectrum_csv, synthesize_pc,
                        waveform_csv)
 from mtsfm_cpm.cli import _mtsfm_waveform, _phase_csv
+from mtsfm_cpm.metrics import _mirrored_text
 from mtsfm_cpm.waveform import _grid_text
 
 from conftest import (MSEQ63_T, acf_csv_oracle, phase_csv_oracle,
@@ -78,3 +79,55 @@ def test_negative_zero_and_nan_round_trip():
     w = SampledWaveform(np.array([complex(1.0, -0.0), complex(-1.0, 0.0)]), 1.0, 2.0)
     assert waveform_csv(w) == waveform_csv_oracle(w)
     assert ",-0.0\n" in waveform_csv(w)
+
+
+def mirrored_pairs_acf(center):
+    """A user-built AcfResult that is not Hermitian: each first-half value
+    against its mirror has |R| or arg or both equal, negated or not, with
+    signed zeros and NaN; center (None for an even length) sits between."""
+    pairs = [(complex(1.0, -0.0), complex(1.0, 0.0)),  # arg -0.0 against 0.0
+             (complex(1.0, 0.0), complex(1.0, 0.0)),  # arg 0.0 is not -0.0
+             (complex(-1.0, -0.0), complex(-1.0, 0.0)),  # arg -pi against pi
+             (1j, complex(1.0, 0.0)),  # |R| equal, arg not negated
+             (complex(0.5, 0.25), complex(0.5, 0.25)),  # |R| equal, arg not negated
+             (complex(3.0, -4.0), complex(4.0, 3.0)),  # |R| equal, arg not negated
+             (complex(-0.0, -0.0), complex(0.0, 0.0)),  # arg -pi against 0.0
+             (complex(0.0, -0.0), complex(0.0, 0.0)),  # arg -0.0 against 0.0
+             (complex(math.nan, 0.0), complex(math.nan, 0.0)),
+             (complex(math.nan, math.nan), complex(math.nan, -math.nan)),
+             (complex(math.inf, -1.0), complex(math.inf, 1.0)),
+             (complex(0.1, -0.2), complex(0.1, 0.2 + 2 ** -55))]  # arg off by an ULP
+    head = [u for u, _ in pairs]
+    tail = [v for _, v in pairs][::-1]
+    values = np.array(head + ([] if center is None else [center]) + tail)
+    lags = np.arange(values.size) - values.size // 2
+    return AcfResult(lags.astype(float), values, 1.0, False)
+
+
+@pytest.mark.parametrize("center", [1.0, complex(1.0, -0.0), None],
+                         ids=["odd", "odd-negative-zero-arg", "even"])
+def test_acf_csv_of_an_acf_that_is_not_hermitian(center):
+    a = mirrored_pairs_acf(center)
+    assert lines(acf_csv(a)) == lines(acf_csv_oracle(a))
+
+
+def test_acf_csv_of_random_and_perturbed_values(mseq63_wave32):
+    rng = np.random.default_rng(5)
+    values = np.array([1, 1j]) @ rng.normal(size=(2, 33))
+    a = AcfResult(np.linspace(-1.0, 1.0, 33), values, 0.5, False)
+    assert lines(acf_csv(a)) == lines(acf_csv_oracle(a))
+    b = acf(mseq63_wave32)
+    v = b.values.copy()
+    v[5] = np.nextafter(v[5].real, 2.0) + 1j * v[5].imag
+    v[7] = v[7].real + 1j * np.nextafter(v[7].imag, 2.0)
+    v[9] = -v[9]
+    c = AcfResult(b.lags, v, b.first_null, b.degenerate)
+    assert lines(acf_csv(c)) == lines(acf_csv_oracle(c))
+
+
+def test_mirrored_text_formats_nan_on_its_own():
+    # math.atan2 returns one NaN whatever its input, so a NaN whose mirror is
+    # its negation comes only from another caller; repr(-nan) is "nan" too
+    x = [math.nan, -0.0, 1.5, 0.0, -math.nan]
+    assert _mirrored_text(x, True) == list(map(repr, x))
+    assert _mirrored_text(x, False) == list(map(repr, x))

@@ -12,7 +12,7 @@ from mtsfm_cpm import (AcfResult, DegenerateMainlobe, MtsfmParams, PhaseCode,
                        spectral_compactness, spectrum, synthesize_mtsfm,
                        synthesize_pc)
 from mtsfm_cpm.metrics import _next_pow2, _shifted_product
-from conftest import MSEQ63_BAND, MSEQ63_T, per_row_ambiguity
+from conftest import MSEQ63_BAND, MSEQ63_T, complex_acf, per_row_ambiguity
 
 
 def rect_pulse(L=1024, T=1.0):
@@ -172,6 +172,21 @@ def test_acf_mseq_matches_direct(mseq63_pc):
     assert np.max(np.abs(a.values - direct_acf(mseq63_pc))) < 1e-9
 
 
+@pytest.mark.parametrize("wave", ["barker13_wave", "mseq63_wave32", "mseq511_pc"])
+def test_acf_is_hermitian_bit_for_bit(request, wave):
+    v = acf(request.getfixturevalue(wave)).values
+    L = v.size // 2
+    assert v[1:L][::-1].tobytes() == np.conj(v[L + 1:2 * L]).tobytes()
+    assert v[L].imag == 0.0 and math.copysign(1.0, v[L].imag) == 1.0
+    assert v[[0, -1]].tobytes() == np.zeros(2, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("wave", ["barker13_wave", "mseq63_wave32", "mseq511_pc"])
+def test_acf_matches_complex_oracle(request, wave):
+    w = request.getfixturevalue(wave)
+    assert np.max(np.abs(acf(w).values - complex_acf(w))) <= 1e-14
+
+
 # --------------------------------------------------------------------------
 # ambiguity
 # --------------------------------------------------------------------------
@@ -209,9 +224,9 @@ def test_ambiguity_matches_per_row_oracle(request, wave, grid):
             # mirrored from the first earlier -nu row
             assert np.array_equal(rows[i], np.conj(rows[earlier[0]][::-1]))
             mirrored += 1
-        elif nu == 0:
-            # the plain autocorrelation; shifted rows are held to the bound above
-            assert np.array_equal(rows[i], oracle[i])
+    # the nu = 0 row is held to the bound above too: it is acf()'s real-FFT
+    # autocorrelation (test_ambiguity_zero_doppler_row_is_acf), not the
+    # oracle's complex path
     assert mirrored > 0
 
 
@@ -252,6 +267,26 @@ def test_ambiguity_shift_classes_match_per_row_oracle(request, wave, grid, sizes
     rows = ambiguity(w, grid)
     assert np.max(np.abs(rows - per_row_ambiguity(w, grid))) <= 1e-12
     assert np.array_equal(rows[np.flatnonzero(grid == 0.0)[0]], acf(w).values)
+
+
+@pytest.mark.parametrize("bins, ffts", [
+    (np.arange(8) + 0.5, 1),  # f = 1/2: V = U shifted by one bin
+    ([1.25, 2.75, -3.25, 5.75], 2),  # f = 1/4 and f = 3/4 share one pair
+    ([0.0, 1.0, 0.5, 2.25, 1.75, -4.5], 4),  # S, the f = 1/2 spectrum, one pair
+], ids=["half-bin", "quarter-bins", "mixed"])
+def test_ambiguity_half_bin_rows_share_spectra(mseq63_wave32, monkeypatch, bins, ffts):
+    grid = np.asarray(bins) / 64  # mseq63 K=32 spectra have 64 bins per Hz
+    oracle = per_row_ambiguity(mseq63_wave32, grid)
+    fft, calls = np.fft.fft, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counted)
+    rows = ambiguity(mseq63_wave32, grid)
+    assert len(calls) == ffts
+    assert np.max(np.abs(rows - oracle)) <= 1e-12
 
 
 def test_shifted_product_is_the_rolled_product():

@@ -246,10 +246,12 @@ def test_log_every_strides_trace(barker13_fit):
 def test_trace_csv_shape(barker13_fit, small_cfg):
     res = optimize(barker13_fit, small_cfg)
     lines = trace_csv(res.trace).strip().split("\n")
-    assert lines[0] == "iter,objective_db,beta2_rel,step_size,grad_norm,accepted"
+    assert lines[0] == ("iter,objective_db,beta2_rel,step_size,grad_norm,"
+                        "tangent_grad_norm,accepted")
     assert len(lines) == len(res.trace) + 1
     first = lines[1].split(",")
-    assert first[0] == "0" and first[5] in ("0", "1")
+    assert first[0] == "0" and first[-1] in ("0", "1")
+    assert float(first[5]) == res.trace[0].tangent_grad_norm
 
 
 def test_result_json_embeds_params(barker13_fit, small_cfg):
@@ -278,6 +280,18 @@ def test_converged_is_stationary_on_the_band(barker13_fit):
     # the run ends held by the upper edge, where the full gradient is not small
     assert res.final_beta2 == pytest.approx(res.initial_beta2 * (1 + cfg.delta), rel=1e-9)
     assert end < 0.1 * res.trace[-1].grad_norm
+    # the trace shows the norms the stop test read
+    assert res.trace[0].tangent_grad_norm == pytest.approx(start, rel=1e-15)
+    assert res.trace[-1].tangent_grad_norm == pytest.approx(end, rel=1e-15)
+
+
+def test_trace_shows_why_a_run_converged(barker13_fit):
+    res = optimize(barker13_fit, OptimizerConfig(n_samples=208))
+    first, last = res.trace[0], res.trace[-1]
+    assert res.converged
+    assert last.tangent_grad_norm <= GTOL * first.tangent_grad_norm
+    assert last.grad_norm > GTOL * first.grad_norm  # the full norm would not have stopped
+    assert all(r.tangent_grad_norm <= r.grad_norm * (1 + 1e-15) for r in res.trace)
 
 
 def test_memory_resets_when_the_active_edge_changes(barker13_fit, monkeypatch):
