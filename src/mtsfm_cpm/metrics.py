@@ -266,9 +266,7 @@ def acf(w):
 def _shift_spectra(samples, f, n_fft):
     """The n_fft-point spectra U and conj(V) of samples times
     e^{+j 2 pi f n / n_fft} and times e^{-j 2 pi f n / n_fft}: the plain
-    spectrum shifted by -f and by +f bins. At f = 0 both are that spectrum.
-    At f = 1/2 one FFT gives both: V[k] = U[k + 1], since in general
-    V_f[k] = U_{1-f}[k + 1]."""
+    spectrum shifted by -f and by +f bins. At f = 0 both are that spectrum."""
     if f == 0:
         fu = fv = _correlation_fft(samples)
     else:
@@ -277,8 +275,7 @@ def _shift_spectra(samples, f, n_fft):
         ramp = np.empty(x.size, dtype=complex)
         np.cos(x, out=ramp.real)
         np.sin(x, out=ramp.imag)
-        fu = _correlation_fft(samples * ramp)
-        fv = np.roll(fu, -1) if f == 0.5 else _correlation_fft(samples * ramp.conj())
+        fu, fv = _correlation_fft(samples * ramp), _correlation_fft(samples * ramp.conj())
     return fu, np.conj(fv)
 
 
@@ -309,16 +306,14 @@ def ambiguity(w, doppler_grid):
     V_f are the spectra of s e^{+-j 2 pi f n / n_fft}. Rows with the same
     fractional part f share U_f and V_f, computed once per class and one
     class at a time; the f = 0 class uses S itself, so an on-bin row costs
-    one inverse FFT, and the f = 1/2 class takes one forward FFT. The nu = 0
-    row is acf()'s own autocorrelation of S, so it matches acf() bit for bit.
+    one inverse FFT. The nu = 0 row is acf()'s own autocorrelation of S, so
+    it matches acf() bit for bit.
 
-    The surface obeys chi(-tau, -nu) = conj(chi(tau, nu)), and the lag axis
-    is symmetric. A row whose exact value nu occurs earlier in the grid is
-    copied from the first such row, and a row whose exact negation -nu
+    A row whose exact value nu occurs earlier in the grid is copied from the
+    first such row. The surface obeys chi(-tau, -nu) = conj(chi(tau, nu)),
+    and the lag axis is symmetric, so a row whose exact negation -nu
     (nu != 0) occurs earlier is mirrored from the first such row as
-    conj(row[::-1]); neither is correlated. A row with f > 1/2 is the mirror
-    of the row at -nu, whose fraction is 1 - f, so classes f and 1 - f share
-    one pair of spectra.
+    conj(row[::-1]). Neither is correlated.
     """
     doppler_grid = np.asarray(doppler_grid, dtype=float)
     if doppler_grid.ndim != 1:
@@ -331,29 +326,25 @@ def ambiguity(w, doppler_grid):
         raise ValueError("doppler_grid must be finite, and so must its spectral shifts")
     t0 = float(time_grid(L, w.T)[0])
     rows = np.empty((doppler_grid.size, 2 * L + 1), dtype=complex)
-    first, copies, classes = {}, [], {}  # classes: f -> [(row, i, nu, mirrored)]
+    first, copies, classes = {}, [], {}  # classes: f -> [(row, i, nu)]
     for k, (nu, d) in enumerate(zip(doppler_grid.tolist(), shifts.tolist())):
         if nu in first:
             copies.append((k, first[nu], False))
         elif nu != 0 and -nu in first:
             copies.append((k, first[-nu], True))
         else:
-            mirrored = d - math.floor(d) > 0.5  # correlated as the row at -nu
-            nu_c, d_c = (-nu, -d) if mirrored else (nu, d)
-            i = math.floor(d_c)
-            classes.setdefault(d_c - i, []).append((k, i, nu_c, mirrored))
+            i = math.floor(d)
+            classes.setdefault(d - i, []).append((k, i, nu))
         first.setdefault(nu, k)
     product = np.empty(n_fft, dtype=complex)
     for f, members in classes.items():  # one class's spectra alive at a time: O(n_fft)
         fu, fvc = _shift_spectra(w.samples, f, n_fft)
-        for k, i, nu, mirrored in members:
+        for k, i, nu in members:
             if nu == 0:
                 rows[k] = _autocorrelation(fu, L, w.sample_rate)
             else:
                 _lag_window(np.fft.ifft(_shifted_product(fu, fvc, i, product)), L,
                             cmath.exp(2j * math.pi * nu * t0) / w.sample_rate, rows[k])
-                if mirrored:
-                    rows[k] = np.conj(rows[k][::-1])
     for k, j, mirrored in copies:  # row j < k is filled by now
         if mirrored:
             np.conj(rows[j][::-1], out=rows[k])
