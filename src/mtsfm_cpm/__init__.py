@@ -19,8 +19,7 @@ from .mtsfm import (MtsfmParams, closed_form_rms_bandwidth,
                     min_harmonics, min_samples, mtsfm_modulation, mtsfm_phase,
                     synthesize_mtsfm)
 from .optimizer import (OptimizationResult, OptimizerConfig, TraceRecord,
-                        beta2_band, gradient, objective, optimize,
-                        project_to_band, trace_csv)
+                        gradient, objective, optimize, trace_csv)
 from .waveform import (DEFAULT_SAMPLES_PER_CHIP, MIN_SAMPLES_PER_CHIP,
                        SampledWaveform, SamplingConfig, pc_phase,
                        synthesize_pc, time_grid, waveform_csv,
@@ -42,7 +41,7 @@ __all__ = [
     "mainlobe_area", "rms_bandwidth_spectral", "psl", "isr", "gisr",
     "compute_metrics", "spectrum_csv", "acf_csv",
     "OptimizerConfig", "OptimizationResult", "TraceRecord", "objective",
-    "gradient", "beta2_band", "project_to_band", "optimize", "trace_csv",
+    "gradient", "optimize", "trace_csv",
     "MtsfmSmoother", "GisrOptimizer",
     "__version__",
 ]

@@ -382,10 +382,12 @@ def first_null(a):
     return FirstNull(a.first_null, a.degenerate)
 
 
+_NO_NULL = "ACF has no interior null; mainlobe/sidelobe metrics are undefined"
+
+
 def _require_null(a):
     if a.degenerate:
-        raise DegenerateMainlobe(
-            "ACF has no interior null; mainlobe/sidelobe metrics are undefined")
+        raise DegenerateMainlobe(_NO_NULL)
     return a.first_null
 
 
@@ -407,8 +409,20 @@ def _sidelobe_weights(a):
     [0, first null] of an ACF over its lags >= 0, each as (support, weights):
     its trapezoid weights on the slice of lags from its first to its last
     non-zero weight. Raises DegenerateMainlobe when the ACF has no null."""
-    tau = _require_null(a)
-    lags = a.lags[a.lags.size // 2:]
+    return _regions(a.lags[a.lags.size // 2:], _require_null(a))
+
+
+def _null_regions(lags, magnitudes):
+    """_sidelobe_weights from |R| on the lags >= 0 alone, its first null
+    scanned here as acf() scans it: the regions of an ACF that was never
+    built as an AcfResult."""
+    tau = _null_vertex(lags, magnitudes)
+    if tau is None:
+        raise DegenerateMainlobe(_NO_NULL)
+    return _regions(lags, tau)
+
+
+def _regions(lags, tau):
     w_den = _band_weights(lags, 0.0, tau)
     w_num = _band_weights(lags, 0.0, float(lags[-1])) - w_den
     return _on_support(w_num), _on_support(w_den)
@@ -475,13 +489,12 @@ def gisr(a, p):
     underflows and every finite p >= 2 is defined; see _sidelobe_ratio.
     """
     check_p(p)
-    return _gisr_db(a, _sidelobe_weights(a), p)
+    return _gisr_db(_sidelobe_weights(a), a.magnitudes[a.lags.size // 2:], p)
 
 
-def _gisr_db(a, regions, p):
-    """gisr of the ACF a on its _sidelobe_weights regions, found by the
-    caller, so that a report scores ISR and GISR on one scan of them."""
-    mag = a.magnitudes[a.lags.size // 2:]
+def _gisr_db(regions, mag, p):
+    """gisr of |R| on the lags >= 0 on its _sidelobe_weights regions, found
+    by the caller, so that a report scores ISR and GISR on one scan of them."""
     return 10 * math.log10(_sidelobe_ratio(regions, mag, p))
 
 
@@ -553,9 +566,9 @@ def _metrics_report(sp, a, delta_f, p):
     if a.degenerate:
         sidelobes = (None,) * 5
     else:
-        regions = _sidelobe_weights(a)
+        regions, mag = _sidelobe_weights(a), a.magnitudes[a.lags.size // 2:]
         sidelobes = (a.first_null, mainlobe_area(a), psl(a),
-                     _gisr_db(a, regions, 2), _gisr_db(a, regions, p))
+                     _gisr_db(regions, mag, 2), _gisr_db(regions, mag, p))
     return MetricsReport(spectral_compactness(sp, band), band,
                          rms_bandwidth_spectral(sp), a.degenerate, *sidelobes,
                          p=p, sc_clamped=delta_f > span)
@@ -570,33 +583,25 @@ def acf_csv(a):
     """CSV text with header ``tau_s,abs_r,arg_r``.
 
     acf() results are Hermitian, so each mirrored pair of rows is formatted
-    once: a row in the first half reuses the text of its mirror row in the
-    second half when its |R| equals the mirror's bit for bit, and when its
-    arg equals the mirror's negated arg bit for bit (sign of zero included),
-    with the sign flipped. Every other row, NaN included, is formatted on
-    its own, so the text is that of formatting each value, whatever a holds.
+    once: a row in the first half whose value is the conjugate of its mirror
+    row's value bit for bit (sign of zero included, NaN never) takes the
+    mirror's |R| text and its arg text with the sign flipped, and neither
+    value is computed. That relies on abs being even and math.atan2 odd in
+    the imaginary part bit for bit, as IEEE 754 requires of hypot and atan2
+    (a test holds this platform to it). Every other row is formatted on its
+    own, so the text is that of formatting each value, whatever a holds.
     |R| and arg R are Python's abs and math.atan2: numpy's change last bits.
     """
-    mag = list(map(abs, a.values.tolist()))
-    arg = list(map(math.atan2, a.values.imag.tolist(), a.values.real.tolist()))
-    return _text_csv("tau_s,abs_r,arg_r", a.lags, _mirrored_text(mag, False),
-                     _mirrored_text(arg, True))
-
-
-def _mirrored_text(x, negate):
-    """The repr text of the floats x, entry n of the first half taken from
-    its mirror entry N - 1 - n (negated if negate) when x[n] equals that
-    mirror (negated) bit for bit and is not NaN."""
-    half = len(x) // 2
-    v = np.array(x, dtype=float)
-    mirror = v[::-1][:half]
-    if negate:
-        mirror = -mirror
-    same = (v[:half].view(np.int64) == mirror.view(np.int64)) & ~np.isnan(mirror)
-    text = list(map(repr, x[half:]))
-    head = text[::-1][:half]
-    if negate:  # repr(-x) from repr(x), x not NaN
-        head = [t[1:] if t[0] == "-" else "-" + t for t in head]
-    for i in np.flatnonzero(~same).tolist():
-        head[i] = repr(x[i])
-    return head + text
+    v = a.values
+    half = v.size // 2
+    head = np.ascontiguousarray(v[:half])
+    mirror = np.conj(v[::-1][:half])
+    same = (head.view(np.int64).reshape(-1, 2) == mirror.view(np.int64).reshape(-1, 2))
+    own = np.flatnonzero(~same.all(axis=1) | np.isnan(head)).tolist()
+    mag = list(map(repr, map(abs, v[half:].tolist())))
+    arg = list(map(repr, map(math.atan2, v.imag[half:].tolist(), v.real[half:].tolist())))
+    head_mag = mag[::-1][:half]
+    head_arg = [t[1:] if t[0] == "-" else "-" + t for t in arg[::-1][:half]]
+    for i, z in zip(own, v[own].tolist()):
+        head_mag[i], head_arg[i] = repr(abs(z)), repr(math.atan2(z.imag, z.real))
+    return _text_csv("tau_s,abs_r,arg_r", a.lags, head_mag + mag, head_arg + arg)

@@ -166,6 +166,8 @@ def _phase_samples(a0, alpha, beta, n_samples):
     With X_k = (beta_k - j alpha_k) e^{j 2 pi k t_0 / T}, the phase is
     a0/2 + Re sum_k X_k e^{j 2 pi k n / L} = a0/2 + (L/2) irfft(X, L). This
     needs K < L/2, so L below the min_samples(K) = 4K floor is rejected.
+    (beta, -alpha) is written into the spectrum and the scale and offset are
+    applied in place, with no temporaries.
     """
     K = alpha.size
     floor = min_samples(K)
@@ -173,8 +175,14 @@ def _phase_samples(a0, alpha, beta, n_samples):
         raise ValueError(
             f"n_samples={n_samples} too small for K={K} harmonics; need >= {floor}")
     spec = np.zeros(n_samples // 2 + 1, dtype=complex)
-    spec[1:K + 1] = (beta - 1j * alpha) * _phase_rotation(K, n_samples)
-    return a0 / 2 + (n_samples / 2) * np.fft.irfft(spec, n_samples)
+    x = spec[1:K + 1]
+    x.real = beta
+    np.negative(alpha, out=x.imag)
+    x *= _phase_rotation(K, n_samples)
+    phi = np.fft.irfft(spec, n_samples)
+    phi *= n_samples / 2
+    phi += a0 / 2
+    return phi
 
 
 def _phase_adjoint(dphi, K):

@@ -20,10 +20,10 @@ from typing import NamedTuple
 import numpy as np
 
 from ._validation import check_int_at_least, check_p
-from .metrics import (_conj_autocorrelation, _correlation_fft, _sidelobe_ratio,
-                      _sidelobe_weights, acf, gisr)
+from .metrics import (_conj_autocorrelation, _correlation_fft, _gisr_db, _lag_grid,
+                      _null_regions, _sidelobe_ratio)
 from .mtsfm import (MtsfmParams, _beta2, _beta2_weights, _phase_adjoint,
-                    _phase_samples, _unit_samples, synthesize_mtsfm)
+                    _phase_samples, _unit_samples)
 
 __all__ = [
     "OptimizerConfig",
@@ -31,8 +31,6 @@ __all__ = [
     "OptimizationResult",
     "objective",
     "gradient",
-    "beta2_band",
-    "project_to_band",
     "optimize",
     "trace_csv",
 ]
@@ -136,20 +134,55 @@ class _Run(NamedTuple):
     weights: np.ndarray  # _beta2_weights of the coefficient vector
 
 
+class _Correlation(NamedTuple):
+    """One synthesized and correlated coefficient vector: its samples s, their
+    _correlation_fft spectrum S, and conj(R) and |R| on the lags 0..L."""
+
+    samples: np.ndarray
+    spec: np.ndarray
+    r_conj: np.ndarray
+    magnitudes: np.ndarray
+
+
+def _correlate(vec, run):
+    """The _Correlation of the waveform built from a coefficient vector: one
+    synthesis and one forward correlation FFT."""
+    L = run.n_samples
+    samples = _unit_samples(_phase_samples(run.a0, vec[:run.K], vec[run.K:], L), run.T)
+    spec = _correlation_fft(samples)
+    r_conj = _conj_autocorrelation(spec, L, L / run.T)
+    return _Correlation(samples, spec, r_conj, np.abs(r_conj))
+
+
+def _lags(run):
+    """The lags >= 0 of the run's native lag grid, as acf() builds them."""
+    L = run.n_samples
+    return _lag_grid(L, L / run.T, run.T)[L:]
+
+
+def _start(params, cfg):
+    """The _Run of optimizing params under cfg, and the _Correlation of
+    params it was found from: the mainlobe region is fixed at the first null
+    of that |R| (DegenerateMainlobe when it has none), so the start is
+    synthesized and correlated once for the region and its first evaluation."""
+    n = cfg.resolve_n_samples(params.K)
+    run = _Run(params.a0, params.T, params.K, cfg.p, n, None,
+               _beta2_weights(params.K, params.T))
+    c = _correlate(params.coefficient_vector(), run)
+    return run._replace(regions=_null_regions(_lags(run), c.magnitudes)), c
+
+
 def _run(params, cfg):
     """The _Run of optimizing params under cfg: its mainlobe region is fixed
-    at the first ACF null of the waveform params synthesize, found once here
-    (DegenerateMainlobe when that ACF has none)."""
-    n = cfg.resolve_n_samples(params.K)
-    return _Run(params.a0, params.T, params.K, cfg.p, n,
-                _sidelobe_weights(acf(synthesize_mtsfm(params, n))),
-                _beta2_weights(params.K, params.T))
+    at the first ACF null of the waveform params synthesize (_start)."""
+    return _start(params, cfg)[0]
 
 
-def _objective_and_gradient(vec, run):
-    """Linear-scale sidelobe ratio J of the waveform built from a coefficient
-    vector, scored on the run's fixed mainlobe and sidelobe regions, and its
-    exact gradient over the 2K coefficients.
+def _score(c, run):
+    """(J, g, |R|) of a _Correlation: the linear-scale sidelobe ratio J,
+    scored on the run's fixed mainlobe and sidelobe regions, its exact
+    gradient g over the 2K coefficients, and |R| on the lags 0..L. Its
+    samples and spectrum are overwritten, so a _Correlation is scored once.
 
     The sidelobe ratio is scored on lags >= 0 only, since |R| is even, from
     conj(R) there (metrics._conj_autocorrelation). With
@@ -165,29 +198,49 @@ def _objective_and_gradient(vec, run):
     is the energy whatever the phase), so one inverse real FFT gives the
     phase gradient. The coefficient gradient is the adjoint of the FFT
     synthesis.
+
+    The scale 2 n_fft is a power of two, so it is exact to fold it into
+    dJ/d|R|^2 before the transform, and the real spectrum multiplies the
+    real and imaginary parts of S in place.
     """
-    K, L, T = run.K, run.n_samples, run.T
-    samples = _unit_samples(_phase_samples(run.a0, vec[:K], vec[K:], L), T)
-    sample_rate = L / T
-    spec = _correlation_fft(samples)
-    r_conj = _conj_autocorrelation(spec, L, sample_rate)
-    ratio, d_power = _sidelobe_ratio(run.regions, np.abs(r_conj), run.p,
-                                     with_gradient=True)
-    n_fft = spec.size
-    kernel = np.fft.irfft(d_power[:L] * r_conj[:L], n_fft) * (2 * n_fft)
-    corr = np.fft.ifft(spec * kernel)[:L]
-    dphi = np.imag(np.conj(samples) * corr) / sample_rate
-    return ratio, _phase_adjoint(dphi, K)
+    L = run.n_samples
+    ratio, d_power = _sidelobe_ratio(run.regions, c.magnitudes, run.p, with_gradient=True)
+    spec = c.spec
+    q = d_power[:L]
+    q *= 2 * spec.size
+    kernel = np.fft.irfft(q * c.r_conj[:L], spec.size)
+    spec.real *= kernel
+    spec.imag *= kernel
+    corr = np.fft.ifft(spec)[:L]
+    s = c.samples
+    np.conjugate(s, out=s)
+    s *= corr
+    return ratio, _phase_adjoint(s.imag / (L / run.T), run.K), c.magnitudes
+
+
+def _evaluate(vec, run):
+    """(J, g, |R|) of a coefficient vector (_score): every objective
+    evaluation of optimize() after the first, which is the start's own."""
+    return _score(_correlate(vec, run), run)
+
+
+def _objective_and_gradient(vec, run):
+    """Linear-scale sidelobe ratio J of the waveform built from a coefficient
+    vector, scored on the run's fixed mainlobe and sidelobe regions, and its
+    exact gradient over the 2K coefficients (_score)."""
+    return _evaluate(vec, run)[:2]
 
 
 def objective(params, cfg):
     """Linear-scale sidelobe ratio at cfg.p for one parameter set, scored on
-    its own first ACF null: 10**(gisr / 10) of the waveform it synthesizes.
+    its own first ACF null: 10**(gisr / 10) of the waveform it synthesizes,
+    which is synthesized and correlated once.
 
     Deterministic for fixed inputs; see the dB-domain metrics module for
     the reporting form. Raises DegenerateMainlobe when that ACF has no null.
     """
-    return _objective_and_gradient(params.coefficient_vector(), _run(params, cfg))[0]
+    run, c = _start(params, cfg)
+    return _sidelobe_ratio(run.regions, c.magnitudes, run.p)
 
 
 def gradient(params, cfg):
@@ -195,41 +248,30 @@ def gradient(params, cfg):
     mainlobe region held fixed at params' own first ACF null.
 
     The null does not move with the coefficients here, as it does not
-    within an optimize() run. The constant term a0 is excluded: every metric
-    is invariant to it.
+    within an optimize() run, and params is synthesized and correlated once.
+    The constant term a0 is excluded: every metric is invariant to it.
     """
-    return _objective_and_gradient(params.coefficient_vector(), _run(params, cfg))[1]
-
-
-def beta2_band(beta2_ref, delta):
-    """The allowed squared-RMS-bandwidth interval around a reference value."""
-    return (1 - delta) * beta2_ref, (1 + delta) * beta2_ref
+    run, c = _start(params, cfg)
+    return _score(c, run)[1]
 
 
 def _band_residual(b2, band):
     """How far b2 lies outside the band, relative to the band's midpoint
-    (the reference value beta2_band was built from); 0 inside the band."""
+    (the reference value the band was built from); 0 inside the band."""
     lo, hi = band
     return max(0.0, lo - b2, b2 - hi) / ((lo + hi) / 2)
 
 
-def project_to_band(params, band):
-    """Scale the coefficients onto the squared-bandwidth band if outside it.
+def _project(vec, band, weights):
+    """Scale a coefficient vector onto the squared-bandwidth band if outside
+    it: (vector, its squared bandwidth), given its _beta2_weights.
 
     The squared bandwidth is homogeneous of degree 2 in the coefficients, so
     scaling by sqrt(edge / value) lands on the nearest edge to machine
-    precision. Input whose residual outside the band, relative to the band's
-    midpoint, is at most BAND_SLACK is returned unchanged; so is every
+    precision. A vector whose residual outside the band, relative to the
+    band's midpoint, is at most BAND_SLACK is returned itself; so is every
     projected result, which makes the projection idempotent bit for bit.
     """
-    vec = params.coefficient_vector()
-    projected, _ = _project(vec, band, _beta2_weights(params.K, params.T))
-    return params if projected is vec else params.with_coefficients(projected)
-
-
-def _project(vec, band, weights):
-    """project_to_band on a coefficient vector: (vector, its squared
-    bandwidth), the vector itself when it is within the slack."""
     b2 = _beta2(vec, weights)
     if b2 == 0.0:
         raise ValueError("cannot project all-zero coefficients onto a positive band")
@@ -317,6 +359,10 @@ def optimize(initial, cfg):
 
     ``n_evaluations`` counts objective evaluations; each returns the
     gradient with the objective, so one line-search trial is one evaluation.
+    Each evaluated iterate is synthesized and correlated exactly once: the
+    start's null scan reads the first evaluation's |R| (_start), and
+    final_gisr_db reads the |R| of the evaluation that accepted the result,
+    bit for bit the |R| of acf() on the result's waveform.
 
     The loop works on the coefficient vector: line-search trials are
     projected as vectors, a trace record takes the squared bandwidth the
@@ -327,33 +373,34 @@ def optimize(initial, cfg):
     if not x.any():
         raise ValueError("initialization has all-zero coefficients; "
                          "the bandwidth band is empty and cannot be projected onto")
-    run = _run(initial, cfg)
+    run, start = _start(initial, cfg)
     beta2_ref = b2 = _beta2(x, run.weights)
-    band = beta2_band(beta2_ref, cfg.delta)
-    f, g = _objective_and_gradient(x, run)
+    band = ((1 - cfg.delta) * beta2_ref, (1 + cfg.delta) * beta2_ref)
+    f, g, mag = _score(start, run)
     n_evals = 1
     edge, normal = _active_edge(x, g, b2, band, beta2_ref, run.weights)
     g_t = _tangent(g, normal)
-    g_t_stop = GTOL * math.sqrt(g_t @ g_t)
+    g_t_norm = math.sqrt(g_t @ g_t)
+    g_t_stop = GTOL * g_t_norm
     memory = deque(maxlen=MEMORY)
 
     def line_search(d):
-        """(t, accepted (x, b2, f, g) or None) of a backtracking search along d."""
+        """(t, accepted (x, b2, f, g, |R|) or None) of a backtracking search along d."""
         nonlocal n_evals
         t = 1.0
         while True:
             cand, b2c = _project(x + t * d, band, run.weights)
-            fc, gc = _objective_and_gradient(cand, run)
+            fc, gc, magc = _evaluate(cand, run)
             n_evals += 1
             if fc < f and fc <= f + ARMIJO * float(g @ (cand - x)):
-                return t, (cand, b2c, fc, gc)
+                return t, (cand, b2c, fc, gc, magc)
             if t * STEP_SHRINK < MIN_STEP:
                 return t, None
             t *= STEP_SHRINK
 
     def record(it, step_size, accepted):
         return TraceRecord(it, _db(f), b2 / beta2_ref, _band_residual(b2, band),
-                           step_size, math.sqrt(g @ g), math.sqrt(g_t @ g_t), accepted)
+                           step_size, math.sqrt(g @ g), g_t_norm, accepted)
 
     trace = [record(0, 0.0, True)]
     reason = None
@@ -366,7 +413,7 @@ def optimize(initial, cfg):
         if new is None:
             reason = "step_underflow"
         else:
-            x_new, b2, f, g = new
+            x_new, b2, f, g, mag = new
             edge_new, normal = _active_edge(x_new, g, b2, band, beta2_ref, run.weights)
             g_t_new = _tangent(g, normal)
             if edge_new != edge:
@@ -377,7 +424,8 @@ def optimize(initial, cfg):
                 if sy > 0:  # a pair without positive curvature would make H indefinite
                     memory.append((s, y, 1.0 / sy))
             x, g_t, edge = x_new, g_t_new, edge_new
-            if math.sqrt(g_t @ g_t) <= g_t_stop:
+            g_t_norm = math.sqrt(g_t @ g_t)
+            if g_t_norm <= g_t_stop:
                 reason = "converged"
 
         if reason or it % cfg.log_every == 0 or it == cfg.max_iterations:
@@ -385,11 +433,10 @@ def optimize(initial, cfg):
         if reason:
             break
 
-    params = initial.with_coefficients(x)
     return OptimizationResult(
-        params=params,
+        params=initial.with_coefficients(x),
         initial_gisr_db=trace[0].objective_db,
-        final_gisr_db=gisr(acf(synthesize_mtsfm(params, run.n_samples)), cfg.p),
+        final_gisr_db=_gisr_db(_null_regions(_lags(run), mag), mag, cfg.p),
         initial_beta2=beta2_ref,
         final_beta2=b2,
         trace=tuple(trace),

@@ -2,15 +2,16 @@
 with the grid-column cache cold and warm."""
 
 import math
+import types
 
 import numpy as np
 import pytest
 
-from mtsfm_cpm import (AcfResult, SampledWaveform, SamplingConfig, Spectrum, acf,
-                       acf_csv, pc_phase, spectrum, spectrum_csv, synthesize_pc,
-                       waveform_csv)
+from mtsfm_cpm import (AcfResult, OptimizerConfig, SampledWaveform, SamplingConfig,
+                       Spectrum, acf, acf_csv, barker_code, optimize, pc_phase, spectrum,
+                       spectrum_csv, synthesize_mtsfm, synthesize_pc, waveform_csv)
+import mtsfm_cpm.metrics as metrics
 from mtsfm_cpm.cli import _mtsfm_waveform, _phase_csv
-from mtsfm_cpm.metrics import _mirrored_text
 from mtsfm_cpm.waveform import _grid_text
 
 from conftest import (MSEQ63_T, acf_csv_oracle, phase_csv_oracle,
@@ -126,8 +127,37 @@ def test_acf_csv_of_random_and_perturbed_values(mseq63_wave32):
 
 
 def test_mirrored_text_formats_nan_on_its_own():
-    # math.atan2 returns one NaN whatever its input, so a NaN whose mirror is
-    # its negation comes only from another caller; repr(-nan) is "nan" too
-    x = [math.nan, -0.0, 1.5, 0.0, -math.nan]
-    assert _mirrored_text(x, True) == list(map(repr, x))
-    assert _mirrored_text(x, False) == list(map(repr, x))
+    # a NaN row whose mirror holds its conjugate bit for bit is formatted on
+    # its own: repr(-nan) is "nan", so its text is no negation of its mirror's
+    head = np.array([complex(math.nan, 0.0), complex(1.0, -math.nan),
+                     complex(math.nan, math.nan)])
+    values = np.concatenate([head, [0.5], np.conj(head[::-1])])
+    assert np.array_equal(values[:3].view(np.int64), np.conj(values[:3:-1]).view(np.int64))
+    a = AcfResult(np.arange(7.0) - 3, values, 1.0, False)
+    assert lines(acf_csv(a)) == lines(acf_csv_oracle(a))
+
+
+@pytest.mark.parametrize("case", ["pc", "k32", "optimized", "barker13", "random"])
+def test_acf_csv_reuses_mirrored_text(case, mseq63_pc, mseq63_wave32, mseq63_fit32,
+                                      barker13_wave, monkeypatch):
+    # the guard against a libm whose atan2 is not odd in y, or whose hypot is
+    # not even: a mirrored row's text is that of formatting its own value
+    if case == "optimized":
+        cfg = OptimizerConfig(max_iterations=15, n_samples=2016)
+        w = synthesize_mtsfm(optimize(mseq63_fit32, cfg).params, 2016)
+    elif case == "random":
+        rng = np.random.default_rng(11)
+        a = AcfResult(np.linspace(-1.0, 1.0, 41), np.array([1, 1j]) @ rng.normal(size=(2, 41)),
+                      0.5, False)
+    else:
+        w = {"pc": mseq63_pc, "k32": mseq63_wave32, "barker13": barker13_wave}[case]
+    if case != "random":
+        a = acf(w)
+    expected = lines(acf_csv_oracle(a))
+    calls = []
+    counting = types.SimpleNamespace(atan2=lambda y, x: calls.append(1) or math.atan2(y, x))
+    monkeypatch.setattr(metrics, "math", counting)
+    assert lines(acf_csv(a)) == expected
+    # a Hermitian ACF takes arg R on its lags >= 0, and at lag -T, whose
+    # exact zero is not the conjugate (0, -0.0) of the zero at lag T
+    assert len(calls) == (a.values.size if case == "random" else a.values.size // 2 + 2)

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from mtsfm_cpm import (DegenerateMainlobe, MtsfmParams, OptimizerConfig, acf,
-                       barker_code, beta2_band, closed_form_rms_bandwidth,
-                       fit_fourier, gisr, gradient, isr, objective, optimize,
-                       project_to_band, synthesize_mtsfm, trace_csv)
+                       barker_code, closed_form_rms_bandwidth, fit_fourier,
+                       generate_msequence, gisr, gradient, isr, objective, optimize,
+                       synthesize_mtsfm, trace_csv)
+import mtsfm_cpm.metrics as metrics
 import mtsfm_cpm.optimizer as opt
+from mtsfm_cpm.metrics import _sidelobe_weights
+from mtsfm_cpm.mtsfm import _beta2_weights
 from mtsfm_cpm.optimizer import (BAND_SLACK, GTOL, MIN_STEP, STEP_SHRINK, _active_edge,
-                                 _objective_and_gradient, _run, _tangent)
+                                 _objective_and_gradient, _project, _run, _tangent)
 from conftest import fd_gradient, two_sided_objective_and_gradient, weak_tones
 
 
@@ -21,6 +24,16 @@ def barker13_fit():
 @pytest.fixture(scope="module")
 def small_cfg():
     return OptimizerConfig(max_iterations=4, n_samples=13 * 16)
+
+
+def band_of(beta2_ref, delta):
+    """The squared-bandwidth band optimize() holds a run to."""
+    return (1 - delta) * beta2_ref, (1 + delta) * beta2_ref
+
+
+def project(params, band):
+    """optimizer._project on the coefficient vector of params."""
+    return _project(params.coefficient_vector(), band, _beta2_weights(params.K, params.T))
 
 
 def test_config_validation():
@@ -136,52 +149,121 @@ def test_trace_grad_norm_is_gradient_norm(barker13_fit, small_cfg):
     assert res.trace[-1].grad_norm == pytest.approx(np.linalg.norm(g), rel=1e-12)
 
 
-def test_final_gisr_is_the_result_metric(mseq63_fit32):
+def test_final_gisr_is_the_result_metric(mseq63_fit32, barker13_fit, monkeypatch):
+    def assert_is_metric(res, params, cfg):
+        n = cfg.resolve_n_samples(params.K)
+        assert res.final_gisr_db == gisr(acf(synthesize_mtsfm(res.params, n)), cfg.p)
+
     cfg = OptimizerConfig(max_iterations=15, n_samples=2016)
     res = optimize(mseq63_fit32, cfg)
     assert res.final_gisr_db < res.initial_gisr_db
-    assert res.final_gisr_db == gisr(acf(synthesize_mtsfm(res.params, 2016)), cfg.p)
+    assert_is_metric(res, mseq63_fit32, cfg)
+    # no step: the start's own evaluation
+    cfg = OptimizerConfig(max_iterations=0, n_samples=2016)
+    res = optimize(mseq63_fit32, cfg)
+    assert res.final_gisr_db == res.initial_gisr_db
+    assert_is_metric(res, mseq63_fit32, cfg)
+    # a converged criterion-4 run at the defaults
+    code = generate_msequence(6, 0b1100000, 62)
+    c4 = fit_fourier(code, 63.0, 32)
+    cfg = OptimizerConfig(p=10, delta=0.1)
+    res = optimize(c4, cfg)
+    assert res.converged
+    assert_is_metric(res, c4, cfg)
+    # step_underflow: every trial after the 9th evaluation fails, so the last
+    # evaluation is a rejected trial and the result is the iterate before it
+    evaluate, n_evals = opt._evaluate, [0]
+
+    def failing_late(vec, run):
+        f, g, mag = evaluate(vec, run)
+        n_evals[0] += 1
+        return (f + 1.0 if n_evals[0] >= 9 else f), g, mag
+
+    monkeypatch.setattr(opt, "_evaluate", failing_late)
+    cfg = OptimizerConfig(n_samples=208)
+    res = optimize(barker13_fit, cfg)
+    assert res.termination_reason == "step_underflow"
+    assert res.trace[-1].iteration > 1 and not res.trace[-1].accepted
+    assert not np.array_equal(res.params.alpha, barker13_fit.alpha)
+    assert_is_metric(res, barker13_fit, cfg)
+
+
+def test_each_iterate_is_correlated_once(mseq63_fit32, barker13_fit, monkeypatch):
+    calls = []
+    fft = metrics._correlation_fft
+
+    def counting(u):
+        calls.append(u.size)
+        return fft(u)
+
+    monkeypatch.setattr(metrics, "_correlation_fft", counting)
+    monkeypatch.setattr(opt, "_correlation_fft", counting)
+    for params, cfg in ((mseq63_fit32, OptimizerConfig(max_iterations=15, n_samples=2016)),
+                        (barker13_fit, OptimizerConfig(n_samples=208)),
+                        (barker13_fit, OptimizerConfig(max_iterations=0, n_samples=208))):
+        calls.clear()
+        res = optimize(params, cfg)
+        assert len(calls) == res.n_evaluations
+        for fn in (objective, gradient):
+            calls.clear()
+            fn(params, cfg)
+            assert len(calls) == 1
+
+
+@pytest.mark.parametrize("case", ["mseq63", "barker13", "barker13-p2"])
+def test_run_regions_match_the_acf_scan(mseq63_fit32, barker13_fit, case):
+    params, cfg = {"mseq63": (mseq63_fit32, OptimizerConfig(n_samples=2016)),
+                   "barker13": (barker13_fit, OptimizerConfig(n_samples=208)),
+                   "barker13-p2": (barker13_fit, OptimizerConfig(p=2))}[case]
+    n = cfg.resolve_n_samples(params.K)
+    expected = _sidelobe_weights(acf(synthesize_mtsfm(params, n)))
+    for (support, weights), (slow_support, slow_weights) in zip(_run(params, cfg).regions,
+                                                                expected):
+        assert support == slow_support
+        assert np.array_equal(weights, slow_weights)
 
 
 def test_project_in_band_is_noop(mseq63_fit32):
     b2 = closed_form_rms_bandwidth(mseq63_fit32)
-    band = beta2_band(b2, 0.1)
-    assert project_to_band(mseq63_fit32, band) is mseq63_fit32
+    vec = mseq63_fit32.coefficient_vector()
+    projected, b2p = _project(vec, band_of(b2, 0.1), _beta2_weights(mseq63_fit32.K,
+                                                                     mseq63_fit32.T))
+    assert projected is vec and b2p == b2
 
 
 def test_project_scales_onto_edge(mseq63_fit32):
     b2 = closed_form_rms_bandwidth(mseq63_fit32)
     band = (b2 / 4, b2 / 2)  # current value sits above the band
-    projected = project_to_band(mseq63_fit32, band)
-    assert np.allclose(projected.alpha, mseq63_fit32.alpha / math.sqrt(2))
-    assert closed_form_rms_bandwidth(projected) == pytest.approx(b2 / 2, rel=1e-12)
+    projected, b2p = project(mseq63_fit32, band)
+    assert np.allclose(projected, mseq63_fit32.coefficient_vector() / math.sqrt(2))
+    assert b2p == pytest.approx(b2 / 2, rel=1e-12)
+    assert b2p == closed_form_rms_bandwidth(mseq63_fit32.with_coefficients(projected))
 
 
 def test_project_idempotent_bit_for_bit(mseq63_fit32):
     b2 = closed_form_rms_bandwidth(mseq63_fit32)
     band = (1.5 * b2, 2.0 * b2)
-    once = project_to_band(mseq63_fit32, band)
-    twice = project_to_band(once, band)
-    assert twice is once
-    assert np.array_equal(twice.alpha, once.alpha)
-    assert np.array_equal(twice.beta, once.beta)
+    once, b2_once = project(mseq63_fit32, band)
+    twice, b2_twice = _project(once, band, _beta2_weights(mseq63_fit32.K, mseq63_fit32.T))
+    assert twice is once and b2_twice == b2_once
 
 
 def test_project_just_above_band_lands_within_slack(mseq63_fit32):
     # hi * (1 + 0.95e-12) is 1.045e-12 above hi relative to the reference:
     # outside the slack, so it must be projected, not passed through
     ref = closed_form_rms_bandwidth(mseq63_fit32)
-    lo, hi = beta2_band(ref, 0.1)
+    lo, hi = band_of(ref, 0.1)
     above = mseq63_fit32.with_coefficients(
         mseq63_fit32.coefficient_vector() * math.sqrt(hi * (1 + 0.95e-12) / ref))
-    b2 = closed_form_rms_bandwidth(project_to_band(above, (lo, hi)))
+    projected, b2 = project(above, (lo, hi))
+    assert not np.array_equal(projected, above.coefficient_vector())
     assert (b2 - hi) / ref <= BAND_SLACK
 
 
 def test_project_rejects_all_zero():
     params = MtsfmParams(0.0, np.zeros(3), np.zeros(3), 1.0)
     with pytest.raises(ValueError):
-        project_to_band(params, (1.0, 2.0))
+        project(params, (1.0, 2.0))
 
 
 def test_optimize_zero_iterations_is_noop(barker13_fit):
@@ -202,7 +284,7 @@ def test_optimize_rejects_all_zero():
 def test_optimize_improves_and_stays_feasible(barker13_fit, small_cfg):
     res = optimize(barker13_fit, small_cfg)
     assert res.final_gisr_db <= res.initial_gisr_db
-    lo, hi = beta2_band(res.initial_beta2, small_cfg.delta)
+    lo, hi = band_of(res.initial_beta2, small_cfg.delta)
     assert lo * (1 - 1e-12) <= res.final_beta2 <= hi * (1 + 1e-12)
     for record in res.trace:
         assert record.constraint_residual <= BAND_SLACK
@@ -267,7 +349,7 @@ def test_converged_is_stationary_on_the_band(barker13_fit):
     res = optimize(barker13_fit, cfg)
     assert res.converged and res.termination_reason == "converged"
     run = _run(barker13_fit, cfg)
-    band = beta2_band(res.initial_beta2, cfg.delta)
+    band = band_of(res.initial_beta2, cfg.delta)
 
     def tangent_norm(vec, b2):
         _, g = _objective_and_gradient(vec, run)
@@ -318,7 +400,7 @@ def test_failed_search_with_memory_retries_along_tangent_gradient(barker13_fit,
     while t * STEP_SHRINK >= MIN_STEP:
         t, trials = t * STEP_SHRINK, trials + 1
     memory, poisoned = [], [0]
-    direction, evaluate = opt._lbfgs_direction, opt._objective_and_gradient
+    direction, evaluate = opt._lbfgs_direction, opt._evaluate
 
     def spy_direction(g_t, mem):
         if len(mem) >= 3 and max(memory, default=0) < 3:
@@ -327,14 +409,14 @@ def test_failed_search_with_memory_retries_along_tangent_gradient(barker13_fit,
         return direction(g_t, mem)
 
     def failing(vec, run):
-        f, g = evaluate(vec, run)
+        f, g, mag = evaluate(vec, run)
         if poisoned[0]:
             poisoned[0] -= 1
-            return f + 1.0, g  # every trial along the L-BFGS direction fails
-        return f, g
+            return f + 1.0, g, mag  # every trial along the L-BFGS direction fails
+        return f, g, mag
 
     monkeypatch.setattr(opt, "_lbfgs_direction", spy_direction)
-    monkeypatch.setattr(opt, "_objective_and_gradient", failing)
+    monkeypatch.setattr(opt, "_evaluate", failing)
     res = optimize(barker13_fit, OptimizerConfig(n_samples=208, max_iterations=12))
     k = next(i for i, m in enumerate(memory) if m >= 3)  # the failed search
     assert all(r.accepted for r in res.trace)  # the retry along -g_t succeeded

@@ -12,14 +12,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from mtsfm_cpm import (MtsfmParams, OptimizerConfig, PhaseCode,  # noqa: E402
-                       SamplingConfig, acf, ambiguity, barker_code, beta2_band,
+                       SamplingConfig, acf, ambiguity, barker_code,
                        closed_form_rms_bandwidth, compute_metrics, dump_phase_code,
-                       fit_fourier, gradient, mtsfm_phase, objective, project_to_band,
+                       fit_fourier, gradient, mtsfm_phase, objective,
                        synthesize_mtsfm, synthesize_pc, time_grid)
 from mtsfm_cpm.cli import main  # noqa: E402
 from mtsfm_cpm.metrics import _next_pow2  # noqa: E402
-from mtsfm_cpm.mtsfm import _phase_samples  # noqa: E402
-from mtsfm_cpm.optimizer import BAND_SLACK  # noqa: E402
+from mtsfm_cpm.mtsfm import _beta2_weights, _phase_samples  # noqa: E402
+from mtsfm_cpm.optimizer import BAND_SLACK, _project  # noqa: E402
 from conftest import (dense_fit, fd_gradient, per_row_ambiguity,  # noqa: E402
                       two_sided_objective_and_gradient)
 
@@ -54,10 +54,11 @@ def test_project_to_band_idempotent_within_slack(seed, log_scale, delta):
     params = BARKER13_FIT.with_coefficients(
         np.exp(log_scale) * (vec + 0.3 * rng.normal(size=vec.size)))
     ref = closed_form_rms_bandwidth(BARKER13_FIT)
-    lo, hi = beta2_band(ref, delta)
-    once = project_to_band(params, (lo, hi))
-    assert project_to_band(once, (lo, hi)) is once
-    b2 = closed_form_rms_bandwidth(once)
+    lo, hi = (1 - delta) * ref, (1 + delta) * ref
+    weights = _beta2_weights(params.K, params.T)
+    once, b2 = _project(params.coefficient_vector(), (lo, hi), weights)
+    assert _project(once, (lo, hi), weights)[0] is once
+    assert b2 == closed_form_rms_bandwidth(params.with_coefficients(once))
     assert max(0.0, lo - b2, b2 - hi) / ref <= BAND_SLACK
 
 
