@@ -9,13 +9,11 @@ sidelobes while an RMS-bandwidth band constraint preserves the mainlobe.
 from .codes import (BARKER_LENGTHS, PRIMITIVE_TAPS, PhaseCode, barker_code,
                     dump_phase_code, generate_msequence, load_phase_code)
 from .estimators import GisrOptimizer, MtsfmSmoother
-from .metrics import (AcfResult, DegenerateMainlobe, FirstNull, MetricsReport,
-                      Spectrum, acf, acf_csv, ambiguity, compute_metrics,
-                      first_null, gisr, isr, mainlobe_area, psl,
-                      rms_bandwidth_spectral, spectral_compactness, spectrum,
-                      spectrum_csv)
-from .mtsfm import (MtsfmParams, closed_form_rms_bandwidth,
-                    closed_form_rms_bandwidth_gradient, fit_fourier,
+from .metrics import (AcfResult, DegenerateMainlobe, MetricsReport, Spectrum,
+                      acf, acf_csv, ambiguity, compute_metrics, gisr, isr,
+                      mainlobe_area, psl, rms_bandwidth_spectral,
+                      spectral_compactness, spectrum, spectrum_csv)
+from .mtsfm import (MtsfmParams, closed_form_rms_bandwidth, fit_fourier,
                     min_harmonics, min_samples, mtsfm_modulation, mtsfm_phase,
                     synthesize_mtsfm)
 from .optimizer import (OptimizationResult, OptimizerConfig, TraceRecord,
@@ -35,9 +33,9 @@ __all__ = [
     "DEFAULT_SAMPLES_PER_CHIP", "MIN_SAMPLES_PER_CHIP",
     "MtsfmParams", "min_harmonics", "min_samples", "fit_fourier",
     "mtsfm_phase", "mtsfm_modulation", "synthesize_mtsfm",
-    "closed_form_rms_bandwidth", "closed_form_rms_bandwidth_gradient",
-    "Spectrum", "AcfResult", "FirstNull", "MetricsReport", "DegenerateMainlobe",
-    "spectrum", "spectral_compactness", "acf", "ambiguity", "first_null",
+    "closed_form_rms_bandwidth",
+    "Spectrum", "AcfResult", "MetricsReport", "DegenerateMainlobe",
+    "spectrum", "spectral_compactness", "acf", "ambiguity",
     "mainlobe_area", "rms_bandwidth_spectral", "psl", "isr", "gisr",
     "compute_metrics", "spectrum_csv", "acf_csv",
     "OptimizerConfig", "OptimizationResult", "TraceRecord", "objective",

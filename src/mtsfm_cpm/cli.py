@@ -201,7 +201,7 @@ def cmd_optimize(args, write):
     check_positive("--delta-f", delta_f)
     cfg = OptimizerConfig(p=args.p, delta=args.delta,
                           max_iterations=args.max_iterations,
-                          n_samples=args.samples, log_every=args.log_every)
+                          n_samples=args.samples)
     result = optimize(params, cfg)
     out_dir = Path(args.out_dir)
     stem = args.output_stem or f"{Path(args.params_file).stem}_opt"
@@ -279,8 +279,16 @@ def cmd_reproduce(args, write):
     return "\n".join(lines)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ValueError, so main() reports it like any
+    other bad input; its subparsers are _Parsers too. --help still exits 0."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mtsfm-cpm",
         description="Smooth phase-coded waveforms with a Fourier-series phase "
                     "and re-optimize their autocorrelation sidelobes under an "
@@ -339,7 +347,6 @@ def build_parser():
     p.add_argument("--delta", type=float, default=OptimizerConfig.delta)
     p.add_argument("--max-iterations", type=int, default=OptimizerConfig.max_iterations)
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--log-every", type=int, default=OptimizerConfig.log_every)
     p.add_argument("--output-stem", default=None)
     p.set_defaults(func=cmd_optimize)
 
@@ -356,10 +363,9 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     outputs = _Outputs()
     try:
+        args = build_parser().parse_args(argv)
         check_int_at_least("--zero-pad", args.zero_pad, 1)
         text = args.func(args, outputs.write)
         outputs.commit()

@@ -42,11 +42,6 @@ class PhaseCode:
     def n(self):
         return self.phases.size
 
-    def is_binary(self, tol=1e-12):
-        """True when every phase is 0 or pi to within tol."""
-        return bool(np.all((np.abs(self.phases) <= tol)
-                           | (np.abs(self.phases - np.pi) <= tol)))
-
 
 # Default maximal-length tap masks per register degree. Bit k of a mask is
 # the x^k coefficient of the feedback polynomial (x^0 is implicit), so

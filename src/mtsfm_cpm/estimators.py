@@ -104,13 +104,13 @@ class GisrOptimizer(_ParamsMixin):
     """Minimize the p-norm sidelobe ratio under the RMS-bandwidth band constraint.
 
     The constructor mirrors OptimizerConfig's fields (p, delta,
-    max_iterations, n_samples, log_every); ``fit`` takes an MtsfmParams
+    max_iterations, n_samples); ``fit`` takes an MtsfmParams
     initialization (for instance MtsfmSmoother().fit(code).params_) and runs
     the L-BFGS of ``optimize`` from it.
 
     Attributes (after fit)
     ----------------------
-    result_ : OptimizationResult
+    result_ : OptimizationResult, whose trace has one record per iteration
     params_ : MtsfmParams, the last (and best) feasible iterate
     converged_ : bool, True when the run stopped stationary on the band: its
         tangent gradient norm fell to optimizer.GTOL times the starting one
@@ -118,12 +118,11 @@ class GisrOptimizer(_ParamsMixin):
 
     def __init__(self, p=OptimizerConfig.p, delta=OptimizerConfig.delta,
                  max_iterations=OptimizerConfig.max_iterations,
-                 n_samples=OptimizerConfig.n_samples, log_every=OptimizerConfig.log_every):
+                 n_samples=OptimizerConfig.n_samples):
         self.p = p
         self.delta = delta
         self.max_iterations = max_iterations
         self.n_samples = n_samples
-        self.log_every = log_every
 
     def fit(self, X, y=None):
         """Run the descent from the initialization X (an MtsfmParams)."""

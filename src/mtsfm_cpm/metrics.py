@@ -11,7 +11,6 @@ import json
 import math
 import warnings
 from dataclasses import InitVar, dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -22,13 +21,11 @@ __all__ = [
     "DegenerateMainlobe",
     "Spectrum",
     "AcfResult",
-    "FirstNull",
     "MetricsReport",
     "spectrum",
     "spectral_compactness",
     "acf",
     "ambiguity",
-    "first_null",
     "mainlobe_area",
     "rms_bandwidth_spectral",
     "psl",
@@ -179,11 +176,6 @@ class AcfResult:
                           ("values", values), ("magnitudes", magnitudes)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-
-
-class FirstNull(NamedTuple):
-    tau: float
-    degenerate: bool
 
 
 def _correlation_fft(u):
@@ -374,12 +366,6 @@ def _null_vertex(lags, magnitudes):
     denom = y0 - 2 * y1 + y2
     offset = 0.5 * (y0 - y2) / denom if denom > 0 else 0.0
     return t1 + min(max(offset, -1.0), 1.0) * (t1 - t0)
-
-
-def first_null(a):
-    """The first ACF null for tau > 0, as located when the ACF was computed;
-    degenerate (tau = T) when none exists."""
-    return FirstNull(a.first_null, a.degenerate)
 
 
 _NO_NULL = "ACF has no interior null; mainlobe/sidelobe metrics are undefined"

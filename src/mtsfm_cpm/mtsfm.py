@@ -30,7 +30,6 @@ __all__ = [
     "min_samples",
     "synthesize_mtsfm",
     "closed_form_rms_bandwidth",
-    "closed_form_rms_bandwidth_gradient",
 ]
 
 
@@ -277,8 +276,3 @@ def closed_form_rms_bandwidth(params):
     No sampling is involved; a0 does not enter.
     """
     return _beta2(params.coefficient_vector(), _beta2_weights(params.K, params.T))
-
-
-def closed_form_rms_bandwidth_gradient(params):
-    """Exact gradient of the squared RMS bandwidth over the 2K coefficients."""
-    return 2 * _beta2_weights(params.K, params.T) * params.coefficient_vector()

@@ -66,16 +66,17 @@ class OptimizerConfig:
     delta: float = 0.1
     max_iterations: int = 400
     n_samples: int | None = None
-    log_every: int = 1
 
     def __post_init__(self):
         check_p(self.p)
         if not 0 < self.delta < 1:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        check_int_at_least("max_iterations", self.max_iterations, 0)
-        check_int_at_least("log_every", self.log_every, 1)
+        # store the int the check returns, so an integral float like 3.0 works
+        object.__setattr__(self, "max_iterations",
+                           check_int_at_least("max_iterations", self.max_iterations, 0))
         if self.n_samples is not None:
-            check_int_at_least("n_samples", self.n_samples, 2)
+            object.__setattr__(self, "n_samples",
+                               check_int_at_least("n_samples", self.n_samples, 2))
 
     def resolve_n_samples(self, K):
         return self.n_samples if self.n_samples is not None else 64 * K
@@ -130,7 +131,8 @@ class _Run(NamedTuple):
     K: int
     p: int
     n_samples: int
-    regions: tuple  # _sidelobe_weights: sidelobe, mainlobe weights on the lags >= 0
+    lags: np.ndarray  # the lags >= 0 of the native lag grid, as acf() builds them
+    regions: tuple  # _sidelobe_weights: sidelobe, mainlobe weights on those lags
     weights: np.ndarray  # _beta2_weights of the coefficient vector
 
 
@@ -154,28 +156,16 @@ def _correlate(vec, run):
     return _Correlation(samples, spec, r_conj, np.abs(r_conj))
 
 
-def _lags(run):
-    """The lags >= 0 of the run's native lag grid, as acf() builds them."""
-    L = run.n_samples
-    return _lag_grid(L, L / run.T, run.T)[L:]
-
-
 def _start(params, cfg):
     """The _Run of optimizing params under cfg, and the _Correlation of
     params it was found from: the mainlobe region is fixed at the first null
     of that |R| (DegenerateMainlobe when it has none), so the start is
     synthesized and correlated once for the region and its first evaluation."""
-    n = cfg.resolve_n_samples(params.K)
-    run = _Run(params.a0, params.T, params.K, cfg.p, n, None,
-               _beta2_weights(params.K, params.T))
+    n, T = cfg.resolve_n_samples(params.K), params.T
+    run = _Run(params.a0, T, params.K, cfg.p, n, _lag_grid(n, n / T, T)[n:], None,
+               _beta2_weights(params.K, T))
     c = _correlate(params.coefficient_vector(), run)
-    return run._replace(regions=_null_regions(_lags(run), c.magnitudes)), c
-
-
-def _run(params, cfg):
-    """The _Run of optimizing params under cfg: its mainlobe region is fixed
-    at the first ACF null of the waveform params synthesize (_start)."""
-    return _start(params, cfg)[0]
+    return run._replace(regions=_null_regions(run.lags, c.magnitudes)), c
 
 
 def _score(c, run):
@@ -222,13 +212,6 @@ def _evaluate(vec, run):
     """(J, g, |R|) of a coefficient vector (_score): every objective
     evaluation of optimize() after the first, which is the start's own."""
     return _score(_correlate(vec, run), run)
-
-
-def _objective_and_gradient(vec, run):
-    """Linear-scale sidelobe ratio J of the waveform built from a coefficient
-    vector, scored on the run's fixed mainlobe and sidelobe regions, and its
-    exact gradient over the 2K coefficients (_score)."""
-    return _evaluate(vec, run)[:2]
 
 
 def objective(params, cfg):
@@ -344,8 +327,8 @@ def optimize(initial, cfg):
     iteration cap. Returns the last iterate: a step is accepted only if it
     strictly lowers the objective, so the last iterate is also the best one
     seen. Every recorded iterate is feasible: its constraint_residual is at
-    most BAND_SLACK. The trace records every log_every-th iteration and
-    always the last, so it ends with the returned iterate. A record's
+    most BAND_SLACK. The trace records every iteration, 0 (the start) to
+    the last, so it ends with the returned iterate. A record's
     step_size is the t its iterate was accepted at (the last t tried when
     none was), its grad_norm is the full |g| and its tangent_grad_norm the
     |g_t| the stop test reads. Two runs with identical inputs produce
@@ -428,15 +411,14 @@ def optimize(initial, cfg):
             if g_t_norm <= g_t_stop:
                 reason = "converged"
 
-        if reason or it % cfg.log_every == 0 or it == cfg.max_iterations:
-            trace.append(record(it, step, new is not None))
+        trace.append(record(it, step, new is not None))
         if reason:
             break
 
     return OptimizationResult(
         params=initial.with_coefficients(x),
         initial_gisr_db=trace[0].objective_db,
-        final_gisr_db=_gisr_db(_null_regions(_lags(run), mag), mag, cfg.p),
+        final_gisr_db=_gisr_db(_null_regions(run.lags, mag), mag, cfg.p),
         initial_beta2=beta2_ref,
         final_beta2=b2,
         trace=tuple(trace),

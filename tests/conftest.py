@@ -7,7 +7,7 @@ from mtsfm_cpm import (MtsfmParams, SamplingConfig, barker_code, fit_fourier,
                        generate_msequence, synthesize_mtsfm, synthesize_pc, time_grid)
 from mtsfm_cpm.metrics import _band_weights, _correlation_fft, _lag_window
 from mtsfm_cpm.mtsfm import _phase_adjoint, _phase_samples
-from mtsfm_cpm.optimizer import _objective_and_gradient, _run
+from mtsfm_cpm.optimizer import _evaluate, _start
 
 # Reference configuration for the 63-chip worked example: this particular
 # register/seed pair lands on the regression values the suite pins down.
@@ -63,14 +63,13 @@ def fd_gradient(params, cfg, h):
     """Central finite-difference gradient over the 2K coefficients of the
     sidelobe ratio on params' own mainlobe region, held fixed as an
     optimize() run holds it: the oracle for the analytic gradient."""
-    run = _run(params, cfg)
+    run = _start(params, cfg)[0]
     vec = params.coefficient_vector()
     g = np.zeros(vec.size)
     for j in range(vec.size):
         vp = vec.copy(); vp[j] += h
         vm = vec.copy(); vm[j] -= h
-        g[j] = (_objective_and_gradient(vp, run)[0]
-                - _objective_and_gradient(vm, run)[0]) / (2 * h)
+        g[j] = (_evaluate(vp, run)[0] - _evaluate(vm, run)[0]) / (2 * h)
     return g
 
 
@@ -156,7 +155,7 @@ def two_sided_objective_and_gradient(vec, a0, T, K, p, n_samples):
     """Sidelobe ratio on the waveform's own mainlobe region, and its gradient
     with that region held fixed, scored on all 2L+1 lags, with the complex
     exponential synthesis and the complex inverse FFT of the lag kernel:
-    the oracle for optimizer._objective_and_gradient."""
+    the oracle for optimizer._evaluate."""
     alpha, beta = vec[:K], vec[K:]
     samples = np.exp(1j * _phase_samples(a0, alpha, beta, n_samples)) / math.sqrt(T)
     sample_rate = n_samples / T

@@ -250,8 +250,7 @@ def test_criterion_8_degenerate_handling():
     L = 1024
     w = m.SampledWaveform(np.ones(L, dtype=complex) / math.sqrt(T), T, L / T)
     a = m.acf(w)
-    assert a.degenerate
-    assert m.first_null(a).degenerate
+    assert a.degenerate and a.first_null == a.lags[-1]
     triangle = 1 - np.abs(a.lags) / T
     assert np.max(np.abs(a.magnitudes - triangle)) < 1e-6
     forced = dataclasses.replace(a, first_null=T, degenerate=False)

@@ -231,9 +231,13 @@ def test_reproduce_mseq63_fast_and_deterministic(tmp_path, capsys):
     ["metrics", "{params}", "--samples", "0"],
     ["fit", "{code}", "-K", "0"],
     ["gen-code", "mseq", "--degree", "6", "--seed", "-1"],
+    ["optimize", "{params}", "--p", "abc"],
+    ["optimize", "{params}", "--log-every", "2"],
+    [],
 ], ids=["reproduce-delta", "reproduce-p", "reproduce-zero-pad", "optimize-zero-pad",
         "optimize-delta-f", "metrics-samples-zero",
-        "fit-zero-harmonics", "gen-code-negative-seed"])
+        "fit-zero-harmonics", "gen-code-negative-seed",
+        "usage-p-not-int", "usage-unknown-flag", "usage-no-subcommand"])
 def test_bad_flag_writes_nothing(tmp_path, capsys, args):
     pfile = tmp_path / "barker13_k7.json"
     pfile.write_text(MtsfmParams(0.0, np.full(7, 0.1), np.zeros(7), 13.0).to_json())
@@ -245,6 +249,20 @@ def test_bad_flag_writes_nothing(tmp_path, capsys, args):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out_dir.exists() or not any(out_dir.rglob("*"))
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["optimize", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: mtsfm-cpm optimize")
+
+
+def test_metrics_flags_a_clamped_band(tmp_path):
+    run(["gen-code", "barker", "--length", "13"], tmp_path)
+    assert run(["metrics", str(tmp_path / "barker13.txt"), "--delta-f", "1e9"], tmp_path) == 0
+    report = json.loads((tmp_path / "barker13_metrics.json").read_text())
+    assert report["sc_clamped"] is True
 
 
 def _no_nonfinite(token):

@@ -30,7 +30,7 @@ def test_builtin_taps_are_maximal():
 def test_msequence_length(degree):
     code = generate_msequence(degree)
     assert code.n == (1 << degree) - 1
-    assert code.is_binary()
+    assert set(code.phases.tolist()) == {0.0, np.pi}
 
 
 def test_msequence_degree6_is_63_chips():

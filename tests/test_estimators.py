@@ -66,6 +66,12 @@ def test_optimizer_estimator_runs(barker13_fit_params):
     assert opt.score() == -opt.result_.final_gisr_db
 
 
+def test_optimizer_estimator_takes_integral_floats(barker13_fit_params):
+    floats = GisrOptimizer(max_iterations=3.0, n_samples=208.0).fit(barker13_fit_params)
+    ints = GisrOptimizer(max_iterations=3, n_samples=208).fit(barker13_fit_params)
+    assert floats.result_.to_json() == ints.result_.to_json()
+
+
 @pytest.fixture(scope="module")
 def barker13_fit_params():
     return fit_fourier(barker_code(13), 13.0, 7)

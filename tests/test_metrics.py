@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,8 +8,7 @@ import pytest
 from mtsfm_cpm import (AcfResult, DegenerateMainlobe, MtsfmParams, PhaseCode,
                        SampledWaveform, SamplingConfig, acf, ambiguity,
                        barker_code, closed_form_rms_bandwidth, compute_metrics,
-                       first_null, gisr, isr,
-                       mainlobe_area, psl, rms_bandwidth_spectral,
+                       gisr, isr, mainlobe_area, psl, rms_bandwidth_spectral,
                        spectral_compactness, spectrum, synthesize_mtsfm,
                        synthesize_pc)
 from mtsfm_cpm.metrics import _next_pow2, _shifted_product
@@ -87,6 +87,15 @@ def test_sc_clamps_with_warning(mseq63_pc):
     with pytest.warns(RuntimeWarning, match="clamp"):
         val = spectral_compactness(sp, 1e9)
     assert 0.999 < val <= 1.0
+
+
+def test_report_flags_a_clamped_band(mseq63_pc):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = compute_metrics(mseq63_pc, delta_f=1e9)
+    assert rep.sc_clamped
+    assert rep.delta_f == 2 * float(spectrum(mseq63_pc).freqs[-1])  # the analysis span
+    assert not compute_metrics(mseq63_pc, delta_f=MSEQ63_BAND).sc_clamped
 
 
 def test_sc_rejects_nonpositive_band(mseq63_pc):
@@ -308,8 +317,7 @@ def test_ambiguity_rejects_nonfinite_grid(barker13_wave):
 
 def test_first_null_degenerate_for_rect():
     a = acf(rect_pulse())
-    res = first_null(a)
-    assert res.degenerate and res.tau == a.lags[-1]
+    assert a.degenerate and a.first_null == a.lags[-1]
 
 
 def test_first_null_near_chip_for_pc(mseq63_pc, barker13_wave):

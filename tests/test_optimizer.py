@@ -12,7 +12,7 @@ import mtsfm_cpm.optimizer as opt
 from mtsfm_cpm.metrics import _sidelobe_weights
 from mtsfm_cpm.mtsfm import _beta2_weights
 from mtsfm_cpm.optimizer import (BAND_SLACK, GTOL, MIN_STEP, STEP_SHRINK, _active_edge,
-                                 _objective_and_gradient, _project, _run, _tangent)
+                                 _evaluate, _project, _start, _tangent)
 from conftest import fd_gradient, two_sided_objective_and_gradient, weak_tones
 
 
@@ -40,7 +40,7 @@ def test_config_validation():
     for p in (1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="p must be >= 2"):
             OptimizerConfig(p=p)
-    for name in ("max_iterations", "log_every", "n_samples"):
+    for name in ("max_iterations", "n_samples"):
         for value in (float("inf"), float("-inf"), float("nan")):
             with pytest.raises(ValueError, match=name):
                 OptimizerConfig(**{name: value})
@@ -48,6 +48,15 @@ def test_config_validation():
         OptimizerConfig(delta=0.0)
     with pytest.raises(ValueError):
         OptimizerConfig(delta=1.5)
+
+
+def test_integral_float_counts_run_as_ints(barker13_fit):
+    cfg = OptimizerConfig(max_iterations=3.0, n_samples=208.0)
+    assert type(cfg.max_iterations) is int and type(cfg.n_samples) is int
+    floats = optimize(barker13_fit, cfg)
+    ints = optimize(barker13_fit, OptimizerConfig(max_iterations=3, n_samples=208))
+    assert trace_csv(floats.trace) == trace_csv(ints.trace)
+    assert floats.to_json() == ints.to_json()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -144,8 +153,7 @@ def test_trace_grad_norm_is_gradient_norm(barker13_fit, small_cfg):
         np.linalg.norm(gradient(barker13_fit, small_cfg)), rel=1e-12)
     assert res.trace[-1].accepted  # the last record is the returned iterate
     # the run scores every iterate on its starting mainlobe region
-    _, g = _objective_and_gradient(res.params.coefficient_vector(),
-                                   _run(barker13_fit, small_cfg))
+    _, g, _ = _evaluate(res.params.coefficient_vector(), _start(barker13_fit, small_cfg)[0])
     assert res.trace[-1].grad_norm == pytest.approx(np.linalg.norm(g), rel=1e-12)
 
 
@@ -217,7 +225,7 @@ def test_run_regions_match_the_acf_scan(mseq63_fit32, barker13_fit, case):
                    "barker13-p2": (barker13_fit, OptimizerConfig(p=2))}[case]
     n = cfg.resolve_n_samples(params.K)
     expected = _sidelobe_weights(acf(synthesize_mtsfm(params, n)))
-    for (support, weights), (slow_support, slow_weights) in zip(_run(params, cfg).regions,
+    for (support, weights), (slow_support, slow_weights) in zip(_start(params, cfg)[0].regions,
                                                                 expected):
         assert support == slow_support
         assert np.array_equal(weights, slow_weights)
@@ -315,16 +323,6 @@ def test_optimize_deterministic(barker13_fit, small_cfg):
     assert np.array_equal(res1.params.alpha, res2.params.alpha)
 
 
-def test_log_every_strides_trace(barker13_fit):
-    dense = optimize(barker13_fit, OptimizerConfig(max_iterations=6, n_samples=208))
-    sparse = optimize(barker13_fit,
-                      OptimizerConfig(max_iterations=6, n_samples=208, log_every=3))
-    assert len(sparse.trace) < len(dense.trace)
-    recorded = {r.iteration for r in sparse.trace}
-    assert 0 in recorded and 6 in recorded  # endpoints always kept
-    assert sparse.final_gisr_db == dense.final_gisr_db  # logging is passive
-
-
 def test_trace_csv_shape(barker13_fit, small_cfg):
     res = optimize(barker13_fit, small_cfg)
     lines = trace_csv(res.trace).strip().split("\n")
@@ -348,11 +346,11 @@ def test_converged_is_stationary_on_the_band(barker13_fit):
     cfg = OptimizerConfig(n_samples=208)
     res = optimize(barker13_fit, cfg)
     assert res.converged and res.termination_reason == "converged"
-    run = _run(barker13_fit, cfg)
+    run = _start(barker13_fit, cfg)[0]
     band = band_of(res.initial_beta2, cfg.delta)
 
     def tangent_norm(vec, b2):
-        _, g = _objective_and_gradient(vec, run)
+        _, g, _ = _evaluate(vec, run)
         _, normal = _active_edge(vec, g, b2, band, res.initial_beta2, run.weights)
         return np.linalg.norm(_tangent(g, normal))
 
@@ -426,12 +424,13 @@ def test_failed_search_with_memory_retries_along_tangent_gradient(barker13_fit,
 
 
 def test_trace_ends_with_the_returned_iterate_off_stride(barker13_fit):
-    cfg = OptimizerConfig(n_samples=208, log_every=7)
+    cfg = OptimizerConfig(n_samples=208)
     res = optimize(barker13_fit, cfg)
     last = res.trace[-1]
-    assert res.converged and last.iteration % cfg.log_every != 0
-    assert [r.iteration for r in res.trace[:-1]] == list(range(0, last.iteration, 7))
-    f, g = _objective_and_gradient(res.params.coefficient_vector(), _run(barker13_fit, cfg))
+    assert res.converged
+    # one record per iteration, 0 (the start) to the last
+    assert [r.iteration for r in res.trace] == list(range(last.iteration + 1))
+    f, g, _ = _evaluate(res.params.coefficient_vector(), _start(barker13_fit, cfg)[0])
     assert last.objective_db == 10 * math.log10(f)
     assert last.grad_norm == pytest.approx(np.linalg.norm(g), rel=1e-12)
     assert last.beta2_rel * res.initial_beta2 == pytest.approx(res.final_beta2, rel=1e-15)

@@ -195,7 +195,7 @@ def test_horner_phase_matches_fft_phase_on_the_grid(seed, K, oversample, T, scal
 
 # Each flag is a pair (values that must succeed, values that may fail); ""
 # leaves the flag out.
-_P = (["", "--p 2", "--p 10", "--p 400", "--p 700"], ["--p 1"])
+_P = (["", "--p 2", "--p 10", "--p 400", "--p 700"], ["--p 1", "--p abc"])
 _DELTA = (["", "--delta 0.2"], ["--delta 2"])
 _DELTA_F = (["", "--delta-f 4"], ["--delta-f -1"])
 _SAMPLES = (["", "--samples 448"], ["--samples 0", "--samples 27"])
