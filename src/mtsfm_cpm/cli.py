@@ -5,6 +5,8 @@ deterministic for fixed inputs and flags, JSON outputs embed the input
 configuration, and a command's files appear together, only if it succeeds
 (each is staged beside its target; the set is renamed into place at the end).
 Each command returns its summary text, printed only after that rename.
+The per-sample CSV exports are formatted just before the rename, over every
+CPU the process may use, to the same bytes on any number of CPUs.
 
 File formats
 ------------
@@ -26,6 +28,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,8 +39,8 @@ from .metrics import _metrics_report, acf, acf_csv, spectrum, spectrum_csv
 from .mtsfm import (MtsfmParams, _phase_samples, fit_fourier, min_harmonics,
                     synthesize_mtsfm)
 from .optimizer import OptimizerConfig, optimize, trace_csv
-from .waveform import (DEFAULT_SAMPLES_PER_CHIP, SamplingConfig, _csv, pc_phase,
-                       synthesize_pc, waveform_csv, waveform_raw_bytes)
+from .waveform import (DEFAULT_SAMPLES_PER_CHIP, SamplingConfig, _csv, _grid_column,
+                       pc_phase, synthesize_pc, waveform_csv, waveform_raw_bytes)
 
 # Reference configurations for the two built-in worked examples.
 MSEQ63 = dict(degree=6, taps=0b1100000, seed=62, harmonics=(64, 32),
@@ -46,13 +49,30 @@ POLY65_FILE = Path("data") / "polyphase_barker_n65.txt"
 POLY65 = dict(harmonics=(65, 33), optimize_harmonics=(33, 65))
 
 
+class _Text(NamedTuple):
+    """A CSV export formatted at commit time: format(*args), one row per
+    entry of grid."""
+
+    format: Callable[..., str]
+    grid: np.ndarray
+    args: tuple
+
+
 class _Outputs:
     """A command's files, staged until commit() renames them into place;
-    discard() removes what is still staged and the directories made for it."""
+    discard() removes what is still staged and the directories made for it.
+
+    Each file gets the mode a plain open() would give it, 0o666 & ~umask
+    (mkstemp stages it 0600). A _Text file is staged empty and formatted by
+    commit(), on every CPU the process may use."""
 
     def __init__(self):
         self.staged = []  # (temp path, target path)
         self.made = []    # directories created, in order
+        self.texts = []   # (temp path, _Text) still to format
+        umask = os.umask(0)  # reading the umask means setting it
+        os.umask(umask)
+        self.mode = 0o666 & ~umask
 
     def write(self, path, data):
         new = [d for d in reversed(path.parents) if not d.exists()]
@@ -61,15 +81,20 @@ class _Outputs:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
         self.staged.append((tmp, path))
         with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
-            fh.write(data)
+            os.fchmod(fd, self.mode)
+            if isinstance(data, _Text):
+                self.texts.append((tmp, data))
+            else:
+                fh.write(data)
 
     def commit(self):
         for _, path in self.staged:  # os.replace cannot overwrite a directory
             if path.is_dir():
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        _format_texts(self.texts)
         for tmp, path in self.staged:
             os.replace(tmp, path)
-        self.staged, self.made = [], []
+        self.staged, self.made, self.texts = [], [], []
 
     def discard(self):
         for tmp, _ in self.staged:
@@ -77,6 +102,91 @@ class _Outputs:
         for d in reversed(self.made):
             if not any(d.iterdir()):
                 d.rmdir()
+
+
+def _cpus():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _shares(texts, n):
+    """texts split into n shares of about equal row count, longest first."""
+    shares, rows = [[] for _ in range(n)], [0] * n
+    for item in sorted(texts, key=lambda item: -item[1].grid.size):
+        i = rows.index(min(rows))
+        shares[i].append(item)
+        rows[i] += item[1].grid.size
+    return shares
+
+
+def _format_share(share):
+    for tmp, text in share:
+        with open(tmp, "w") as fh:
+            fh.write(text.format(*text.args))
+
+
+def _format_texts(texts):
+    """Format each staged (temp path, _Text) into its file.
+
+    The texts are split over one share per CPU this process may use. The
+    process formats the first share itself; each other share goes to a
+    forked worker, which leaves by os._exit, so no atexit handler, stdio
+    flush or test teardown runs in it. Every worker is waited for, also when
+    this process raises; a failed worker raises OSError. The grid columns
+    are cached first, so the workers inherit them and this process keeps
+    them for its next command.
+    """
+    if not texts:
+        return
+    n = min(len(texts), _cpus()) if hasattr(os, "fork") else 1
+    if n > 1:
+        for grid in {text.grid.tobytes(): text.grid for _, text in texts}.values():
+            _grid_column(grid)
+    first, *rest = _shares(texts, n)
+    workers = []
+    try:
+        for share in rest:
+            workers.append(_fork(share))
+        _format_share(first)
+    finally:
+        errors = [e for e in (_join(*worker) for worker in workers) if e]
+    if errors:
+        raise OSError(f"formatting the CSV exports failed in a worker: {errors[0]}")
+
+
+def _fork(share):
+    """Start a worker that formats share; returns its pid and the read end
+    of the pipe it reports an exception on."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        try:
+            _format_share(share)
+            os._exit(0)
+        except BaseException as exc:  # passed on as the pipe text and exit status 1
+            os.write(w, f"{type(exc).__name__}: {exc}".encode()[:4096])
+        finally:
+            os._exit(1)
+    os.close(w)
+    return pid, r
+
+
+def _join(pid, r):
+    """Wait for a worker; its failure as text, or "" if it succeeded."""
+    with open(r, "rb") as fh:
+        message = fh.read().decode(errors="replace")
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status == 0:
+        return ""
+    return message or (f"killed by signal {-status}" if status < 0
+                       else f"exit status {status}")
 
 
 def _phase_csv(times, phases):
@@ -97,8 +207,9 @@ def _write_variant(write, args, out_dir, stem, w, phase, delta_f, exports=(), fm
     """Write one waveform's metric report and the requested exports.
 
     spectrum and ACF are computed once and serve both the report and the
-    exports; phase is the grid phase w was synthesized from. Returns the
-    report and the path it was written to.
+    exports; phase is the grid phase w was synthesized from. The CSV exports
+    are handed to write as _Text, formatted when the files are committed.
+    Returns the report and the path it was written to.
     """
     sp, a = spectrum(w, args.zero_pad), acf(w)
     report = _metrics_report(sp, a, delta_f, args.p)
@@ -110,15 +221,16 @@ def _write_variant(write, args, out_dir, stem, w, phase, delta_f, exports=(), fm
         write(report_path, report.to_json(extra={"config": _provenance(args)}))
     for kind in exports:
         if kind == "spectrum":
-            write(out_dir / f"{stem}_spectrum.csv", spectrum_csv(sp))
+            write(out_dir / f"{stem}_spectrum.csv", _Text(spectrum_csv, sp.freqs, (sp,)))
         elif kind == "acf":
-            write(out_dir / f"{stem}_acf.csv", acf_csv(a))
+            write(out_dir / f"{stem}_acf.csv", _Text(acf_csv, a.lags, (a,)))
         elif kind == "waveform":
-            write(out_dir / f"{stem}_waveform.csv", waveform_csv(w))
+            write(out_dir / f"{stem}_waveform.csv", _Text(waveform_csv, w.times, (w,)))
         elif kind == "waveform-raw":
             write(out_dir / f"{stem}_waveform.f64", waveform_raw_bytes(w))
         elif kind == "phase":
-            write(out_dir / f"{stem}_phase.csv", _phase_csv(w.times, phase))
+            times = w.times
+            write(out_dir / f"{stem}_phase.csv", _Text(_phase_csv, times, (times, phase)))
         else:
             raise ValueError(f"unknown export {kind!r}; choose from {','.join(EXPORTS)}")
     return report, report_path

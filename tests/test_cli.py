@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -7,10 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mtsfm_cpm import MtsfmParams, barker_code, fit_fourier, synthesize_mtsfm
+from mtsfm_cpm import (MtsfmParams, SamplingConfig, acf, barker_code, fit_fourier,
+                       load_phase_code, pc_phase, spectrum, synthesize_mtsfm,
+                       synthesize_pc)
 from mtsfm_cpm import cli
-from mtsfm_cpm.cli import main
-from conftest import weak_tones
+from mtsfm_cpm.cli import _mtsfm_waveform, main
+from mtsfm_cpm.waveform import _grid_text
+from conftest import (acf_csv_oracle, phase_csv_oracle, spectrum_csv_oracle,
+                      waveform_csv_oracle, weak_tones)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -310,6 +315,110 @@ def test_directory_target_renames_nothing(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert err.rstrip().endswith(f"'{blocker}'") and "summary.json." not in err
     assert sorted(tmp_path.rglob("*")) == [blocker.parent, blocker]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_outputs_take_the_umask_mode(tmp_path):
+    old = os.umask(0o022)
+    try:
+        assert run(["reproduce", "mseq63", "--max-iterations", "2"], tmp_path) == 0
+    finally:
+        os.umask(old)
+    modes = {p.name: p.stat().st_mode & 0o777 for p in (tmp_path / "mseq63").iterdir()}
+    assert len(modes) == 22
+    assert set(modes.values()) == {0o644}, modes
+
+
+def reproduce_oracles(out_dir):
+    """{file name: oracle text} of every CSV export of reproduce mseq63."""
+    code = load_phase_code(out_dir / "pc_code.txt")
+    w = synthesize_pc(code, SamplingConfig(63.0))
+    variants = {"pc": (w, pc_phase(code, 63.0, w.times))}
+    opt = json.loads((out_dir / "opt_k32_result.json").read_text())["params"]
+    for name, text in (("init_k32", (out_dir / "fit_k32.json").read_text()),
+                       ("init_k64", (out_dir / "fit_k64.json").read_text()),
+                       ("opt_k32", json.dumps(opt))):
+        variants[name] = _mtsfm_waveform(MtsfmParams.from_json(text), 63 * 32)
+    texts = {}
+    for name, (w, phase) in variants.items():
+        texts[f"{name}_spectrum.csv"] = spectrum_csv_oracle(spectrum(w))
+        texts[f"{name}_acf.csv"] = acf_csv_oracle(acf(w))
+        texts[f"{name}_phase.csv"] = phase_csv_oracle(w.times, phase)
+    return texts
+
+
+def metrics_oracles(out_dir):
+    """{file name: oracle text} of every CSV export of metrics on pc_code.txt."""
+    code = load_phase_code(out_dir / "pc_code.txt")
+    w = synthesize_pc(code, SamplingConfig(63.0))
+    return {"pc_code_spectrum.csv": spectrum_csv_oracle(spectrum(w)),
+            "pc_code_acf.csv": acf_csv_oracle(acf(w)),
+            "pc_code_waveform.csv": waveform_csv_oracle(w),
+            "pc_code_phase.csv": phase_csv_oracle(w.times, pc_phase(code, 63.0, w.times))}
+
+
+@pytest.mark.parametrize("command", ["reproduce", "metrics"])
+def test_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, command):
+    code_file = tmp_path / "pc_code.txt"
+    assert run(["gen-code", "mseq", "--degree", "6", "--taps", "0b1100000",
+                "--seed", "62", "-o", str(code_file)], tmp_path) == 0
+    args, out_dir, oracles = {
+        "reproduce": (["reproduce", "mseq63", "--max-iterations", "2"],
+                      tmp_path / "out" / "mseq63", reproduce_oracles),
+        "metrics": (["metrics", str(code_file),
+                     "--export", "spectrum,acf,waveform,waveform-raw,phase"],
+                    tmp_path / "out", metrics_oracles)}[command]
+    runs = {}
+    for cpus in (1, 3, "no fork"):
+        with monkeypatch.context() as m:
+            if cpus == "no fork":
+                m.delattr(os, "fork")
+            else:
+                m.setattr(cli, "_cpus", lambda: cpus)
+            _grid_text.cache_clear()  # each run formats its grid columns anew
+            assert run(args, tmp_path / "out") == 0
+        runs[cpus] = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        assert_no_child_left()
+    assert runs[3] == runs[1] and runs["no fork"] == runs[1]
+    expected = oracles(tmp_path if command == "metrics" else out_dir)
+    assert len(expected) == sum(name.endswith(".csv") and "trace" not in name
+                                for name in runs[1])
+    for name, text in expected.items():
+        assert runs[1][name].decode() == text, name
+
+
+@pytest.mark.parametrize("where", ["worker", "parent"])
+def test_a_formatter_that_raises_leaves_nothing(tmp_path, monkeypatch, capsys, where):
+    parent = os.getpid()
+
+    def failing(format):
+        def wrapped(*args):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise ValueError(f"formatter failed in the {where}")
+            return format(*args)
+        return wrapped
+
+    monkeypatch.setattr(cli, "_cpus", lambda: 3)
+    for name in ("spectrum_csv", "acf_csv", "_phase_csv"):
+        monkeypatch.setattr(cli, name, failing(getattr(cli, name)))
+    out_dir = tmp_path / "a" / "b"
+    assert run(["reproduce", "mseq63", "--max-iterations", "2"], out_dir) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"formatter failed in the {where}" in captured.err
+    assert not any(tmp_path.iterdir())
+    assert_no_child_left()
+
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "_cpus", lambda: 3)
+    assert run(["reproduce", "mseq63", "--max-iterations", "2"], out_dir) == 0
+    assert len(list((out_dir / "mseq63").iterdir())) == 22
+    assert_no_child_left()
 
 
 def test_unexpected_exception_propagates_and_writes_nothing(tmp_path, monkeypatch):
