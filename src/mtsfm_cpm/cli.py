@@ -203,8 +203,9 @@ def _report_csv(report):
 EXPORTS = ("spectrum", "acf", "waveform", "waveform-raw", "phase")
 
 
-def _write_variant(write, args, out_dir, stem, w, phase, delta_f, exports=(), fmt="json"):
-    """Write one waveform's metric report and the requested exports.
+def _write_variant(write, args, out_dir, stem, w, phase, delta_f, exports=()):
+    """Write one waveform's metric report, encoded as args.format, and the
+    requested exports.
 
     spectrum and ACF are computed once and serve both the report and the
     exports; phase is the grid phase w was synthesized from. The CSV exports
@@ -213,7 +214,7 @@ def _write_variant(write, args, out_dir, stem, w, phase, delta_f, exports=(), fm
     """
     sp, a = spectrum(w, args.zero_pad), acf(w)
     report = _metrics_report(sp, a, delta_f, args.p)
-    if fmt == "csv":
+    if args.format == "csv":
         report_path = out_dir / f"{stem}_metrics.csv"
         write(report_path, _report_csv(report))
     else:
@@ -301,7 +302,7 @@ def cmd_metrics(args, write):
     exports = [e for e in (args.export or "").split(",") if e]
     w, phase, delta_f, stem = _load_input(args)
     report, path = _write_variant(write, args, Path(args.out_dir), stem, w, phase,
-                                  delta_f, exports, args.format)
+                                  delta_f, exports)
     flag = " (degenerate mainlobe)" if report.degenerate else ""
     return (f"SC={report.sc:.4f} @ delta_f={report.delta_f} PSL={report.psl_db} "
             f"ISR={report.isr_db} GISR(p={report.p})={report.gisr_db}{flag} -> {path}")

@@ -75,9 +75,10 @@ def generate_msequence(degree, taps=None, seed=1):
         Register length, 2..16. The code length is 2**degree - 1.
     taps : int, optional
         Feedback polynomial mask; bit k is the x^k coefficient and x^0 is
-        implicit. Defaults to the built-in table entry for ``degree``.
-        Primitivity is not verified here: a non-primitive mask yields a
-        shorter-period sequence and is the caller's responsibility.
+        implicit. Defaults to the built-in table entry for ``degree``. Its
+        highest set bit must be x^degree (ValueError otherwise). Primitivity
+        is not verified here: a non-primitive mask of the right degree yields
+        a shorter-period sequence and is the caller's responsibility.
     seed : int
         Initial register state, 1..2**degree - 1.
 
@@ -89,14 +90,16 @@ def generate_msequence(degree, taps=None, seed=1):
     degree = check_int_at_least("degree", degree, 2)
     if degree > 16:
         raise ValueError(f"degree must be in [2, 16], got {degree}")
-    if taps is None:
-        taps = PRIMITIVE_TAPS[degree]
+    taps = PRIMITIVE_TAPS[degree] if taps is None else int(taps)
+    if taps.bit_length() != degree + 1:
+        raise ValueError(f"taps must have x^{degree} as their highest term "
+                         f"(bit {degree} set, no higher bit), got {taps:#b}")
     n_states = (1 << degree) - 1
     state = seed = int(seed)
     if not 0 < seed <= n_states:
         raise ValueError("seed must be a positive register state below "
                          f"2**{degree}, got {seed}")
-    toggle = (taps >> 1) & n_states
+    toggle = taps >> 1
     bits = np.empty(n_states, dtype=np.int8)
     for i in range(n_states):
         bit = state & 1

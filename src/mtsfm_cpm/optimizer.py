@@ -270,21 +270,21 @@ def _db(x):
 
 
 def _active_edge(x, g, b2, band, beta2_ref, weights):
-    """The band edge that holds the iterate x, with its unit normal:
-    ("lower" or "upper", W x / |W x|) when b2 is within EDGE_TOL of that
-    edge and -g points out of the band there, (None, None) otherwise."""
+    """The unit normal W x / |W x| of the band edge that holds the iterate x:
+    when b2 is within EDGE_TOL of an edge and -g points out of the band
+    there; None otherwise."""
     lo, hi = band
     # the outward normal is W x on the upper edge and -W x on the lower one
     if abs(b2 - hi) <= EDGE_TOL * beta2_ref:
-        edge, outward = "upper", 1.0
+        outward = 1.0
     elif abs(b2 - lo) <= EDGE_TOL * beta2_ref:
-        edge, outward = "lower", -1.0
+        outward = -1.0
     else:
-        return None, None
+        return None
     normal = weights * x
     if outward * float(g @ normal) >= 0:  # -g points into the band
-        return None, None
-    return edge, normal / math.sqrt(normal @ normal)
+        return None
+    return normal / math.sqrt(normal @ normal)
 
 
 def _tangent(v, normal):
@@ -318,9 +318,9 @@ def optimize(initial, cfg):
     and accepts the first with a strict, Armijo-sufficient decrease. On an
     edge that holds the iterate (_active_edge), g_t and the direction are
     projected onto the edge's tangent plane; elsewhere g_t is the gradient.
-    The memory is cleared when the active edge changes, and when a line
-    search fails while memory is held; that search is then retried once
-    along -g_t.
+    Every accepted step offers its (s, y) pair to the memory, which admits
+    it only when s.y > 0. The memory is cleared only when a line search
+    fails while memory is held; that search is then retried once along -g_t.
 
     Terminates as "converged" when |g_t| <= GTOL |g_t(start)|, as
     "step_underflow" when a line search along -g_t fails, or at the
@@ -361,7 +361,7 @@ def optimize(initial, cfg):
     band = ((1 - cfg.delta) * beta2_ref, (1 + cfg.delta) * beta2_ref)
     f, g, mag = _score(start, run)
     n_evals = 1
-    edge, normal = _active_edge(x, g, b2, band, beta2_ref, run.weights)
+    normal = _active_edge(x, g, b2, band, beta2_ref, run.weights)
     g_t = _tangent(g, normal)
     g_t_norm = math.sqrt(g_t @ g_t)
     g_t_stop = GTOL * g_t_norm
@@ -397,16 +397,13 @@ def optimize(initial, cfg):
             reason = "step_underflow"
         else:
             x_new, b2, f, g, mag = new
-            edge_new, normal = _active_edge(x_new, g, b2, band, beta2_ref, run.weights)
+            normal = _active_edge(x_new, g, b2, band, beta2_ref, run.weights)
             g_t_new = _tangent(g, normal)
-            if edge_new != edge:
-                memory.clear()
-            else:
-                s, y = x_new - x, g_t_new - g_t
-                sy = float(s @ y)
-                if sy > 0:  # a pair without positive curvature would make H indefinite
-                    memory.append((s, y, 1.0 / sy))
-            x, g_t, edge = x_new, g_t_new, edge_new
+            s, y = x_new - x, g_t_new - g_t
+            sy = float(s @ y)
+            if sy > 0:  # a pair without positive curvature would make H indefinite
+                memory.append((s, y, 1.0 / sy))
+            x, g_t = x_new, g_t_new
             g_t_norm = math.sqrt(g_t @ g_t)
             if g_t_norm <= g_t_stop:
                 reason = "converged"

@@ -43,6 +43,17 @@ def test_gen_code_mseq(tmp_path, capsys):
     assert len(values) == 63
 
 
+@pytest.mark.parametrize("taps", ["0b11000000", "0b100000", "0", "-1"])
+def test_gen_code_mseq_rejects_taps_of_the_wrong_degree(tmp_path, capsys, taps):
+    out_dir = tmp_path / "out"
+    assert run(["gen-code", "mseq", "--degree", "6", "--taps", taps], out_dir) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: taps must have x^6")
+    assert captured.err.count("\n") == 1
+    assert not out_dir.exists()
+
+
 def test_gen_code_barker(tmp_path, capsys):
     assert run(["gen-code", "barker", "--length", "13"], tmp_path) == 0
     assert "N=13" in capsys.readouterr().out
@@ -142,6 +153,26 @@ def test_metrics_csv_format(tmp_path):
     header, row = (tmp_path / "barker13_metrics.csv").read_text().strip().split("\n")
     assert header.split(",")[0] == "sc_fraction"
     assert float(row.split(",")[0]) == pytest.approx(0.9033, abs=0.01)
+
+
+@pytest.mark.parametrize("command", ["optimize", "reproduce"])
+def test_format_csv_applies_to_every_metrics_report(tmp_path, command):
+    if command == "optimize":
+        pfile = tmp_path / "barker13_k7.json"
+        pfile.write_text(fit_fourier(barker_code(13), 13.0, 7).to_json())
+        args = ["optimize", str(pfile), "--max-iterations", "2", "--samples", "208"]
+        stems = ["barker13_k7_opt_before", "barker13_k7_opt_after"]
+    else:
+        args = ["reproduce", "mseq63", "--max-iterations", "2"]
+        stems = [f"mseq63/{v}" for v in ("pc", "init_k32", "init_k64", "opt_k32")]
+    out_dir = tmp_path / "out"
+    assert run(["--format", "csv"] + args, out_dir) == 0
+    assert not list(out_dir.rglob("*_metrics.json"))
+    assert sorted(out_dir.rglob("*_metrics.csv")) == sorted(
+        out_dir / f"{stem}_metrics.csv" for stem in stems)
+    for stem in stems:
+        header = (out_dir / f"{stem}_metrics.csv").read_text().split("\n")[0]
+        assert header.split(",")[0] == "sc_fraction"
 
 
 def test_optimize_zero_iterations_and_determinism(tmp_path):

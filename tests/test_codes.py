@@ -45,6 +45,14 @@ def test_msequence_degree2_example():
     assert sorted([n_pi, 3 - n_pi]) == [1, 2]
 
 
+@pytest.mark.parametrize("taps", [0b11000000, 0b100000, 0, -1])
+def test_msequence_rejects_taps_of_the_wrong_degree(taps):
+    # none of these masks has x^6 as its highest term, and none gives an
+    # m-sequence at degree 6
+    with pytest.raises(ValueError, match="x\\^6"):
+        generate_msequence(6, taps)
+
+
 @pytest.mark.parametrize("degree", range(2, 11))
 def test_msequence_balance(degree):
     # counts of the two phase values over a full period differ by exactly one
