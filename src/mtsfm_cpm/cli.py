@@ -12,7 +12,8 @@ File formats
 ------------
 phase code   text, one radian value per line, '#' comments ignored
 params       JSON {"T", "a0", "alpha", "beta"}
-metrics      JSON with unit-suffixed keys (or one-row CSV with --format csv)
+metrics      JSON with unit-suffixed keys (or one-row CSV with --format csv,
+             the invoking flags as config_<flag> columns)
 spectrum     CSV ``f_hz,psd``
 acf          CSV ``tau_s,abs_r,arg_r``
 phase        CSV ``t_s,phase_rad``: the grid phase the waveform was synthesized from
@@ -21,6 +22,7 @@ waveform     CSV ``t,re,im`` or raw interleaved little-endian float64 (re, im)
 """
 
 import argparse
+import csv
 import errno
 import io
 import json
@@ -193,11 +195,15 @@ def _phase_csv(times, phases):
     return _csv("t_s,phase_rad", times, np.asarray(phases).tolist())
 
 
-def _report_csv(report):
-    obj = json.loads(report.to_json())
-    keys = [k for k in obj if not isinstance(obj[k], dict)]
-    row = ",".join("" if obj[k] is None else str(obj[k]) for k in keys)
-    return ",".join(keys) + "\n" + row + "\n"
+def _report_csv(report, config):
+    """The report as a header and one row: its fields, then each config key
+    as a config_<key> column, the provenance the JSON report embeds. None is
+    an empty cell, and a cell holding a comma or quote is quoted."""
+    row = json.loads(report.to_json())
+    row.update((f"config_{k}", v) for k, v in config.items())
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([row, row.values()])
+    return buf.getvalue()
 
 
 EXPORTS = ("spectrum", "acf", "waveform", "waveform-raw", "phase")
@@ -216,7 +222,7 @@ def _write_variant(write, args, out_dir, stem, w, phase, delta_f, exports=()):
     report = _metrics_report(sp, a, delta_f, args.p)
     if args.format == "csv":
         report_path = out_dir / f"{stem}_metrics.csv"
-        write(report_path, _report_csv(report))
+        write(report_path, _report_csv(report, _provenance(args)))
     else:
         report_path = out_dir / f"{stem}_metrics.json"
         write(report_path, report.to_json(extra={"config": _provenance(args)}))

@@ -107,13 +107,25 @@ def spectrum(w, zero_pad_factor=4):
     zero_pad_factor=1 the grid coincides with the waveform's harmonic lines
     k/T, which suppresses pulse-edge leakage in moment computations; larger
     factors resolve the continuous spectral envelope between lines.
+
+    The spectrum is built in fftshift order in place: |X| of the two halves
+    of the FFT goes straight into psd, which is then squared, and freqs is
+    fftshift(fftfreq(n_fft, 1/f_s)) bit for bit, odd n_fft included. The
+    centroid's freqs * psd is formed in the FFT's own buffer, which is dead
+    by then.
     """
     zero_pad_factor = check_int_at_least("zero_pad_factor", zero_pad_factor, 1)
-    n_fft = w.n_samples * zero_pad_factor
-    x = np.fft.fft(w.samples, n_fft) * (1.0 / w.sample_rate)
-    psd = np.fft.fftshift(np.abs(x) ** 2)
-    freqs = np.fft.fftshift(np.fft.fftfreq(n_fft, d=1.0 / w.sample_rate))
-    centroid = float(np.sum(freqs * psd) / np.sum(psd))
+    n = w.n_samples * zero_pad_factor
+    h = n // 2
+    x = np.fft.fft(w.samples, n)
+    x *= 1.0 / w.sample_rate
+    psd = np.empty(n)
+    np.abs(x[n - h:], out=psd[:h])
+    np.abs(x[:n - h], out=psd[h:])
+    psd *= psd
+    freqs = np.arange(-h, n - h) * (1.0 / (n * (1.0 / w.sample_rate)))
+    moment = np.multiply(freqs, psd, out=x.view(float)[:n])
+    centroid = float(np.sum(moment) / np.sum(psd))
     return Spectrum(freqs, psd, centroid)
 
 
@@ -297,9 +309,11 @@ def ambiguity(w, doppler_grid):
     is e^{j 2 pi nu t_0} ifft(U_f[m - i] conj(V_f[m + i])) / f_s, where U_f and
     V_f are the spectra of s e^{+-j 2 pi f n / n_fft}. Rows with the same
     fractional part f share U_f and V_f, computed once per class and one
-    class at a time; the f = 0 class uses S itself, so an on-bin row costs
-    one inverse FFT. The nu = 0 row is acf()'s own autocorrelation of S, so
-    it matches acf() bit for bit.
+    class at a time; the f = 0 class uses S itself, so on-bin rows need no
+    forward FFT of their own. The products of a class's rows are written into
+    one (rows x n_fft) block and inverse-transformed by one batched FFT, so
+    a class holds O(rows x n_fft) memory. The nu = 0 row is acf()'s own
+    autocorrelation of S, so it matches acf() bit for bit.
 
     A row whose exact value nu occurs earlier in the grid is copied from the
     first such row. The surface obeys chi(-tau, -nu) = conj(chi(tau, nu)),
@@ -328,15 +342,21 @@ def ambiguity(w, doppler_grid):
             i = math.floor(d)
             classes.setdefault(d - i, []).append((k, i, nu))
         first.setdefault(nu, k)
-    product = np.empty(n_fft, dtype=complex)
-    for f, members in classes.items():  # one class's spectra alive at a time: O(n_fft)
+    for f, members in classes.items():  # one class alive at a time: O(rows x n_fft)
         fu, fvc = _shift_spectra(w.samples, f, n_fft)
+        shifted = []
         for k, i, nu in members:
             if nu == 0:
                 rows[k] = _autocorrelation(fu, L, w.sample_rate)
             else:
-                _lag_window(np.fft.ifft(_shifted_product(fu, fvc, i, product)), L,
-                            cmath.exp(2j * math.pi * nu * t0) / w.sample_rate, rows[k])
+                shifted.append((k, i, nu))
+        if not shifted:
+            continue
+        block = np.empty((len(shifted), n_fft), dtype=complex)
+        for product, (_, i, _) in zip(block, shifted):
+            _shifted_product(fu, fvc, i, product)
+        for cc, (k, _, nu) in zip(np.fft.ifft(block, axis=-1), shifted):
+            _lag_window(cc, L, cmath.exp(2j * math.pi * nu * t0) / w.sample_rate, rows[k])
     for k, j, mirrored in copies:  # row j < k is filled by now
         if mirrored:
             np.conj(rows[j][::-1], out=rows[k])

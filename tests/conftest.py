@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from mtsfm_cpm import (MtsfmParams, SamplingConfig, barker_code, fit_fourier,
                        generate_msequence, synthesize_mtsfm, synthesize_pc, time_grid)
-from mtsfm_cpm.metrics import _band_weights, _correlation_fft, _lag_window
+from mtsfm_cpm.metrics import (_autocorrelation, _band_weights, _correlation_fft,
+                               _lag_window, _next_pow2, _shift_spectra, _shifted_product)
 from mtsfm_cpm.mtsfm import _phase_adjoint, _phase_samples
 from mtsfm_cpm.optimizer import _evaluate, _start
 
@@ -136,6 +138,46 @@ def per_row_ambiguity(w, doppler_grid):
                                        _correlation_fft(w.samples / kernel), L,
                                        w.sample_rate))
     return np.array(rows)
+
+
+def fftshift_spectrum(w, zero_pad_factor):
+    """(freqs, psd, centroid) from fftshift copies of the scaled FFT's |X|^2
+    and of fftfreq: the oracle for metrics.spectrum."""
+    n_fft = w.n_samples * zero_pad_factor
+    x = np.fft.fft(w.samples, n_fft) * (1.0 / w.sample_rate)
+    psd = np.fft.fftshift(np.abs(x) ** 2)
+    freqs = np.fft.fftshift(np.fft.fftfreq(n_fft, d=1.0 / w.sample_rate))
+    return freqs, psd, float(np.sum(freqs * psd) / np.sum(psd))
+
+
+def row_at_a_time_ambiguity(w, doppler_grid):
+    """ambiguity() with each correlated row inverse-transformed on its own:
+    its bin-shifted product, one np.fft.ifft, then _lag_window. Repeated
+    rows are copied, negated rows mirrored and the nu = 0 row autocorrelated
+    as ambiguity() does: the oracle for its batched inverse FFT."""
+    grid = np.asarray(doppler_grid, dtype=float)
+    L = w.n_samples
+    n_fft = _next_pow2(2 * L)
+    t0 = float(time_grid(L, w.T)[0])
+    rows = np.empty((grid.size, 2 * L + 1), dtype=complex)
+    first = {}
+    for k, nu in enumerate(grid.tolist()):
+        if nu in first:
+            rows[k] = rows[first[nu]]
+        elif nu != 0 and -nu in first:
+            rows[k] = np.conj(rows[first[-nu]][::-1])
+        else:
+            d = nu * (w.T * n_fft / (2 * L))
+            i = math.floor(d)
+            fu, fvc = _shift_spectra(w.samples, d - i, n_fft)
+            if nu == 0:
+                rows[k] = _autocorrelation(fu, L, w.sample_rate)
+            else:
+                product = _shifted_product(fu, fvc, i, np.empty(n_fft, dtype=complex))
+                _lag_window(np.fft.ifft(product), L,
+                            cmath.exp(2j * math.pi * nu * t0) / w.sample_rate, rows[k])
+        first.setdefault(nu, k)
+    return rows
 
 
 def _two_sided_null(lags, magnitudes):

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -173,6 +174,28 @@ def test_format_csv_applies_to_every_metrics_report(tmp_path, command):
     for stem in stems:
         header = (out_dir / f"{stem}_metrics.csv").read_text().split("\n")[0]
         assert header.split(",")[0] == "sc_fraction"
+
+
+@pytest.mark.parametrize("command", ["metrics", "reproduce"])
+def test_csv_metrics_report_carries_the_json_config(tmp_path, command):
+    # a comma and a quote in the out-dir must stay inside one cell
+    out_dir = tmp_path / 'out,"dir'
+    if command == "metrics":
+        run(["gen-code", "barker", "--length", "13"], out_dir)
+        args, stem = ["metrics", str(out_dir / "barker13.txt"), "--export", "acf"], "barker13"
+    else:
+        args, stem = ["reproduce", "mseq63", "--max-iterations", "2"], "mseq63/opt_k32"
+    assert run(args, out_dir) == 0
+    assert run(["--format", "csv"] + args, out_dir) == 0
+    report = json.loads((out_dir / f"{stem}_metrics.json").read_text())
+    with open(out_dir / f"{stem}_metrics.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1
+    config = dict(report.pop("config"), format="csv")
+    expected = {k: "" if v is None else str(v) for k, v in report.items()}
+    expected.update((f"config_{k}", "" if v is None else str(v)) for k, v in config.items())
+    assert rows[0] == expected
+    assert rows[0]["config_out_dir"] == str(out_dir)
 
 
 def test_optimize_zero_iterations_and_determinism(tmp_path):

@@ -12,7 +12,8 @@ from mtsfm_cpm import (AcfResult, DegenerateMainlobe, MtsfmParams, PhaseCode,
                        spectral_compactness, spectrum, synthesize_mtsfm,
                        synthesize_pc)
 from mtsfm_cpm.metrics import _next_pow2, _shifted_product
-from conftest import MSEQ63_BAND, MSEQ63_T, complex_acf, per_row_ambiguity
+from conftest import (MSEQ63_BAND, MSEQ63_T, complex_acf, fftshift_spectrum,
+                      per_row_ambiguity, row_at_a_time_ambiguity)
 
 
 def rect_pulse(L=1024, T=1.0):
@@ -36,6 +37,18 @@ def test_spectrum_parseval_various(mseq63_pc, pad):
     sp = spectrum(mseq63_pc, zero_pad_factor=pad)
     assert np.sum(sp.psd) * sp.df == pytest.approx(1.0, abs=1e-9)
     assert sp.freqs.size == mseq63_pc.n_samples * pad
+
+
+@pytest.mark.parametrize("pad", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n_samples", [2016, 2017], ids=["even", "odd"])
+def test_spectrum_matches_the_fftshift_oracle(mseq63_fit32, n_samples, pad):
+    # an odd n_samples makes n_fft odd at pads 1, 3 and 5
+    w = synthesize_mtsfm(mseq63_fit32, n_samples)
+    sp = spectrum(w, zero_pad_factor=pad)
+    freqs, psd, centroid = fftshift_spectrum(w, pad)
+    assert np.array_equal(sp.freqs, freqs)
+    assert np.array_equal(sp.psd, psd)
+    assert sp.centroid == centroid
 
 
 def test_spectrum_rejects_bad_zero_pad(barker13_wave):
@@ -224,6 +237,8 @@ def test_ambiguity_matches_per_row_oracle(request, wave, grid):
     w = request.getfixturevalue(wave)
     grid = np.asarray(grid, dtype=float)
     rows = ambiguity(w, grid)
+    # each class's batched inverse FFT changes no bit of a row
+    assert np.array_equal(rows, row_at_a_time_ambiguity(w, grid))
     oracle = per_row_ambiguity(w, grid)
     assert np.max(np.abs(rows - oracle)) <= 1e-12
     mirrored = 0
@@ -274,8 +289,23 @@ def test_ambiguity_shift_classes_match_per_row_oracle(request, wave, grid, sizes
     w = request.getfixturevalue(wave)
     assert _class_sizes(w, grid) == sizes
     rows = ambiguity(w, grid)
+    assert np.array_equal(rows, row_at_a_time_ambiguity(w, grid))
     assert np.max(np.abs(rows - per_row_ambiguity(w, grid))) <= 1e-12
     assert np.array_equal(rows[np.flatnonzero(grid == 0.0)[0]], acf(w).values)
+
+
+def test_ambiguity_inverse_transforms_a_class_in_one_call(mseq63_wave32, monkeypatch):
+    ifft, calls = np.fft.ifft, []
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return ifft(a, *args, **kwargs)
+
+    # the analyze-sweep grid: one on-bin class of 33 rows, 16 of them
+    # correlated (nu = 0 is acf()'s autocorrelation, the rest are mirrored)
+    monkeypatch.setattr(np.fft, "ifft", counted)
+    ambiguity(mseq63_wave32, np.linspace(-0.5, 0.5, 33))
+    assert calls == [(16, _next_pow2(2 * mseq63_wave32.n_samples))]
 
 
 def test_shifted_product_is_the_rolled_product():

@@ -418,6 +418,17 @@ def test_the_mseq63_problem_set_converges():
         assert psl_db <= -27.0, state
 
 
+def test_the_mseq255_problem_converges():
+    # mseq255 (built-in taps, register state 1), K=128, L=8160, at the
+    # defaults: no workload runs a code this long, so the evaluation count
+    # that a change to the L-BFGS memory rule moves is held here
+    init = fit_fourier(generate_msequence(8, None, 1), 255.0, 128)
+    res = optimize(init, OptimizerConfig(n_samples=8160))
+    assert res.converged
+    assert res.n_evaluations < 150
+    assert psl(acf(synthesize_mtsfm(res.params, 8160))) <= -33.0
+
+
 def test_the_readme_result_does_not_hinge_on_the_last_ulp():
     # the start and five one-ULP nudges of single coefficients land on the
     # same result to the precision README's table prints
