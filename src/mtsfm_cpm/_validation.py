@@ -1,6 +1,7 @@
 """Small input-validation helpers shared across the package."""
 
 import math
+import numbers
 
 import numpy as np
 
@@ -15,6 +16,13 @@ def as_float_vector(values, name):
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite everywhere")
     return arr
+
+
+def check_real(name, value):
+    """Require a real scalar: a bool, a list or an array is rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} has the wrong type: need a real number, got {value!r}")
+    return value
 
 
 def check_positive(name, value):

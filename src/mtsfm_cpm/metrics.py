@@ -15,7 +15,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from ._validation import check_int_at_least, check_p, check_positive
-from .waveform import _csv, _text_csv, time_grid
+from .waveform import _csv, _text_csv
 
 __all__ = [
     "DegenerateMainlobe",
@@ -330,7 +330,7 @@ def ambiguity(w, doppler_grid):
         shifts = doppler_grid * (w.T * n_fft / (2 * L))  # d of each row, in bins
     if not np.all(np.isfinite(shifts)):
         raise ValueError("doppler_grid must be finite, and so must its spectral shifts")
-    t0 = float(time_grid(L, w.T)[0])
+    t0 = float(w.times[0])
     rows = np.empty((doppler_grid.size, 2 * L + 1), dtype=complex)
     first, copies, classes = {}, [], {}  # classes: f -> [(row, i, nu)]
     for k, (nu, d) in enumerate(zip(doppler_grid.tolist(), shifts.tolist())):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._validation import (as_float_vector, check_in_pulse, check_int_at_least,
-                          check_positive)
+                          check_positive, check_real)
 from .codes import PhaseCode
 from .waveform import SampledWaveform
 
@@ -27,9 +27,7 @@ __all__ = [
     "fit_fourier",
     "mtsfm_phase",
     "mtsfm_modulation",
-    "min_samples",
     "synthesize_mtsfm",
-    "closed_form_rms_bandwidth",
 ]
 
 
@@ -52,9 +50,9 @@ class MtsfmParams:
         if alpha.size != beta.size:
             raise ValueError(f"alpha and beta must have equal length, "
                              f"got {alpha.size} and {beta.size}")
-        if not np.isfinite(self.a0):
+        if not np.isfinite(check_real("a0", self.a0)):
             raise ValueError("a0 must be finite")
-        check_positive("T", self.T)
+        check_positive("T", check_real("T", self.T))
         alpha.flags.writeable = False
         beta.flags.writeable = False
         object.__setattr__(self, "alpha", alpha)
@@ -164,15 +162,14 @@ def _phase_samples(a0, alpha, beta, n_samples):
 
     With X_k = (beta_k - j alpha_k) e^{j 2 pi k t_0 / T}, the phase is
     a0/2 + Re sum_k X_k e^{j 2 pi k n / L} = a0/2 + (L/2) irfft(X, L). This
-    needs K < L/2, so L below the min_samples(K) = 4K floor is rejected.
-    (beta, -alpha) is written into the spectrum and the scale and offset are
-    applied in place, with no temporaries.
+    needs K < L/2, so L below a 4K floor (2x oversampling of the highest
+    harmonic) is rejected. (beta, -alpha) is written into the spectrum and
+    the scale and offset are applied in place, with no temporaries.
     """
     K = alpha.size
-    floor = min_samples(K)
-    if n_samples < floor:
+    if n_samples < 4 * K:
         raise ValueError(
-            f"n_samples={n_samples} too small for K={K} harmonics; need >= {floor}")
+            f"n_samples={n_samples} too small for K={K} harmonics; need >= {4 * K}")
     spec = np.zeros(n_samples // 2 + 1, dtype=complex)
     x = spec[1:K + 1]
     x.real = beta
@@ -226,11 +223,6 @@ def mtsfm_modulation(params, t):
     return _fourier_sum(k * (params.alpha + 1j * params.beta), t, params.T) / params.T
 
 
-def min_samples(K):
-    """Synthesis sample-count floor: 2x oversampling of the highest phase harmonic."""
-    return 4 * K
-
-
 def synthesize_mtsfm(params, n_samples):
     """Synthesize the unit-energy constant-modulus waveform at the given density.
 
@@ -264,15 +256,7 @@ def _beta2_weights(K, T):
 
 
 def _beta2(vec, weights):
-    """Squared RMS bandwidth of a coefficient vector, given _beta2_weights."""
+    """Squared RMS bandwidth in (rad/s)^2 of a coefficient vector, given
+    _beta2_weights: (2 pi / T)^2 sum_k k^2 (alpha_k^2 + beta_k^2) / 2, exact,
+    with no sampling; a0 does not enter."""
     return float(weights @ (vec * vec))
-
-
-def closed_form_rms_bandwidth(params):
-    """Squared RMS bandwidth in (rad/s)^2, exactly from the coefficients:
-
-        (2 pi / T)^2 * sum_k k^2 (alpha_k^2 + beta_k^2) / 2.
-
-    No sampling is involved; a0 does not enter.
-    """
-    return _beta2(params.coefficient_vector(), _beta2_weights(params.K, params.T))

@@ -14,10 +14,8 @@ from ._validation import check_in_pulse, check_int_at_least, check_positive
 
 __all__ = [
     "DEFAULT_SAMPLES_PER_CHIP",
-    "MIN_SAMPLES_PER_CHIP",
     "SamplingConfig",
     "SampledWaveform",
-    "time_grid",
     "pc_phase",
     "synthesize_pc",
     "waveform_csv",
@@ -25,7 +23,7 @@ __all__ = [
 ]
 
 DEFAULT_SAMPLES_PER_CHIP = 32
-MIN_SAMPLES_PER_CHIP = 8
+_MIN_SAMPLES_PER_CHIP = 8
 
 
 @dataclass(frozen=True)
@@ -42,7 +40,7 @@ class SamplingConfig:
 
     def __post_init__(self):
         check_positive("T", self.T)
-        check_int_at_least("samples_per_chip", self.samples_per_chip, MIN_SAMPLES_PER_CHIP)
+        check_int_at_least("samples_per_chip", self.samples_per_chip, _MIN_SAMPLES_PER_CHIP)
 
 
 @dataclass(frozen=True)
@@ -81,22 +79,11 @@ class SampledWaveform:
 
     @property
     def times(self):
-        return time_grid(self.n_samples, self.T)
-
-    @classmethod
-    def from_samples(cls, samples, T):
-        """Build a waveform from raw samples, rescaling to unit energy."""
-        samples = np.asarray(samples, dtype=complex)
-        fs = samples.size / T
-        e = np.sum(np.abs(samples) ** 2) / fs
-        if not 0 < e < np.inf:  # all-zero, nan or inf samples
-            raise ValueError(f"cannot normalize samples of energy {e} to unit energy")
-        return cls(samples / np.sqrt(e), T, fs)
+        return _time_grid(self.n_samples, self.T)
 
 
-def time_grid(n_samples, T):
+def _time_grid(n_samples, T):
     """Midpoint sample times: t_n = -T/2 + (n + 1/2) / f_s with f_s = n_samples / T."""
-    n_samples = check_int_at_least("n_samples", n_samples, 2)
     return -T / 2 + (np.arange(n_samples) + 0.5) * (T / n_samples)
 
 

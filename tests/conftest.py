@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from mtsfm_cpm import (MtsfmParams, SamplingConfig, barker_code, fit_fourier,
-                       generate_msequence, synthesize_mtsfm, synthesize_pc, time_grid)
+                       generate_msequence, synthesize_mtsfm, synthesize_pc)
 from mtsfm_cpm.metrics import (_autocorrelation, _band_weights, _correlation_fft,
                                _lag_window, _next_pow2, _shift_spectra, _shifted_product)
-from mtsfm_cpm.mtsfm import _phase_adjoint, _phase_samples
+from mtsfm_cpm.mtsfm import _beta2, _beta2_weights, _phase_adjoint, _phase_samples
 from mtsfm_cpm.optimizer import _evaluate, _start
+from mtsfm_cpm.waveform import _time_grid
 
 # Reference configuration for the 63-chip worked example: this particular
 # register/seed pair lands on the regression values the suite pins down.
@@ -59,6 +60,12 @@ def weak_tones():
     """A weak two-tone phase keeps the ACF a monotone triangle: no interior null."""
     return MtsfmParams(0.0, np.array([0.05, 0.0, 0.0, 0.0]),
                        np.array([0.0, 0.02, 0.0, 0.0]), 2.0)
+
+
+def closed_form_beta2(params):
+    """The squared RMS bandwidth of params from its coefficients, as the
+    optimizer's band constraint computes it."""
+    return _beta2(params.coefficient_vector(), _beta2_weights(params.K, params.T))
 
 
 def fd_gradient(params, cfg, h):
@@ -130,7 +137,7 @@ def per_row_ambiguity(w, doppler_grid):
     samples, none mirrored and none spectrum-shifted: the oracle for
     ambiguity()."""
     L = w.n_samples
-    t = time_grid(L, w.T)
+    t = _time_grid(L, w.T)
     rows = []
     for nu in np.asarray(doppler_grid, dtype=float):
         kernel = np.exp(1j * np.pi * nu * t)
@@ -158,7 +165,7 @@ def row_at_a_time_ambiguity(w, doppler_grid):
     grid = np.asarray(doppler_grid, dtype=float)
     L = w.n_samples
     n_fft = _next_pow2(2 * L)
-    t0 = float(time_grid(L, w.T)[0])
+    t0 = float(_time_grid(L, w.T)[0])
     rows = np.empty((grid.size, 2 * L + 1), dtype=complex)
     first = {}
     for k, nu in enumerate(grid.tolist()):

@@ -17,7 +17,7 @@ import pytest
 import mtsfm_cpm as m
 from mtsfm_cpm.mtsfm import _beta2_weights
 from mtsfm_cpm.optimizer import _project
-from conftest import MSEQ63_BAND, MSEQ63_SEED, MSEQ63_T
+from conftest import MSEQ63_BAND, MSEQ63_SEED, MSEQ63_T, closed_form_beta2
 
 POLY65_FILE = Path(__file__).resolve().parents[1] / "data" / "polyphase_barker_n65.txt"
 DEGREE6_PRIMITIVE = (0b1000010, 0b1011010, 0b1100000, 0b1100110, 0b1101100, 0b1110010)
@@ -175,7 +175,7 @@ def test_criterion_6_oracle_equivalences(mseq63_code, mseq63_pc, barker13_wave):
         params = m.MtsfmParams(0.0, rng.normal(0, 1, 32), rng.normal(0, 1, 32), 1.0)
         w = m.synthesize_mtsfm(params, 4096)
         spec2 = m.rms_bandwidth_spectral(m.spectrum(w, zero_pad_factor=1)) ** 2
-        closed = m.closed_form_rms_bandwidth(params)
+        closed = closed_form_beta2(params)
         worst = max(worst, abs(spec2 - closed) / closed)
     assert worst < 0.02
 
@@ -224,7 +224,7 @@ def test_criterion_7_invariant_suite(mseq63_code, mseq63_pc, mseq63_fit32,
     t2 = m.trace_csv(m.optimize(init, small).trace)
     assert t1.encode() == t2.encode()
     # projection idempotence, bit for bit
-    b2 = m.closed_form_rms_bandwidth(mseq63_fit32)
+    b2 = closed_form_beta2(mseq63_fit32)
     band = (1.5 * b2, 2.0 * b2)
     weights = _beta2_weights(mseq63_fit32.K, mseq63_fit32.T)
     once, _ = _project(mseq63_fit32.coefficient_vector(), band, weights)

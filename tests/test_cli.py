@@ -126,7 +126,10 @@ def test_metrics_p_below_2_on_degenerate_input_writes_nothing(tmp_path, capsys):
     ('{"T": 1.0, "a0": 0.0, "beta": [0.1]}', "missing the key 'alpha'"),
     ('[1.0, 0.0, [0.1], [0.1]]', "object at the top level"),
     ('{"T": "1", "a0": 0.0, "alpha": [0.1], "beta": [0.1]}', "wrong type"),
-], ids=["missing-alpha", "top-level-list", "string-T"])
+    ('{"T": 63.0, "a0": [1.0], "alpha": [0.1, 0.2], "beta": [0.0, 0.1]}',
+     "a0 has the wrong type"),
+    ('{"T": true, "a0": 0.0, "alpha": [0.1], "beta": [0.1]}', "T has the wrong type"),
+], ids=["missing-alpha", "top-level-list", "string-T", "list-a0", "bool-T"])
 def test_metrics_malformed_params_is_one_line_error(tmp_path, capsys, text, message):
     pfile = tmp_path / "bad.json"
     pfile.write_text(text)

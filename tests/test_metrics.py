@@ -7,13 +7,12 @@ import pytest
 
 from mtsfm_cpm import (AcfResult, DegenerateMainlobe, MtsfmParams, PhaseCode,
                        SampledWaveform, SamplingConfig, acf, ambiguity,
-                       barker_code, closed_form_rms_bandwidth, compute_metrics,
-                       gisr, isr, mainlobe_area, psl, rms_bandwidth_spectral,
-                       spectral_compactness, spectrum, synthesize_mtsfm,
-                       synthesize_pc)
+                       barker_code, compute_metrics, gisr, isr, mainlobe_area,
+                       psl, rms_bandwidth_spectral, spectral_compactness,
+                       spectrum, synthesize_mtsfm, synthesize_pc)
 from mtsfm_cpm.metrics import _next_pow2, _shifted_product
-from conftest import (MSEQ63_BAND, MSEQ63_T, complex_acf, fftshift_spectrum,
-                      per_row_ambiguity, row_at_a_time_ambiguity)
+from conftest import (MSEQ63_BAND, MSEQ63_T, closed_form_beta2, complex_acf,
+                      fftshift_spectrum, per_row_ambiguity, row_at_a_time_ambiguity)
 
 
 def rect_pulse(L=1024, T=1.0):
@@ -376,7 +375,7 @@ def test_mainlobe_area_matches_quadrature_oracle(barker13_wave):
 def test_mainlobe_area_tracks_rms_bandwidth(mseq63_fit32):
     w = synthesize_mtsfm(mseq63_fit32, 2016)
     a = acf(w)
-    beta_rms = math.sqrt(closed_form_rms_bandwidth(mseq63_fit32))
+    beta_rms = math.sqrt(closed_form_beta2(mseq63_fit32))
     assert mainlobe_area(a) == pytest.approx(np.pi / (2 * beta_rms), rel=0.30)
 
 
@@ -395,7 +394,7 @@ def test_rms_bandwidth_single_tone_matches_closed_form():
     params = MtsfmParams(0.0, np.array([1.0]), np.array([0.0]), 1.0)
     w = synthesize_mtsfm(params, 512)
     got = rms_bandwidth_spectral(spectrum(w, zero_pad_factor=1))
-    want = math.sqrt(closed_form_rms_bandwidth(params))
+    want = math.sqrt(closed_form_beta2(params))
     assert got == pytest.approx(want, rel=0.02)
 
 

@@ -4,14 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mtsfm_cpm import (MtsfmParams, PhaseCode, closed_form_rms_bandwidth,
-                       compute_metrics, fit_fourier, generate_msequence,
-                       min_harmonics, min_samples, mtsfm_modulation, mtsfm_phase,
-                       rms_bandwidth_spectral, spectral_compactness, spectrum,
-                       synthesize_mtsfm, time_grid)
+from mtsfm_cpm import (MtsfmParams, PhaseCode, compute_metrics, fit_fourier,
+                       generate_msequence, min_harmonics, mtsfm_modulation,
+                       mtsfm_phase, rms_bandwidth_spectral, spectral_compactness,
+                       spectrum, synthesize_mtsfm)
 from mtsfm_cpm.mtsfm import _beta2_weights
-from conftest import (MSEQ63_BAND, MSEQ63_T, dense_fit, dense_modulation,
-                      dense_phase)
+from mtsfm_cpm.waveform import _time_grid
+from conftest import (MSEQ63_BAND, MSEQ63_T, closed_form_beta2, dense_fit,
+                      dense_modulation, dense_phase)
 
 
 def make_params(a0=0.0, alpha=(1.0,), beta=None, T=1.0):
@@ -59,7 +59,7 @@ def test_fit_step_code_analytic():
 def test_fit_converges_pointwise(mseq63_code):
     # sup error away from chip boundaries shrinks as K grows
     T, n = MSEQ63_T, mseq63_code.n
-    t = time_grid(n * 64, T)
+    t = _time_grid(n * 64, T)
     tb = T / n
     boundaries = -T / 2 + np.arange(1, n) * tb
     mask = np.ones(t.size, bool)
@@ -77,7 +77,7 @@ def test_fit_recovers_fourier_input():
     # phase sampled from a Fourier-form waveform, refit as piecewise data
     rng = np.random.default_rng(7)
     params = make_params(a0=0.7, alpha=rng.normal(0, 1, 3), beta=rng.normal(0, 1, 3))
-    phi = mtsfm_phase(params, time_grid(4096, params.T))
+    phi = mtsfm_phase(params, _time_grid(4096, params.T))
     refit = fit_fourier(phi, params.T, 3)
     assert abs(refit.a0 - params.a0) < 1e-6
     assert np.max(np.abs(refit.alpha - params.alpha)) < 1e-6
@@ -181,7 +181,7 @@ def test_phase_and_modulation_memory_is_linear_in_times():
     # where one dense len(t) x K float matrix alone takes 128 MiB
     code = generate_msequence(10)
     params = fit_fourier(code, float(code.n), min_harmonics(code.n))
-    t = time_grid(32 * code.n, params.T)
+    t = _time_grid(32 * code.n, params.T)
     assert (params.K, t.size) == (512, 32736)
     for fn in (mtsfm_phase, mtsfm_modulation):
         tracemalloc.start()
@@ -219,7 +219,7 @@ def test_synthesize_zero_params_is_triangle_downstream():
 
 def test_synthesize_rejects_undersampling():
     params = make_params(alpha=np.zeros(16))
-    with pytest.raises(ValueError, match=str(min_samples(16))):
+    with pytest.raises(ValueError, match=str(4 * 16)):
         synthesize_mtsfm(params, 63)
     for n in (float("inf"), float("-inf"), float("nan")):
         with pytest.raises(ValueError, match="n_samples"):
@@ -235,7 +235,7 @@ def test_synthesize_energy_and_modulus(mseq63_fit32):
 
 def dense_basis(K, L):
     """sin/cos matrices of the harmonics on the L-point midpoint grid."""
-    ang = 2 * np.pi * np.outer(time_grid(L, 1.0), np.arange(1, K + 1))
+    ang = 2 * np.pi * np.outer(_time_grid(L, 1.0), np.arange(1, K + 1))
     return np.sin(ang), np.cos(ang)
 
 
@@ -262,18 +262,18 @@ def test_fft_synthesis_matches_dense_basis(K, L):
 # --------------------------------------------------------------------------
 
 def test_beta2_zero_and_single_term():
-    assert closed_form_rms_bandwidth(make_params(alpha=[0.0, 0.0])) == 0.0
+    assert closed_form_beta2(make_params(alpha=[0.0, 0.0])) == 0.0
     a, T = 1.3, 2.0
-    assert closed_form_rms_bandwidth(make_params(alpha=[a], T=T)) == pytest.approx(
+    assert closed_form_beta2(make_params(alpha=[a], T=T)) == pytest.approx(
         (2 * np.pi / T) ** 2 * a ** 2 / 2)
 
 
 def test_beta2_invariances():
     rng = np.random.default_rng(11)
     alpha, beta = rng.normal(0, 1, 6), rng.normal(0, 1, 6)
-    base = closed_form_rms_bandwidth(make_params(alpha=alpha, beta=beta))
-    flipped = closed_form_rms_bandwidth(make_params(alpha=-alpha, beta=beta))
-    swapped = closed_form_rms_bandwidth(make_params(alpha=beta, beta=alpha))
+    base = closed_form_beta2(make_params(alpha=alpha, beta=beta))
+    flipped = closed_form_beta2(make_params(alpha=-alpha, beta=beta))
+    swapped = closed_form_beta2(make_params(alpha=beta, beta=alpha))
     assert flipped == base
     assert swapped == base
 
@@ -282,7 +282,7 @@ def test_beta2_matches_spectral(mseq63_fit32):
     # line-aligned spectrum (no padding) removes pulse-edge leakage
     w = synthesize_mtsfm(mseq63_fit32, 2016)
     beta2_spec = rms_bandwidth_spectral(spectrum(w, zero_pad_factor=1)) ** 2
-    beta2_cf = closed_form_rms_bandwidth(mseq63_fit32)
+    beta2_cf = closed_form_beta2(mseq63_fit32)
     assert beta2_spec == pytest.approx(beta2_cf, rel=0.02)
 
 
@@ -298,8 +298,8 @@ def test_beta2_gradient_matches_finite_differences():
         vp, vm = vec.copy(), vec.copy()
         vp[j] += h
         vm[j] -= h
-        fd = (closed_form_rms_bandwidth(params.with_coefficients(vp))
-              - closed_form_rms_bandwidth(params.with_coefficients(vm))) / (2 * h)
+        fd = (closed_form_beta2(params.with_coefficients(vp))
+              - closed_form_beta2(params.with_coefficients(vm))) / (2 * h)
         assert fd == pytest.approx(grad[j], rel=1e-8, abs=1e-10)
 
 
@@ -347,3 +347,8 @@ def test_params_validation():
         MtsfmParams(np.inf, np.array([1.0]), np.array([1.0]), 1.0)
     with pytest.raises(ValueError):
         MtsfmParams(0.0, np.array([1.0]), np.array([1.0]), -1.0)
+    # a0 and T are real scalars: a list, an array or a bool is rejected by name
+    for a0, T, name in (([1.0], 1.0, "a0"), (np.array(1.0), 1.0, "a0"),
+                        (True, 1.0, "a0"), (0.0, [1.0], "T"), (0.0, True, "T")):
+        with pytest.raises(ValueError, match=f"^{name} has the wrong type"):
+            MtsfmParams(a0, np.array([1.0]), np.array([1.0]), T)

@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from mtsfm_cpm import (DegenerateMainlobe, MtsfmParams, OptimizerConfig, acf,
-                       barker_code, closed_form_rms_bandwidth, fit_fourier,
-                       generate_msequence, gisr, gradient, isr, objective, optimize,
-                       psl, spectral_compactness, spectrum, synthesize_mtsfm, trace_csv)
+                       barker_code, fit_fourier, generate_msequence, gisr, gradient,
+                       isr, objective, optimize, psl, spectral_compactness, spectrum,
+                       synthesize_mtsfm, trace_csv)
 import mtsfm_cpm.metrics as metrics
 import mtsfm_cpm.optimizer as opt
 from mtsfm_cpm.metrics import _sidelobe_weights
 from mtsfm_cpm.mtsfm import _beta2_weights
 from mtsfm_cpm.optimizer import (BAND_SLACK, GTOL, MIN_STEP, STEP_SHRINK, _active_edge,
                                  _evaluate, _project, _start, _tangent)
-from conftest import (MSEQ63_BAND, MSEQ63_SEED, MSEQ63_T, MSEQ63_TAPS, fd_gradient,
+from conftest import (MSEQ63_BAND, MSEQ63_SEED, MSEQ63_T, MSEQ63_TAPS,
+                      closed_form_beta2, fd_gradient,
                       two_sided_objective_and_gradient, weak_tones)
 
 
@@ -232,7 +233,7 @@ def test_run_regions_match_the_acf_scan(mseq63_fit32, barker13_fit, case):
 
 
 def test_project_in_band_is_noop(mseq63_fit32):
-    b2 = closed_form_rms_bandwidth(mseq63_fit32)
+    b2 = closed_form_beta2(mseq63_fit32)
     vec = mseq63_fit32.coefficient_vector()
     projected, b2p = _project(vec, band_of(b2, 0.1), _beta2_weights(mseq63_fit32.K,
                                                                      mseq63_fit32.T))
@@ -240,16 +241,16 @@ def test_project_in_band_is_noop(mseq63_fit32):
 
 
 def test_project_scales_onto_edge(mseq63_fit32):
-    b2 = closed_form_rms_bandwidth(mseq63_fit32)
+    b2 = closed_form_beta2(mseq63_fit32)
     band = (b2 / 4, b2 / 2)  # current value sits above the band
     projected, b2p = project(mseq63_fit32, band)
     assert np.allclose(projected, mseq63_fit32.coefficient_vector() / math.sqrt(2))
     assert b2p == pytest.approx(b2 / 2, rel=1e-12)
-    assert b2p == closed_form_rms_bandwidth(mseq63_fit32.with_coefficients(projected))
+    assert b2p == closed_form_beta2(mseq63_fit32.with_coefficients(projected))
 
 
 def test_project_idempotent_bit_for_bit(mseq63_fit32):
-    b2 = closed_form_rms_bandwidth(mseq63_fit32)
+    b2 = closed_form_beta2(mseq63_fit32)
     band = (1.5 * b2, 2.0 * b2)
     once, b2_once = project(mseq63_fit32, band)
     twice, b2_twice = _project(once, band, _beta2_weights(mseq63_fit32.K, mseq63_fit32.T))
@@ -259,7 +260,7 @@ def test_project_idempotent_bit_for_bit(mseq63_fit32):
 def test_project_just_above_band_lands_within_slack(mseq63_fit32):
     # hi * (1 + 0.95e-12) is 1.045e-12 above hi relative to the reference:
     # outside the slack, so it must be projected, not passed through
-    ref = closed_form_rms_bandwidth(mseq63_fit32)
+    ref = closed_form_beta2(mseq63_fit32)
     lo, hi = band_of(ref, 0.1)
     above = mseq63_fit32.with_coefficients(
         mseq63_fit32.coefficient_vector() * math.sqrt(hi * (1 + 0.95e-12) / ref))

@@ -11,17 +11,19 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from mtsfm_cpm import (MtsfmParams, OptimizerConfig, PhaseCode,  # noqa: E402
-                       SamplingConfig, acf, ambiguity, barker_code,
-                       closed_form_rms_bandwidth, compute_metrics, dump_phase_code,
-                       fit_fourier, gradient, mtsfm_phase, objective,
-                       synthesize_mtsfm, synthesize_pc, time_grid)
+from mtsfm_cpm import (DegenerateMainlobe, MtsfmParams, OptimizerConfig,  # noqa: E402
+                       PhaseCode, SamplingConfig, acf, ambiguity, barker_code,
+                       compute_metrics, dump_phase_code, fit_fourier, gisr, gradient,
+                       mtsfm_phase, objective, optimize, synthesize_mtsfm,
+                       synthesize_pc)
 from mtsfm_cpm.cli import main  # noqa: E402
 from mtsfm_cpm.metrics import _next_pow2  # noqa: E402
 from mtsfm_cpm.mtsfm import _beta2_weights, _phase_samples  # noqa: E402
-from mtsfm_cpm.optimizer import BAND_SLACK, _project  # noqa: E402
-from conftest import (dense_fit, fd_gradient, per_row_ambiguity,  # noqa: E402
-                      two_sided_objective_and_gradient)
+from mtsfm_cpm.optimizer import (BAND_SLACK, GTOL, _db, _evaluate,  # noqa: E402
+                                 _project, _start)
+from mtsfm_cpm.waveform import _time_grid  # noqa: E402
+from conftest import (closed_form_beta2, dense_fit, fd_gradient,  # noqa: E402
+                      per_row_ambiguity, two_sided_objective_and_gradient)
 
 BARKER13_FIT = fit_fourier(barker_code(13), 13.0, 7)
 
@@ -53,12 +55,12 @@ def test_project_to_band_idempotent_within_slack(seed, log_scale, delta):
     vec = BARKER13_FIT.coefficient_vector()
     params = BARKER13_FIT.with_coefficients(
         np.exp(log_scale) * (vec + 0.3 * rng.normal(size=vec.size)))
-    ref = closed_form_rms_bandwidth(BARKER13_FIT)
+    ref = closed_form_beta2(BARKER13_FIT)
     lo, hi = (1 - delta) * ref, (1 + delta) * ref
     weights = _beta2_weights(params.K, params.T)
     once, b2 = _project(params.coefficient_vector(), (lo, hi), weights)
     assert _project(once, (lo, hi), weights)[0] is once
-    assert b2 == closed_form_rms_bandwidth(params.with_coefficients(once))
+    assert b2 == closed_form_beta2(params.with_coefficients(once))
     assert max(0.0, lo - b2, b2 - hi) / ref <= BAND_SLACK
 
 
@@ -190,7 +192,7 @@ def test_horner_phase_matches_fft_phase_on_the_grid(seed, K, oversample, T, scal
     grid_phase = _phase_samples(params.a0, params.alpha, params.beta, n)
     # a0 / 2 is added last on both sides, so it enters the bound at face value
     bound = 1e-12 * (abs(params.a0) / 2 + np.sum(np.hypot(params.alpha, params.beta)))
-    assert np.max(np.abs(mtsfm_phase(params, time_grid(n, T)) - grid_phase)) <= bound
+    assert np.max(np.abs(mtsfm_phase(params, _time_grid(n, T)) - grid_phase)) <= bound
 
 
 # Each flag is a pair (values that must succeed, values that may fail); ""
@@ -256,3 +258,55 @@ def test_cli_succeeds_or_fails_whole(case):
             assert status == 1 and out.getvalue() == ""
             assert len(errors) == 1 and err.getvalue().endswith(errors[0] + "\n")
             assert not out_dir.exists() or not any(out_dir.rglob("*"))
+
+
+@st.composite
+def _optimize_problem(draw):
+    """(initial params, cfg): a fit of a random binary or polyphase code."""
+    n = draw(st.integers(2, 39))
+    if draw(st.booleans()):
+        phases = np.pi * np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    else:
+        phases = np.array(draw(st.lists(st.floats(-np.pi, np.pi), min_size=n, max_size=n)))
+    K = draw(st.integers(1, 23))
+    T = draw(st.floats(0.1, 100.0))
+    cfg = OptimizerConfig(p=draw(st.sampled_from([2, 4, 10, 50])),
+                          delta=draw(st.sampled_from([0.01, 0.1, 0.5])),
+                          max_iterations=draw(st.integers(0, 59)),
+                          n_samples=4 * K + draw(st.integers(0, 64)))
+    return fit_fourier(phases, T, K), cfg
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(problem=_optimize_problem())
+def test_optimize_keeps_its_contract(problem):
+    """On any fitted problem optimize() either raises one of its two stated
+    errors or returns a feasible, monotone, reproducible result whose trace
+    ends with the returned iterate."""
+    initial, cfg = problem
+    try:
+        res = optimize(initial, cfg)
+    except DegenerateMainlobe:
+        return
+    except ValueError as exc:
+        assert "all-zero coefficients" in str(exc)
+        return
+    trace = res.trace
+    assert all(r.constraint_residual <= BAND_SLACK for r in trace)
+    accepted = [r.objective_db for r in trace if r.accepted]
+    assert all(b <= a for a, b in zip(accepted, accepted[1:]))
+    assert 1 <= len(trace) <= cfg.max_iterations + 1
+    assert [r.iteration for r in trace] == list(range(len(trace)))
+    # the last record describes the returned iterate, scored on the run's region
+    run = _start(initial, cfg)[0]
+    assert trace[-1].objective_db == _db(_evaluate(res.params.coefficient_vector(), run)[0])
+    assert trace[-1].beta2_rel == res.final_beta2 / res.initial_beta2
+    if res.converged:
+        assert trace[-1].tangent_grad_norm <= GTOL * trace[0].tangent_grad_norm
+    assert res.final_gisr_db == gisr(acf(synthesize_mtsfm(res.params, run.n_samples)), cfg.p)
+    assert res.final_beta2 == closed_form_beta2(res.params)
+    lo, hi = (1 - cfg.delta) * res.initial_beta2, (1 + cfg.delta) * res.initial_beta2
+    assert max(0.0, lo - res.final_beta2, res.final_beta2 - hi) <= BAND_SLACK * (lo + hi) / 2
+    again = optimize(initial, cfg)
+    assert again.trace == trace and again.to_json() == res.to_json()

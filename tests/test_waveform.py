@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from mtsfm_cpm import (PhaseCode, SampledWaveform, SamplingConfig, acf,
-                       pc_phase, spectrum, synthesize_pc, time_grid,
-                       waveform_csv, waveform_raw_bytes)
+                       pc_phase, spectrum, synthesize_pc, waveform_csv,
+                       waveform_raw_bytes)
+from mtsfm_cpm.waveform import _time_grid
 
 
 def test_sampling_config_validation():
@@ -15,7 +16,7 @@ def test_sampling_config_validation():
 
 
 def test_time_grid_midpoints():
-    t = time_grid(8, 2.0)
+    t = _time_grid(8, 2.0)
     assert t[0] == pytest.approx(-1.0 + 0.125)
     assert np.allclose(np.diff(t), 0.25)
     assert t[-1] == pytest.approx(1.0 - 0.125)
@@ -87,13 +88,6 @@ def test_sampled_waveform_rejects_non_finite_samples(bad):
         SampledWaveform([bad, bad], 1.0, 2.0)
     with pytest.raises(ValueError, match="energy"):
         SampledWaveform([bad, 1.0], 1.0, 2.0)
-    with pytest.raises(ValueError, match="energy"):
-        SampledWaveform.from_samples([bad, 1.0], 1.0)
-
-
-def test_from_samples_normalizes():
-    w = SampledWaveform.from_samples(3.7 * np.ones(8), T=1.0)
-    assert abs(w.energy - 1.0) < 1e-12
 
 
 def test_waveform_csv_round_trip(barker13_wave):
