@@ -26,7 +26,14 @@ def check_real(name, value):
 
 
 def check_positive(name, value):
-    if not np.isfinite(value) or value <= 0:
+    """Require a real scalar (see check_real) that is positive and finite as
+    a float: an int too large for a float is not."""
+    check_real(name, value)
+    try:
+        ok = math.isfinite(value) and value > 0
+    except OverflowError:  # an int too large for a float
+        ok = False
+    if not ok:
         raise ValueError(f"{name} must be positive and finite, got {value}")
     return value
 

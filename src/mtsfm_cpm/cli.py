@@ -213,13 +213,15 @@ def _write_variant(write, args, out_dir, stem, w, phase, delta_f, exports=()):
     """Write one waveform's metric report, encoded as args.format, and the
     requested exports.
 
-    spectrum and ACF are computed once and serve both the report and the
-    exports; phase is the grid phase w was synthesized from. The CSV exports
-    are handed to write as _Text, formatted when the files are committed.
-    Returns the report and the path it was written to.
+    The ACF is computed once and serves both the report and the exports;
+    the report takes SC and the RMS bandwidth from it, so the zero-padded
+    spectrum is built only for the spectrum export. phase is the grid phase
+    w was synthesized from. The CSV exports are handed to write as _Text,
+    formatted when the files are committed. Returns the report and the path
+    it was written to.
     """
-    sp, a = spectrum(w, args.zero_pad), acf(w)
-    report = _metrics_report(sp, a, delta_f, args.p)
+    a = acf(w)
+    report = _metrics_report(w, a, delta_f, args.p, args.zero_pad)
     if args.format == "csv":
         report_path = out_dir / f"{stem}_metrics.csv"
         write(report_path, _report_csv(report, _provenance(args)))
@@ -228,6 +230,7 @@ def _write_variant(write, args, out_dir, stem, w, phase, delta_f, exports=()):
         write(report_path, report.to_json(extra={"config": _provenance(args)}))
     for kind in exports:
         if kind == "spectrum":
+            sp = spectrum(w, args.zero_pad)
             write(out_dir / f"{stem}_spectrum.csv", _Text(spectrum_csv, sp.freqs, (sp,)))
         elif kind == "acf":
             write(out_dir / f"{stem}_acf.csv", _Text(acf_csv, a.lags, (a,)))

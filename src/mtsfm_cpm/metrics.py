@@ -552,32 +552,119 @@ def compute_metrics(w, delta_f, p=10, zero_pad_factor=4):
     """Evaluate the whole metric suite for one waveform.
 
     zero_pad_factor sets the spectrum's analysis grid only; the ACF is exact
-    at its native lags without padding. A degenerate mainlobe (no ACF null)
-    is reported, not raised: the sidelobe fields come back as None with the
-    degenerate flag set.
+    at its native lags without padding. SC and the RMS bandwidth are those
+    of spectrum(w, zero_pad_factor), but are taken from the ACF: no spectrum
+    is formed. A degenerate mainlobe (no ACF null) is reported, not raised:
+    the sidelobe fields come back as None with the degenerate flag set.
     """
-    return _metrics_report(spectrum(w, zero_pad_factor), acf(w), delta_f, p)
+    zero_pad_factor = check_int_at_least("zero_pad_factor", zero_pad_factor, 1)
+    return _metrics_report(w, acf(w), delta_f, p, zero_pad_factor)
 
 
-def _metrics_report(sp, a, delta_f, p):
-    """The compute_metrics report from an already computed spectrum and ACF.
+def _metrics_report(w, a, delta_f, p, zero_pad_factor):
+    """The compute_metrics report of w from its already computed ACF a.
 
     A band wider than the analysis span is clamped to it and flagged in
     sc_clamped instead of warning. p is checked whether or not the ACF is
     degenerate, so a bad p never yields a report.
     """
     check_p(p)
-    span = 2 * float(sp.freqs[-1])
+    n = w.n_samples * zero_pad_factor
+    df = 1.0 / (n * (1.0 / w.sample_rate))  # spectrum()'s bin spacing, bit for bit
+    span = 2 * ((n - n // 2 - 1) * df)  # 2 * spectrum().freqs[-1]
     band = min(check_positive("delta_f", delta_f), span)
+    in_band, beta_rms = _acf_spectral(a.values[w.n_samples:-1], n, w.sample_rate, df,
+                                      band / 2)
     if a.degenerate:
         sidelobes = (None,) * 5
     else:
         regions, mag = _sidelobe_weights(a), a.magnitudes[a.lags.size // 2:]
         sidelobes = (a.first_null, mainlobe_area(a), psl(a),
                      _gisr_db(regions, mag, 2), _gisr_db(regions, mag, p))
-    return MetricsReport(spectral_compactness(sp, band), band,
-                         rms_bandwidth_spectral(sp), a.degenerate, *sidelobes,
-                         p=p, sc_clamped=delta_f > span)
+    return MetricsReport(min(max(in_band, 0.0), 1.0), band, beta_rms, a.degenerate,
+                         *sidelobes, p=p, sc_clamped=delta_f > span)
+
+
+def _sine_sums(x, ks, n):
+    """sum_m x[m-1] sin(pi k m / n) over m = 1..x.size, for each integer k in
+    ks. With m = B a + c, B = ceil(sqrt(x.size + 1)), sin(alpha_a + beta_c)
+    splits the sum over c into one (2 len(ks) x B) @ (B x B) product of the
+    tables of beta_c = pi k c / n with x laid out as a B x B grid, and the
+    sum over a into dots with the tables of alpha_a = pi k B a / n. So the
+    sines and cosines taken are 4 B len(ks), not len(ks) x.size, and every
+    angle is reduced mod 2n in integers before it is scaled."""
+    B = math.isqrt(x.size) + 1
+    grid = np.zeros(B * B)
+    grid[1:x.size + 1] = x
+    a = np.arange(B)
+    ks = ks[:, None]
+    fine = (np.pi / n) * (ks * a % (2 * n))
+    coarse = (np.pi / n) * (ks * B % (2 * n) * a % (2 * n))
+    by_c = np.concatenate([np.cos(fine), np.sin(fine)]) @ grid.reshape(B, B).T
+    return np.sum(np.sin(coarse) * by_c[:ks.size] + np.cos(coarse) * by_c[ks.size:], axis=1)
+
+
+def _acf_spectral(r, n, sample_rate, df, hi):
+    """spectral_compactness over [-hi, hi] and rms_bandwidth_spectral of the
+    n-point spectrum, taken from the autocorrelation r at the lags 0..L-1
+    (L <= n) of the samples that spectrum transforms, without forming it.
+
+    By Wiener-Khinchin the spectrum's bin j, j = -h..n-h-1 with h = n // 2,
+    is psd_j = (1/f_s) sum_{|m|<L} R[m] z^(jm), z = e^{-2 pi i / n}, which
+    holds at every n >= L, folding included. So a real weighting v of the
+    bins sums to sum_j v_j psd_j = (v^_0 R[0] + 2 sum_{m>=1} Re(R[m] v^_m)) / f_s
+    with v^_m = sum_j v_j z^(jm), and each kernel v^ needed is closed-form in
+    theta = pi m / n, with s = (-1)^m:
+      v = j:   v^ = (n s / 2)(-1 + i cot theta) for even n, i n s / (2 sin theta) for odd n;
+      v = j^2: v^ = n s / (2 sin^2 theta) for even n, n s cos theta / (2 sin^2 theta) for odd n;
+      v = the band weights w, symmetric about bin 0: by Abel summation over
+        the Dirichlet kernels D_j = sin((2j+1) theta) / sin theta, D_j(0) = 2j+1,
+        v^ = (w_0 - df) + (df - w_{b+1}) D_b + sum_{j>b} (w_j - w_{j+1}) D_j
+        when bins 1..b weigh df, as every bin two bins or more inside the
+        band does.
+    The weights w_j of bins j > b are _band_weights' on [-hi, hi], taken on
+    the bins from b up alone; bin 0 weighs df unless b = 0. The RMS bandwidth
+    is the central second moment (M2 - M1^2 / M0) df of the moments
+    M_k = df^k sum_j j^k psd_j, with M0 = n R[0] / f_s. The arithmetic over
+    the lags is real: complex division there cost as much as the FFT it
+    replaces at L = 2016.
+    """
+    L = r.size
+    h = n // 2
+    top = n - h - 1
+    r0 = float(r[0].real)
+    re, im = r.real[1:], r.imag[1:]
+    theta = np.arange(1, L) * (np.pi / n)
+    sin, cos = np.sin(theta), np.cos(theta)
+    inv_sin = 1.0 / sin
+    g = re * inv_sin
+    # the band
+    q = int(hi / df)
+    b, last = max(q - 2, 0), min(q + 2, top)
+    x = np.arange(b, last + 1) * df
+    w = _band_weights(x, x[0], hi)  # bins b+1..last as on the whole grid
+    centre = 2 * float(w[0]) - df if b == 0 else 0.0  # w_0 - df
+    steps = np.concatenate(([df], w[1:])) - np.concatenate((w[1:], [0.0]))
+    ks = 2 * np.arange(b, last + 1) + 1
+    band = centre * r0 + float(steps @ ks) * r0  # v^_0 R[0]
+    band += 2 * (centre * float(re.sum()) + float(steps @ _sine_sums(g, ks, n)))
+    # the moments: the sign s = (-1)^m rides on s / sin theta
+    inv_sin_s = inv_sin.copy()
+    inv_sin_s[::2] *= -1  # m = 1, 3, ...
+    if n % 2:
+        sum_j = -n * float(im @ inv_sin_s)
+        sum_j2 = n * float((g * cos) @ inv_sin_s)
+    else:
+        sum_j = -n * (float(re[1::2].sum()) - float(re[::2].sum())
+                      + float((im * cos) @ inv_sin_s))
+        sum_j2 = n * float(g @ inv_sin_s)
+    sum_j += r0 * ((top * (top + 1) - h * (h + 1)) // 2)  # sum of j over the bins
+    sum_j2 += r0 * ((top * (top + 1) * (2 * top + 1) + h * (h + 1) * (2 * h + 1)) // 6)
+    m0 = n * r0 / sample_rate
+    m1 = df * sum_j / sample_rate
+    m2 = df * df * sum_j2 / sample_rate
+    second = (m2 - m1 * m1 / m0) * df
+    return band / sample_rate, 2 * np.pi * math.sqrt(max(second, 0.0))
 
 
 def spectrum_csv(sp):

@@ -52,7 +52,7 @@ class MtsfmParams:
                              f"got {alpha.size} and {beta.size}")
         if not np.isfinite(check_real("a0", self.a0)):
             raise ValueError("a0 must be finite")
-        check_positive("T", check_real("T", self.T))
+        check_positive("T", self.T)
         alpha.flags.writeable = False
         beta.flags.writeable = False
         object.__setattr__(self, "alpha", alpha)

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from mtsfm_cpm import (MtsfmParams, SamplingConfig, acf, barker_code, fit_fourier,
-                       load_phase_code, pc_phase, spectrum, synthesize_mtsfm,
-                       synthesize_pc)
+                       load_phase_code, pc_phase, spectrum, spectrum_csv,
+                       synthesize_mtsfm, synthesize_pc)
 from mtsfm_cpm import cli
 from mtsfm_cpm.cli import _mtsfm_waveform, main
 from mtsfm_cpm.waveform import _grid_text
@@ -101,6 +101,26 @@ def test_metrics_barker13(tmp_path, capsys):
     assert (tmp_path / "barker13_spectrum.csv").read_text().startswith("f_hz,psd\n")
 
 
+def test_reports_build_a_spectrum_only_for_its_export(tmp_path, monkeypatch):
+    run(["gen-code", "barker", "--length", "13"], tmp_path)
+    run(["fit", str(tmp_path / "barker13.txt"), "-K", "7"], tmp_path)
+    code_file = str(tmp_path / "barker13.txt")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a spectrum was built for a report")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "spectrum", refuse)
+        assert run(["metrics", code_file, "--export", "acf,phase"], tmp_path) == 0
+        assert run(["optimize", str(tmp_path / "barker13_k7.json"),
+                    "--max-iterations", "2", "--samples", "208"], tmp_path) == 0
+    assert run(["--samples-per-chip", "9", "--zero-pad", "3", "metrics", code_file,
+                "--export", "spectrum"], tmp_path) == 0
+    w = synthesize_pc(load_phase_code(code_file), SamplingConfig(13.0, 9))
+    assert ((tmp_path / "barker13_spectrum.csv").read_bytes()
+            == spectrum_csv(spectrum(w, 3)).encode())
+
+
 def test_metrics_degenerate_params_is_not_an_error(tmp_path):
     params = MtsfmParams(0.0, np.zeros(8), np.zeros(8), 1.0)
     pfile = tmp_path / "flat.json"
@@ -129,7 +149,9 @@ def test_metrics_p_below_2_on_degenerate_input_writes_nothing(tmp_path, capsys):
     ('{"T": 63.0, "a0": [1.0], "alpha": [0.1, 0.2], "beta": [0.0, 0.1]}',
      "a0 has the wrong type"),
     ('{"T": true, "a0": 0.0, "alpha": [0.1], "beta": [0.1]}', "T has the wrong type"),
-], ids=["missing-alpha", "top-level-list", "string-T", "list-a0", "bool-T"])
+    ('{"T": 1%s, "a0": 0.0, "alpha": [0.1], "beta": [0.1]}' % ("0" * 400),
+     "T must be positive and finite"),
+], ids=["missing-alpha", "top-level-list", "string-T", "list-a0", "bool-T", "huge-int-T"])
 def test_metrics_malformed_params_is_one_line_error(tmp_path, capsys, text, message):
     pfile = tmp_path / "bad.json"
     pfile.write_text(text)

@@ -7,9 +7,10 @@ import pytest
 
 from mtsfm_cpm import (AcfResult, DegenerateMainlobe, MtsfmParams, PhaseCode,
                        SampledWaveform, SamplingConfig, acf, ambiguity,
-                       barker_code, compute_metrics, gisr, isr, mainlobe_area,
-                       psl, rms_bandwidth_spectral, spectral_compactness,
-                       spectrum, synthesize_mtsfm, synthesize_pc)
+                       barker_code, compute_metrics, fit_fourier, generate_msequence,
+                       gisr, isr, mainlobe_area, min_harmonics, psl,
+                       rms_bandwidth_spectral, spectral_compactness, spectrum,
+                       synthesize_mtsfm, synthesize_pc)
 from mtsfm_cpm.metrics import _next_pow2, _shifted_product
 from conftest import (MSEQ63_BAND, MSEQ63_T, closed_form_beta2, complex_acf,
                       fftshift_spectrum, per_row_ambiguity, row_at_a_time_ambiguity)
@@ -493,6 +494,56 @@ def test_compute_metrics_finds_sidelobe_regions_once(mseq63_wave32, monkeypatch)
     monkeypatch.undo()
     a = acf(mseq63_wave32)
     assert (rep.isr_db, rep.gisr_db) == (isr(a), gisr(a, 7))  # bit for bit
+
+
+@pytest.fixture(scope="module")
+def oracle_waveforms():
+    waves = {"barker13-x9": synthesize_pc(barker_code(13), SamplingConfig(13.0, 9)),
+             "unmodulated": rect_pulse()}
+    for degree in (6, 7):
+        code = generate_msequence(degree)
+        T = float(code.n)
+        waves[f"d{degree}-pc"] = synthesize_pc(code, SamplingConfig(T))
+        fit = fit_fourier(code, T, min_harmonics(code.n))
+        waves[f"d{degree}-mtsfm"] = synthesize_mtsfm(fit, code.n * 32)
+    return waves
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("zero_pad", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("name", ["barker13-x9", "unmodulated", "d6-pc", "d6-mtsfm",
+                                  "d7-pc", "d7-mtsfm"])
+def test_report_takes_sc_and_beta_of_the_spectrum_from_the_acf(oracle_waveforms, name,
+                                                               zero_pad):
+    # barker13 at 9 samples/chip has odd n at zero_pad 1, 3 and 5, and at
+    # zero_pad 1 every n is below 2L - 1, where the spectrum folds the ACF
+    w = oracle_waveforms[name]
+    sp = spectrum(w, zero_pad)
+    span = 2 * float(sp.freqs[-1])
+    beta = rms_bandwidth_spectral(sp)
+    for band in (2.0, 0.3 * sp.df, span, 2 * span):
+        rep = compute_metrics(w, band, zero_pad_factor=zero_pad)
+        assert rep.delta_f == min(band, span)
+        assert rep.sc_clamped == (band > span)
+        assert abs(rep.sc - spectral_compactness(sp, rep.delta_f)) <= 1e-13
+        if name == "unmodulated" and zero_pad == 1:
+            # all the energy sits in bin 0, so beta is 0: the ACF path's
+            # central moment is a difference of terms of order f_s^2, and is
+            # 0 to within their rounding
+            assert beta == 0.0
+            assert (rep.beta_rms / (2 * np.pi * w.sample_rate)) ** 2 <= 1e-15
+        else:
+            assert rep.beta_rms == pytest.approx(beta, rel=1e-10, abs=0)
+
+
+def test_compute_metrics_takes_no_zero_padded_fft(mseq63_wave32, monkeypatch):
+    sizes = []
+    fft = np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda a, n=None, *args, **kwargs:
+                        sizes.append(n) or fft(a, n, *args, **kwargs))
+    for zero_pad in (1, 4):
+        compute_metrics(mseq63_wave32, MSEQ63_BAND, zero_pad_factor=zero_pad)
+    assert sizes == [_next_pow2(2 * mseq63_wave32.n_samples)] * 2
 
 
 def test_compute_metrics_degenerate():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from mtsfm_cpm import (PhaseCode, SampledWaveform, SamplingConfig, acf,
-                       pc_phase, spectrum, synthesize_pc, waveform_csv,
-                       waveform_raw_bytes)
+                       barker_code, fit_fourier, pc_phase, spectrum, synthesize_pc,
+                       waveform_csv, waveform_raw_bytes)
 from mtsfm_cpm.waveform import _time_grid
 
 
@@ -13,6 +13,20 @@ def test_sampling_config_validation():
         SamplingConfig(0.0)
     with pytest.raises(ValueError):
         SamplingConfig(1.0, samples_per_chip=4)
+
+
+@pytest.mark.parametrize("T, message", [
+    (True, "T has the wrong type"), ([13.0], "T has the wrong type"),
+    (np.array(13.0), "T has the wrong type"), (10 ** 400, "T must be positive and finite"),
+], ids=["bool", "list", "array", "huge-int"])
+def test_pulse_length_must_be_a_positive_real_scalar(T, message):
+    # a bool once passed as T = 1 and a list failed on '<=' without a name
+    builds = (lambda: SamplingConfig(T),
+              lambda: SampledWaveform(np.ones(13) / np.sqrt(13.0), T, 1.0),
+              lambda: fit_fourier(barker_code(13), T, 7))
+    for build in builds:
+        with pytest.raises(ValueError, match=f"^{message}"):
+            build()
 
 
 def test_time_grid_midpoints():
