@@ -39,14 +39,23 @@ def check_positive(name, value):
 
 
 def check_int_at_least(name, value, minimum):
-    # finiteness first: int() of inf or nan raises without naming the value
-    if not (math.isfinite(value) and int(value) == value and value >= minimum):
+    """Require a real scalar (see check_real) with an integral value >= minimum,
+    such as 4 or 4.0, that is finite as a float, and return it as an int."""
+    check_real(name, value)
+    try:
+        # finiteness first: int() of inf or nan raises without naming the value
+        ok = math.isfinite(value) and int(value) == value and value >= minimum
+    except OverflowError:  # an int too large for a float
+        ok = False
+    if not ok:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value}")
     return int(value)
 
 
 def check_p(p):
-    """Require a finite sidelobe-norm exponent p >= 2 (nan and inf fail)."""
+    """Require a real scalar (see check_real) sidelobe-norm exponent p >= 2
+    that is finite (nan and inf fail)."""
+    check_real("p", p)
     if not (math.isfinite(p) and p >= 2):
         raise ValueError(f"p must be >= 2 and finite, got {p}")
     return p

@@ -37,7 +37,7 @@ import numpy as np
 from .codes import (barker_code, dump_phase_code, generate_msequence,
                     load_phase_code)
 from ._validation import check_int_at_least, check_positive
-from .metrics import _metrics_report, acf, acf_csv, spectrum, spectrum_csv
+from .metrics import acf, acf_csv, compute_metrics, spectrum, spectrum_csv
 from .mtsfm import (MtsfmParams, _phase_samples, fit_fourier, min_harmonics,
                     synthesize_mtsfm)
 from .optimizer import OptimizerConfig, optimize, trace_csv
@@ -213,15 +213,14 @@ def _write_variant(write, args, out_dir, stem, w, phase, delta_f, exports=()):
     """Write one waveform's metric report, encoded as args.format, and the
     requested exports.
 
-    The ACF is computed once and serves both the report and the exports;
-    the report takes SC and the RMS bandwidth from it, so the zero-padded
-    spectrum is built only for the spectrum export. phase is the grid phase
-    w was synthesized from. The CSV exports are handed to write as _Text,
-    formatted when the files are committed. Returns the report and the path
-    it was written to.
+    The report is compute_metrics': it reads the ACF on the lags tau >= 0
+    only and takes SC and the RMS bandwidth from it, so the two-sided acf()
+    is built only for the acf export and the zero-padded spectrum only for
+    the spectrum export. phase is the grid phase w was synthesized from. The
+    CSV exports are handed to write as _Text, formatted when the files are
+    committed. Returns the report and the path it was written to.
     """
-    a = acf(w)
-    report = _metrics_report(w, a, delta_f, args.p, args.zero_pad)
+    report = compute_metrics(w, delta_f, args.p, args.zero_pad)
     if args.format == "csv":
         report_path = out_dir / f"{stem}_metrics.csv"
         write(report_path, _report_csv(report, _provenance(args)))
@@ -233,6 +232,7 @@ def _write_variant(write, args, out_dir, stem, w, phase, delta_f, exports=()):
             sp = spectrum(w, args.zero_pad)
             write(out_dir / f"{stem}_spectrum.csv", _Text(spectrum_csv, sp.freqs, (sp,)))
         elif kind == "acf":
+            a = acf(w)
             write(out_dir / f"{stem}_acf.csv", _Text(acf_csv, a.lags, (a,)))
         elif kind == "waveform":
             write(out_dir / f"{stem}_waveform.csv", _Text(waveform_csv, w.times, (w,)))

@@ -53,13 +53,13 @@ def _band_weights(x, lo, hi):
     increasing; the band is clamped to the span of x.
     """
     w = np.zeros(x.size)
-    first, last = x[[0, -1]].tolist()
-    lo, hi = max(lo, first), min(hi, last)
+    lo, hi = max(lo, float(x[0])), min(hi, float(x[-1]))
     if hi <= lo:
         return w
     i0 = int(x.searchsorted(lo, "right"))
     i1 = int(x.searchsorted(hi, "left"))
-    edges = np.concatenate(([lo], x[i0:i1], [hi]))
+    edges = np.empty(i1 - i0 + 2)
+    edges[0], edges[1:-1], edges[-1] = lo, x[i0:i1], hi
     half = edges[1:] - edges[:-1]
     half /= 2
     np.add(half[:-1], half[1:], out=w[i0:i1])
@@ -199,26 +199,31 @@ def _correlation_fft(u):
 def _conj_autocorrelation(spec, L, sample_rate):
     """conj(R) at the lags 0..L-1, then the exact zero at lag T, from the
     _correlation_fft spectrum S of samples of length L, where
-    R[m] = sum_n s[n+m] conj(s[n]) / f_s.
+    R[m] = sum_n s[n+m] conj(s[n]) / f_s. S is consumed: the real energy
+    spectrum S.real^2 + S.imag^2 is formed in place in its real part, which
+    allocates nothing the size of S.
 
-    R is the inverse transform of the real energy spectrum |S|^2, so conj(R)
-    is its forward real FFT: one rfft of S.real^2 + S.imag^2 instead of a
-    complex ifft of S conj(S). The scaling is a multiply by 1 / (n_fft f_s)
-    of the L lags kept; numpy runs complex-by-real division through its
-    slower complex division loop."""
-    power = spec.real * spec.real
-    power += spec.imag * spec.imag
-    h = np.empty(L + 1, dtype=complex)
-    np.multiply(np.fft.rfft(power)[:L], 1.0 / (spec.size * sample_rate), out=h[:L])
+    R is the inverse transform of |S|^2, so conj(R) is its forward real FFT:
+    one rfft instead of a complex ifft of S conj(S). The scaling is an
+    in-place multiply by 1 / (n_fft f_s) of the L lags kept; numpy runs
+    complex-by-real division through its slower complex division loop. The
+    result is a view of the rfft's own output."""
+    parts = spec.view(float)
+    parts *= parts
+    power = spec.real
+    power += spec.imag
+    h = np.fft.rfft(power)[:L + 1]
+    h[:L] *= 1.0 / (spec.size * sample_rate)
     h[L] = 0.0
     return h
 
 
 def _autocorrelation(spec, L, sample_rate):
     """The autocorrelation R of samples of length L from their
-    _correlation_fft spectrum, lags -(L-1)..(L-1) with exact zeros at lags
-    -L and +L. R(-m) = conj(R(m)) bit for bit: the negative lags are the
-    mirror of the lags > 0, and R(0) has imaginary part +0.0."""
+    _correlation_fft spectrum, which it consumes (_conj_autocorrelation),
+    lags -(L-1)..(L-1) with exact zeros at lags -L and +L. R(-m) = conj(R(m))
+    bit for bit: the negative lags are the mirror of the lags > 0, and R(0)
+    has imaginary part +0.0."""
     h = _conj_autocorrelation(spec, L, sample_rate)
     out = np.empty(2 * L + 1, dtype=complex)
     np.conj(h, out=out[L:])
@@ -238,9 +243,11 @@ def _lag_window(cc, L, scale, out):
 
 
 def _lag_grid(L, sample_rate, T):
-    """The native lag grid -T, -(L-1)/f_s .. (L-1)/f_s, T of L samples; its
-    last L + 1 entries are the lags >= 0."""
-    return np.concatenate([[-T], np.arange(-(L - 1), L) / sample_rate, [T]])
+    """The lags >= 0 of the native lag grid of L samples: 0, 1/f_s ..
+    (L-1)/f_s, then T. acf() mirrors them for the lags < 0."""
+    lags = np.arange(L + 1) / sample_rate
+    lags[L] = T
+    return lags
 
 
 def acf(w):
@@ -258,11 +265,11 @@ def acf(w):
     with imaginary part +0.0.
     """
     L = w.n_samples
-    lags = _lag_grid(L, w.sample_rate, w.T)
-    spec = _correlation_fft(w.samples)
-    values = _autocorrelation(spec, L, w.sample_rate)
+    half = _lag_grid(L, w.sample_rate, w.T)
+    lags = np.concatenate((-half[:0:-1], half))  # -(m / f_s) is (-m) / f_s bit for bit
+    values = _autocorrelation(_correlation_fft(w.samples), L, w.sample_rate)
     magnitudes = np.abs(values)
-    tau = _null_vertex(lags[L:], magnitudes[L:])
+    tau = _null_vertex(half, magnitudes[L:])
     return AcfResult(lags, values, float(lags[-1]) if tau is None else tau, tau is None,
                      _magnitudes=magnitudes)
 
@@ -344,19 +351,16 @@ def ambiguity(w, doppler_grid):
         first.setdefault(nu, k)
     for f, members in classes.items():  # one class alive at a time: O(rows x n_fft)
         fu, fvc = _shift_spectra(w.samples, f, n_fft)
-        shifted = []
-        for k, i, nu in members:
-            if nu == 0:
+        shifted = [(k, i, nu) for k, i, nu in members if nu != 0]
+        if shifted:
+            block = np.empty((len(shifted), n_fft), dtype=complex)
+            for product, (_, i, _) in zip(block, shifted):
+                _shifted_product(fu, fvc, i, product)
+            for cc, (k, _, nu) in zip(np.fft.ifft(block, axis=-1), shifted):
+                _lag_window(cc, L, cmath.exp(2j * math.pi * nu * t0) / w.sample_rate, rows[k])
+        for k, _, nu in members:
+            if nu == 0:  # last, as it consumes fu
                 rows[k] = _autocorrelation(fu, L, w.sample_rate)
-            else:
-                shifted.append((k, i, nu))
-        if not shifted:
-            continue
-        block = np.empty((len(shifted), n_fft), dtype=complex)
-        for product, (_, i, _) in zip(block, shifted):
-            _shifted_product(fu, fvc, i, product)
-        for cc, (k, _, nu) in zip(np.fft.ifft(block, axis=-1), shifted):
-            _lag_window(cc, L, cmath.exp(2j * math.pi * nu * t0) / w.sample_rate, rows[k])
     for k, j, mirrored in copies:  # row j < k is filled by now
         if mirrored:
             np.conj(rows[j][::-1], out=rows[k])
@@ -430,7 +434,8 @@ def _null_regions(lags, magnitudes):
 
 def _regions(lags, tau):
     w_den = _band_weights(lags, 0.0, tau)
-    w_num = _band_weights(lags, 0.0, float(lags[-1])) - w_den
+    w_num = _band_weights(lags, 0.0, float(lags[-1]))
+    w_num -= w_den
     return _on_support(w_num), _on_support(w_den)
 
 
@@ -552,36 +557,53 @@ def compute_metrics(w, delta_f, p=10, zero_pad_factor=4):
     """Evaluate the whole metric suite for one waveform.
 
     zero_pad_factor sets the spectrum's analysis grid only; the ACF is exact
-    at its native lags without padding. SC and the RMS bandwidth are those
-    of spectrum(w, zero_pad_factor), but are taken from the ACF: no spectrum
-    is formed. A degenerate mainlobe (no ACF null) is reported, not raised:
-    the sidelobe fields come back as None with the degenerate flag set.
+    at its native lags without padding. The report reads |R| on the lags
+    tau >= 0 only, from one real-FFT autocorrelation: no two-sided acf() is
+    built, and the mainlobe area is twice its integral over tau >= 0. SC and
+    the RMS bandwidth are those of spectrum(w, zero_pad_factor), but are
+    taken from the same R: no spectrum is formed. A degenerate mainlobe (no
+    ACF null) is reported, not raised: the sidelobe fields come back as None
+    with the degenerate flag set.
     """
     zero_pad_factor = check_int_at_least("zero_pad_factor", zero_pad_factor, 1)
-    return _metrics_report(w, acf(w), delta_f, p, zero_pad_factor)
+    r_conj = _conj_autocorrelation(_correlation_fft(w.samples), w.n_samples, w.sample_rate)
+    return _metrics_report(w, r_conj, delta_f, p, zero_pad_factor)
 
 
-def _metrics_report(w, a, delta_f, p, zero_pad_factor):
-    """The compute_metrics report of w from its already computed ACF a.
+def _metrics_report(w, r_conj, delta_f, p, zero_pad_factor):
+    """The compute_metrics report of w from conj(R) on its lags 0..L, the
+    half of acf(w) at tau >= 0 (_conj_autocorrelation).
+
+    The first null is acf()'s _null_vertex scan of |R| there, and the
+    sidelobe and mainlobe regions are scanned once: ISR and GISR(p) are
+    scored on them, PSL is the largest |R| at lags >= the null, and the
+    mainlobe area is twice the mainlobe weights @ |R|^2, since |R| is even.
+    These equal psl, isr, gisr and first_null of acf(w) bit for bit, and
+    mainlobe_area(acf(w)) to its last bits. acf() itself is built only for
+    the CLI's ACF export.
 
     A band wider than the analysis span is clamped to it and flagged in
     sc_clamped instead of warning. p is checked whether or not the ACF is
     degenerate, so a bad p never yields a report.
     """
     check_p(p)
-    n = w.n_samples * zero_pad_factor
+    L = w.n_samples
+    n = L * zero_pad_factor
     df = 1.0 / (n * (1.0 / w.sample_rate))  # spectrum()'s bin spacing, bit for bit
     span = 2 * ((n - n // 2 - 1) * df)  # 2 * spectrum().freqs[-1]
     band = min(check_positive("delta_f", delta_f), span)
-    in_band, beta_rms = _acf_spectral(a.values[w.n_samples:-1], n, w.sample_rate, df,
-                                      band / 2)
-    if a.degenerate:
+    in_band, beta_rms = _acf_spectral(r_conj, n, w.sample_rate, df, band / 2)
+    lags, mag = _lag_grid(L, w.sample_rate, w.T), np.abs(r_conj)
+    tau = _null_vertex(lags, mag)
+    if tau is None:
         sidelobes = (None,) * 5
     else:
-        regions, mag = _sidelobe_weights(a), a.magnitudes[a.lags.size // 2:]
-        sidelobes = (a.first_null, mainlobe_area(a), psl(a),
+        regions = _regions(lags, tau)
+        main, w_main = regions[1]
+        peak = float(mag[int(lags.searchsorted(tau)):].max())
+        sidelobes = (tau, 2 * float(w_main @ np.square(mag[main])), 20 * math.log10(peak),
                      _gisr_db(regions, mag, 2), _gisr_db(regions, mag, p))
-    return MetricsReport(min(max(in_band, 0.0), 1.0), band, beta_rms, a.degenerate,
+    return MetricsReport(min(max(in_band, 0.0), 1.0), band, beta_rms, tau is None,
                          *sidelobes, p=p, sc_clamped=delta_f > span)
 
 
@@ -604,10 +626,10 @@ def _sine_sums(x, ks, n):
     return np.sum(np.sin(coarse) * by_c[:ks.size] + np.cos(coarse) * by_c[ks.size:], axis=1)
 
 
-def _acf_spectral(r, n, sample_rate, df, hi):
+def _acf_spectral(r_conj, n, sample_rate, df, hi):
     """spectral_compactness over [-hi, hi] and rms_bandwidth_spectral of the
-    n-point spectrum, taken from the autocorrelation r at the lags 0..L-1
-    (L <= n) of the samples that spectrum transforms, without forming it.
+    n-point spectrum, taken from conj(R) at the lags 0..L (L <= n) of the
+    samples that spectrum transforms, without forming it.
 
     By Wiener-Khinchin the spectrum's bin j, j = -h..n-h-1 with h = n // 2,
     is psd_j = (1/f_s) sum_{|m|<L} R[m] z^(jm), z = e^{-2 pi i / n}, which
@@ -627,16 +649,20 @@ def _acf_spectral(r, n, sample_rate, df, hi):
     is the central second moment (M2 - M1^2 / M0) df of the moments
     M_k = df^k sum_j j^k psd_j, with M0 = n R[0] / f_s. The arithmetic over
     the lags is real: complex division there cost as much as the FFT it
-    replaces at L = 2016.
+    replaces at L = 2016. Im R is -r_conj.imag, so the sums over it change
+    sign, which is exact; R at lag L is 0 and is left out. The kernels are
+    formed in place: sin theta becomes 1 / sin theta, then s / sin theta,
+    and cos theta its product with g or Im R.
     """
-    L = r.size
+    L = r_conj.size - 1
     h = n // 2
     top = n - h - 1
-    r0 = float(r[0].real)
-    re, im = r.real[1:], r.imag[1:]
+    r0 = float(r_conj[0].real)
+    re, im = r_conj.real[1:L], r_conj.imag[1:L]  # Re R, -Im R
     theta = np.arange(1, L) * (np.pi / n)
-    sin, cos = np.sin(theta), np.cos(theta)
-    inv_sin = 1.0 / sin
+    cos = np.cos(theta)
+    inv_sin = np.sin(theta, out=theta)
+    np.divide(1.0, inv_sin, out=inv_sin)
     g = re * inv_sin
     # the band
     q = int(hi / df)
@@ -644,19 +670,21 @@ def _acf_spectral(r, n, sample_rate, df, hi):
     x = np.arange(b, last + 1) * df
     w = _band_weights(x, x[0], hi)  # bins b+1..last as on the whole grid
     centre = 2 * float(w[0]) - df if b == 0 else 0.0  # w_0 - df
-    steps = np.concatenate(([df], w[1:])) - np.concatenate((w[1:], [0.0]))
-    ks = 2 * np.arange(b, last + 1) + 1
+    steps = w.copy()  # w_j - w_{j+1}, with df for w_b and 0 past last
+    steps[0] = df
+    steps[:-1] -= w[1:]
+    ks = np.arange(2 * b + 1, 2 * last + 2, 2)
     band = centre * r0 + float(steps @ ks) * r0  # v^_0 R[0]
     band += 2 * (centre * float(re.sum()) + float(steps @ _sine_sums(g, ks, n)))
-    # the moments: the sign s = (-1)^m rides on s / sin theta
-    inv_sin_s = inv_sin.copy()
+    # the moments: the sign s = (-1)^m rides on s / sin theta, made in place
+    inv_sin_s = inv_sin
     inv_sin_s[::2] *= -1  # m = 1, 3, ...
     if n % 2:
-        sum_j = -n * float(im @ inv_sin_s)
-        sum_j2 = n * float((g * cos) @ inv_sin_s)
+        sum_j = n * float(im @ inv_sin_s)
+        sum_j2 = n * float(np.multiply(g, cos, out=cos) @ inv_sin_s)
     else:
         sum_j = -n * (float(re[1::2].sum()) - float(re[::2].sum())
-                      + float((im * cos) @ inv_sin_s))
+                      - float(np.multiply(im, cos, out=cos) @ inv_sin_s))
         sum_j2 = n * float(g @ inv_sin_s)
     sum_j += r0 * ((top * (top + 1) - h * (h + 1)) // 2)  # sum of j over the bins
     sum_j2 += r0 * ((top * (top + 1) * (2 * top + 1) + h * (h + 1) * (2 * h + 1)) // 6)

@@ -91,6 +91,11 @@ class MtsfmParams:
         for key in ("T", "a0", "alpha", "beta"):
             if key not in obj:
                 raise ValueError(f"params JSON is missing the key {key!r}")
+        for key in ("alpha", "beta"):  # np.array would read true as 1.0 and "1.5" as 1.5
+            entries = obj[key] if isinstance(obj[key], list) else []
+            bad = [v for v in entries if isinstance(v, bool) or not isinstance(v, (int, float))]
+            if bad:
+                raise ValueError(f"params JSON {key} entries must be numbers, got {bad[0]!r}")
         try:
             return cls(a0=obj["a0"], alpha=np.array(obj["alpha"], dtype=float),
                        beta=np.array(obj["beta"], dtype=float), T=obj["T"])

@@ -152,7 +152,7 @@ def _correlate(vec, run):
     L = run.n_samples
     samples = _unit_samples(_phase_samples(run.a0, vec[:run.K], vec[run.K:], L), run.T)
     spec = _correlation_fft(samples)
-    r_conj = _conj_autocorrelation(spec, L, L / run.T)
+    r_conj = _conj_autocorrelation(spec.copy(), L, L / run.T)  # _score needs spec
     return _Correlation(samples, spec, r_conj, np.abs(r_conj))
 
 
@@ -162,7 +162,7 @@ def _start(params, cfg):
     of that |R| (DegenerateMainlobe when it has none), so the start is
     synthesized and correlated once for the region and its first evaluation."""
     n, T = cfg.resolve_n_samples(params.K), params.T
-    run = _Run(params.a0, T, params.K, cfg.p, n, _lag_grid(n, n / T, T)[n:], None,
+    run = _Run(params.a0, T, params.K, cfg.p, n, _lag_grid(n, n / T, T), None,
                _beta2_weights(params.K, T))
     c = _correlate(params.coefficient_vector(), run)
     return run._replace(regions=_null_regions(run.lags, c.magnitudes)), c

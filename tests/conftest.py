@@ -6,8 +6,9 @@ import pytest
 
 from mtsfm_cpm import (MtsfmParams, SamplingConfig, barker_code, fit_fourier,
                        generate_msequence, synthesize_mtsfm, synthesize_pc)
-from mtsfm_cpm.metrics import (_autocorrelation, _band_weights, _correlation_fft,
-                               _lag_window, _next_pow2, _shift_spectra, _shifted_product)
+from mtsfm_cpm.metrics import (MetricsReport, _acf_spectral, _autocorrelation, _band_weights,
+                               _correlation_fft, _lag_window, _next_pow2, _shift_spectra,
+                               _shifted_product, acf, gisr, isr, mainlobe_area, psl)
 from mtsfm_cpm.mtsfm import _beta2, _beta2_weights, _phase_adjoint, _phase_samples
 from mtsfm_cpm.optimizer import _evaluate, _start
 from mtsfm_cpm.waveform import _time_grid
@@ -226,6 +227,26 @@ def two_sided_objective_and_gradient(vec, a0, T, K, p, n_samples):
     corr = np.fft.ifft(spec * kernel)[:n_samples]
     dphi = np.imag(np.conj(samples) * corr) / sample_rate
     return ratio, _phase_adjoint(dphi, K)
+
+
+def two_sided_report(w, delta_f, p=10, zero_pad_factor=4):
+    """The report composed from the public metrics of the two-sided acf(w):
+    psl, isr, gisr, mainlobe_area and first_null, with SC and the RMS
+    bandwidth from _acf_spectral of acf(w).values at the lags >= 0: the
+    oracle for compute_metrics, which builds no two-sided ACF."""
+    a = acf(w)
+    L = w.n_samples
+    n = L * zero_pad_factor
+    df = 1.0 / (n * (1.0 / w.sample_rate))
+    span = 2 * ((n - n // 2 - 1) * df)
+    band = min(delta_f, span)
+    sc, beta = _acf_spectral(np.conj(a.values[L:]), n, w.sample_rate, df, band / 2)
+    if a.degenerate:
+        sidelobes = (None,) * 5
+    else:
+        sidelobes = (a.first_null, mainlobe_area(a), psl(a), isr(a), gisr(a, p))
+    return MetricsReport(min(max(sc, 0.0), 1.0), band, beta, a.degenerate, *sidelobes,
+                         p=p, sc_clamped=delta_f > span)
 
 
 def spectrum_csv_oracle(sp):

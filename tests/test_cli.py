@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mtsfm_cpm import (MtsfmParams, SamplingConfig, acf, barker_code, fit_fourier,
+from mtsfm_cpm import (MtsfmParams, SamplingConfig, acf, acf_csv, barker_code, fit_fourier,
                        load_phase_code, pc_phase, spectrum, spectrum_csv,
                        synthesize_mtsfm, synthesize_pc)
 from mtsfm_cpm import cli
@@ -121,6 +121,25 @@ def test_reports_build_a_spectrum_only_for_its_export(tmp_path, monkeypatch):
             == spectrum_csv(spectrum(w, 3)).encode())
 
 
+def test_reports_build_an_acf_only_for_its_export(tmp_path, monkeypatch):
+    run(["gen-code", "barker", "--length", "13"], tmp_path)
+    run(["fit", str(tmp_path / "barker13.txt"), "-K", "7"], tmp_path)
+    code_file = str(tmp_path / "barker13.txt")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a two-sided ACF was built for a report")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "acf", refuse)
+        assert run(["metrics", code_file, "--export", "spectrum,phase"], tmp_path) == 0
+        assert run(["optimize", str(tmp_path / "barker13_k7.json"),
+                    "--max-iterations", "2", "--samples", "208"], tmp_path) == 0
+    assert run(["--samples-per-chip", "9", "--zero-pad", "3", "metrics", code_file,
+                "--export", "acf"], tmp_path) == 0
+    w = synthesize_pc(load_phase_code(code_file), SamplingConfig(13.0, 9))
+    assert (tmp_path / "barker13_acf.csv").read_bytes() == acf_csv(acf(w)).encode()
+
+
 def test_metrics_degenerate_params_is_not_an_error(tmp_path):
     params = MtsfmParams(0.0, np.zeros(8), np.zeros(8), 1.0)
     pfile = tmp_path / "flat.json"
@@ -151,7 +170,12 @@ def test_metrics_p_below_2_on_degenerate_input_writes_nothing(tmp_path, capsys):
     ('{"T": true, "a0": 0.0, "alpha": [0.1], "beta": [0.1]}', "T has the wrong type"),
     ('{"T": 1%s, "a0": 0.0, "alpha": [0.1], "beta": [0.1]}' % ("0" * 400),
      "T must be positive and finite"),
-], ids=["missing-alpha", "top-level-list", "string-T", "list-a0", "bool-T", "huge-int-T"])
+    ('{"T": 1.0, "a0": 0.0, "alpha": [true, false], "beta": [0.1, 0.2]}',
+     "alpha entries must be numbers, got True"),
+    ('{"T": 1.0, "a0": 0.0, "alpha": [0.1, 0.2], "beta": ["1.5", "2"]}',
+     "beta entries must be numbers, got '1.5'"),
+], ids=["missing-alpha", "top-level-list", "string-T", "list-a0", "bool-T", "huge-int-T",
+        "bool-alpha", "string-beta"])
 def test_metrics_malformed_params_is_one_line_error(tmp_path, capsys, text, message):
     pfile = tmp_path / "bad.json"
     pfile.write_text(text)
@@ -311,6 +335,7 @@ def test_reproduce_mseq63_fast_and_deterministic(tmp_path, capsys):
     ["reproduce", "mseq63", "--p", "1"],
     ["--zero-pad", "0", "reproduce", "mseq63"],
     ["--zero-pad", "0", "optimize", "{params}"],
+    ["--zero-pad", "1" + "0" * 400, "metrics", "{params}"],
     ["optimize", "{params}", "--delta-f", "-1"],
     ["metrics", "{params}", "--samples", "0"],
     ["fit", "{code}", "-K", "0"],
@@ -319,7 +344,7 @@ def test_reproduce_mseq63_fast_and_deterministic(tmp_path, capsys):
     ["optimize", "{params}", "--log-every", "2"],
     [],
 ], ids=["reproduce-delta", "reproduce-p", "reproduce-zero-pad", "optimize-zero-pad",
-        "optimize-delta-f", "metrics-samples-zero",
+        "metrics-huge-zero-pad", "optimize-delta-f", "metrics-samples-zero",
         "fit-zero-harmonics", "gen-code-negative-seed",
         "usage-p-not-int", "usage-unknown-flag", "usage-no-subcommand"])
 def test_bad_flag_writes_nothing(tmp_path, capsys, args):

@@ -5,15 +5,16 @@ import warnings
 import numpy as np
 import pytest
 
-from mtsfm_cpm import (AcfResult, DegenerateMainlobe, MtsfmParams, PhaseCode,
-                       SampledWaveform, SamplingConfig, acf, ambiguity,
+from mtsfm_cpm import (AcfResult, DegenerateMainlobe, MtsfmParams, OptimizerConfig,
+                       PhaseCode, SampledWaveform, SamplingConfig, acf, ambiguity,
                        barker_code, compute_metrics, fit_fourier, generate_msequence,
                        gisr, isr, mainlobe_area, min_harmonics, psl,
                        rms_bandwidth_spectral, spectral_compactness, spectrum,
                        synthesize_mtsfm, synthesize_pc)
 from mtsfm_cpm.metrics import _next_pow2, _shifted_product
 from conftest import (MSEQ63_BAND, MSEQ63_T, closed_form_beta2, complex_acf,
-                      fftshift_spectrum, per_row_ambiguity, row_at_a_time_ambiguity)
+                      fftshift_spectrum, per_row_ambiguity, row_at_a_time_ambiguity,
+                      two_sided_report)
 
 
 def rect_pulse(L=1024, T=1.0):
@@ -486,9 +487,9 @@ def test_compute_metrics_regular(mseq63_pc):
 def test_compute_metrics_finds_sidelobe_regions_once(mseq63_wave32, monkeypatch):
     import mtsfm_cpm.metrics as metrics
     calls = []
-    scan = metrics._sidelobe_weights
-    monkeypatch.setattr(metrics, "_sidelobe_weights",
-                        lambda a: calls.append(a) or scan(a))
+    scan = metrics._regions
+    monkeypatch.setattr(metrics, "_regions",
+                        lambda lags, tau: calls.append(tau) or scan(lags, tau))
     rep = compute_metrics(mseq63_wave32, MSEQ63_BAND, p=7)
     assert len(calls) == 1
     monkeypatch.undo()
@@ -500,6 +501,10 @@ def test_compute_metrics_finds_sidelobe_regions_once(mseq63_wave32, monkeypatch)
 def oracle_waveforms():
     waves = {"barker13-x9": synthesize_pc(barker_code(13), SamplingConfig(13.0, 9)),
              "unmodulated": rect_pulse()}
+    # off centre, so the first moment (the sums over Im R) shows in beta
+    w = waves["barker13-x9"]
+    waves["barker13-x9-offset"] = SampledWaveform(
+        w.samples * np.exp(2j * np.pi * 0.37 * w.times), w.T, w.sample_rate)
     for degree in (6, 7):
         code = generate_msequence(degree)
         T = float(code.n)
@@ -511,8 +516,8 @@ def oracle_waveforms():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("zero_pad", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("name", ["barker13-x9", "unmodulated", "d6-pc", "d6-mtsfm",
-                                  "d7-pc", "d7-mtsfm"])
+@pytest.mark.parametrize("name", ["barker13-x9", "barker13-x9-offset", "unmodulated",
+                                  "d6-pc", "d6-mtsfm", "d7-pc", "d7-mtsfm"])
 def test_report_takes_sc_and_beta_of_the_spectrum_from_the_acf(oracle_waveforms, name,
                                                                zero_pad):
     # barker13 at 9 samples/chip has odd n at zero_pad 1, 3 and 5, and at
@@ -546,6 +551,61 @@ def test_compute_metrics_takes_no_zero_padded_fft(mseq63_wave32, monkeypatch):
     assert sizes == [_next_pow2(2 * mseq63_wave32.n_samples)] * 2
 
 
+@pytest.fixture(scope="module")
+def report_waveforms(mseq63_code, mseq63_pc, mseq63_fit32, mseq63_fit64):
+    waves = {"mseq63-pc": mseq63_pc, "mseq63-k32": synthesize_mtsfm(mseq63_fit32, 63 * 32),
+             "mseq63-k64": synthesize_mtsfm(mseq63_fit64, 63 * 32),
+             "barker13-x9": synthesize_pc(barker_code(13), SamplingConfig(13.0, 9)),
+             "unmodulated": rect_pulse(),
+             "two-samples": SampledWaveform(np.array([1.0, 1j]), 1.0, 2.0)}
+    for K in range(8, 65):
+        waves[f"sweep-k{K}"] = synthesize_mtsfm(fit_fourier(mseq63_code, MSEQ63_T, K), 63 * 32)
+    for degree in (7, 8, 9, 10):
+        code = generate_msequence(degree)
+        fit = fit_fourier(code, float(code.n), min_harmonics(code.n))
+        waves[f"d{degree}"] = synthesize_mtsfm(fit, code.n * 32)
+    return waves
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_report_equals_the_two_sided_acf_oracle(report_waveforms):
+    # every field bit for bit, but the mainlobe area, which is twice the
+    # tau >= 0 integral instead of the integral over the whole lag grid
+    cases, degenerate = 0, set()
+    for name, w in report_waveforms.items():
+        pads = (1, 2, 3, 4, 5) if name in ("barker13-x9", "unmodulated", "two-samples") else (4,)
+        ps = (10,) if name.startswith("sweep") else (2, 10, 50)
+        for zero_pad in pads:
+            span = 2 * float(spectrum(w, zero_pad).freqs[-1])
+            for p in ps:
+                for band in (MSEQ63_BAND, 2 * span + 1.0):  # the second is clamped
+                    rep = compute_metrics(w, band, p, zero_pad)
+                    want = two_sided_report(w, band, p, zero_pad)
+                    assert rep.sc_clamped == (band > span)
+                    assert (repr(dataclasses.replace(rep, mainlobe_area=None))  # -0.0 too
+                            == repr(dataclasses.replace(want, mainlobe_area=None)))
+                    if want.degenerate:
+                        assert rep.mainlobe_area is None
+                    else:
+                        assert abs(rep.mainlobe_area - want.mainlobe_area) <= (
+                            1e-15 * want.mainlobe_area), (name, zero_pad, p)
+                    cases += 1
+                    degenerate.add((name, want.degenerate))
+    assert cases == 2 * (3 * 3 + 3 * 5 * 3 + 57 + 4 * 3)
+    assert ("unmodulated", True) in degenerate and ("mseq63-pc", False) in degenerate
+
+
+def test_compute_metrics_builds_no_two_sided_acf(mseq63_wave32, monkeypatch):
+    import mtsfm_cpm.metrics as metrics
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a two-sided ACF was built for a report")
+
+    monkeypatch.setattr(metrics, "_autocorrelation", refuse)
+    for w in (mseq63_wave32, rect_pulse()):
+        compute_metrics(w, MSEQ63_BAND)
+
+
 def test_compute_metrics_degenerate():
     rep = compute_metrics(rect_pulse(), 8.0)
     assert rep.degenerate
@@ -562,6 +622,33 @@ def test_compute_metrics_rejects_p_below_2(build):
             compute_metrics(build(), 8.0, p=p)
         with pytest.raises(ValueError, match="p must be >= 2"):
             gisr(acf(build()), p)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda w: compute_metrics(w, 2.0, zero_pad_factor=True), "zero_pad_factor"),
+    (lambda w: compute_metrics(w, 2.0, zero_pad_factor="4"), "zero_pad_factor"),
+    (lambda w: compute_metrics(w, 2.0, p=np.array([10.0])), "p"),
+    (lambda w: OptimizerConfig(max_iterations=True), "max_iterations"),
+    (lambda w: fit_fourier(barker_code(13), 13.0, True), "K"),
+], ids=["bool-zero-pad", "str-zero-pad", "array-p", "bool-max-iterations", "bool-K"])
+def test_integer_and_p_arguments_must_be_real_scalars(barker13_wave, build, message):
+    # a bool once passed as 1, and a string or an array raised a TypeError
+    # that named no field
+    with pytest.raises(ValueError, match=f"^{message} has the wrong type"):
+        build(barker13_wave)
+
+
+def test_an_int_too_large_for_a_float_is_not_a_count(barker13_wave):
+    # math.isfinite of such an int raised an OverflowError that named no field
+    with pytest.raises(ValueError, match="^zero_pad_factor must be an integer >= 1"):
+        compute_metrics(barker13_wave, 2.0, zero_pad_factor=10 ** 400)
+
+
+def test_integral_floats_stay_accepted(barker13_wave):
+    assert (compute_metrics(barker13_wave, 2.0, p=10.0, zero_pad_factor=4.0)
+            == compute_metrics(barker13_wave, 2.0, p=10, zero_pad_factor=4))
+    assert OptimizerConfig(max_iterations=3.0).max_iterations == 3
+    assert fit_fourier(barker_code(13), 13.0, 7.0).K == 7
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
