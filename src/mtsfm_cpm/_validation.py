@@ -40,7 +40,9 @@ def check_positive(name, value):
 
 def check_int_at_least(name, value, minimum):
     """Require a real scalar (see check_real) with an integral value >= minimum,
-    such as 4 or 4.0, that is finite as a float, and return it as an int."""
+    such as 4 or 4.0, that is finite as a float, and return it as an int.
+    A minimum of -math.inf checks the type alone and leaves the range, and
+    its message, to the caller."""
     check_real(name, value)
     try:
         # finiteness first: int() of inf or nan raises without naming the value
@@ -48,7 +50,8 @@ def check_int_at_least(name, value, minimum):
     except OverflowError:  # an int too large for a float
         ok = False
     if not ok:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value}")
+        bound = f" >= {minimum}" if minimum > -math.inf else ""
+        raise ValueError(f"{name} must be an integer{bound}, got {value}")
     return int(value)
 
 

@@ -6,6 +6,7 @@ signal model used everywhere else in this package.
 """
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,12 +91,12 @@ def generate_msequence(degree, taps=None, seed=1):
     degree = check_int_at_least("degree", degree, 2)
     if degree > 16:
         raise ValueError(f"degree must be in [2, 16], got {degree}")
-    taps = PRIMITIVE_TAPS[degree] if taps is None else int(taps)
+    taps = PRIMITIVE_TAPS[degree] if taps is None else check_int_at_least("taps", taps, -math.inf)
     if taps.bit_length() != degree + 1:
         raise ValueError(f"taps must have x^{degree} as their highest term "
                          f"(bit {degree} set, no higher bit), got {taps:#b}")
     n_states = (1 << degree) - 1
-    state = seed = int(seed)
+    state = seed = check_int_at_least("seed", seed, -math.inf)
     if not 0 < seed <= n_states:
         raise ValueError("seed must be a positive register state below "
                          f"2**{degree}, got {seed}")
@@ -129,6 +130,7 @@ BARKER_LENGTHS = tuple(sorted(_BARKER_SIGNS))
 
 def barker_code(length):
     """Return the canonical binary Barker code of the given length as {0, pi} phases."""
+    length = check_int_at_least("length", length, -math.inf)
     if length not in _BARKER_SIGNS:
         raise ValueError(
             f"no Barker code of length {length}; supported lengths: {list(BARKER_LENGTHS)}")

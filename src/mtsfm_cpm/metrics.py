@@ -72,11 +72,6 @@ def _band_weights(x, lo, hi):
     return w
 
 
-def _band_integral(x, y, lo, hi):
-    """Trapezoidal integral of y(x) over [lo, hi], interpolating at the edges."""
-    return float(_band_weights(x, lo, hi) @ y)
-
-
 # ---------------------------------------------------------------------------
 # spectrum
 # ---------------------------------------------------------------------------
@@ -142,7 +137,7 @@ def spectral_compactness(sp, delta_f):
             f"delta_f={delta_f} exceeds the analysis span {span}; clamping",
             RuntimeWarning, stacklevel=2)
         delta_f = span
-    frac = _band_integral(sp.freqs, sp.psd, -delta_f / 2, delta_f / 2)
+    frac = float(_band_weights(sp.freqs, -delta_f / 2, delta_f / 2) @ sp.psd)
     return min(max(frac, 0.0), 1.0)
 
 
@@ -168,10 +163,10 @@ def rms_bandwidth_spectral(sp):
 class AcfResult:
     """Aperiodic autocorrelation over lags [-T, T], normalized so R(0) = 1.
 
-    magnitudes is always |values|. acf() hands in the |R| it scanned the
-    first null on through the private _magnitudes, so each call takes |R|
-    once; dataclasses.replace() does not pass it on, so a replaced object
-    takes |values| anew.
+    magnitudes is always |values|. acf() hands in the mirror of the |R| at
+    tau >= 0 it scanned the first null on through the private _magnitudes
+    (|conj z| = |z| bit for bit), so each call takes |R| once; a replace()d
+    object takes |values| anew, as dataclasses.replace() does not pass it on.
     """
 
     lags: np.ndarray
@@ -218,13 +213,12 @@ def _conj_autocorrelation(spec, L, sample_rate):
     return h
 
 
-def _autocorrelation(spec, L, sample_rate):
-    """The autocorrelation R of samples of length L from their
-    _correlation_fft spectrum, which it consumes (_conj_autocorrelation),
-    lags -(L-1)..(L-1) with exact zeros at lags -L and +L. R(-m) = conj(R(m))
-    bit for bit: the negative lags are the mirror of the lags > 0, and R(0)
-    has imaginary part +0.0."""
-    h = _conj_autocorrelation(spec, L, sample_rate)
+def _autocorrelation(h):
+    """The autocorrelation R from its conjugate half h, conj(R) at the lags
+    0..L (_conj_autocorrelation): lags -(L-1)..(L-1) with exact zeros at
+    lags -L and +L. R(-m) = conj(R(m)) bit for bit: the negative lags are
+    the mirror of the lags > 0, and R(0) has imaginary part +0.0."""
+    L = h.size - 1
     out = np.empty(2 * L + 1, dtype=complex)
     np.conj(h, out=out[L:])
     out[L] = h[0].real  # conj would make its imaginary part -0.0
@@ -262,16 +256,23 @@ def acf(w):
 
     R is the inverse transform of the real energy spectrum |S|^2, so it is
     exactly Hermitian: R(-tau) = conj(R(tau)) bit for bit, and R(0) is real
-    with imaginary part +0.0.
+    with imaginary part +0.0. R, |R| and the first null are those of
+    _half_acf at tau >= 0, mirrored to the lags < 0.
     """
-    L = w.n_samples
-    half = _lag_grid(L, w.sample_rate, w.T)
+    r_conj, half, mag, tau = _half_acf(w)
     lags = np.concatenate((-half[:0:-1], half))  # -(m / f_s) is (-m) / f_s bit for bit
-    values = _autocorrelation(_correlation_fft(w.samples), L, w.sample_rate)
-    magnitudes = np.abs(values)
-    tau = _null_vertex(half, magnitudes[L:])
-    return AcfResult(lags, values, float(lags[-1]) if tau is None else tau, tau is None,
-                     _magnitudes=magnitudes)
+    return AcfResult(lags, _autocorrelation(r_conj), float(lags[-1]) if tau is None else tau,
+                     tau is None, _magnitudes=np.concatenate((mag[:0:-1], mag)))
+
+
+def _half_acf(w):
+    """(conj(R), lags, |R|, first null or None) of w at the lags 0..L, the
+    half of the ACF that acf() mirrors and compute_metrics scores: one
+    correlation (_conj_autocorrelation), |R| once, and its _null_vertex scan."""
+    L = w.n_samples
+    r_conj = _conj_autocorrelation(_correlation_fft(w.samples), L, w.sample_rate)
+    lags, mag = _lag_grid(L, w.sample_rate, w.T), np.abs(r_conj)
+    return r_conj, lags, mag, _null_vertex(lags, mag)
 
 
 def _shift_spectra(samples, f, n_fft):
@@ -360,7 +361,7 @@ def ambiguity(w, doppler_grid):
                 _lag_window(cc, L, cmath.exp(2j * math.pi * nu * t0) / w.sample_rate, rows[k])
         for k, _, nu in members:
             if nu == 0:  # last, as it consumes fu
-                rows[k] = _autocorrelation(fu, L, w.sample_rate)
+                rows[k] = _autocorrelation(_conj_autocorrelation(fu, L, w.sample_rate))
     for k, j, mirrored in copies:  # row j < k is filled by now
         if mirrored:
             np.conj(rows[j][::-1], out=rows[k])
@@ -396,47 +397,52 @@ _NO_NULL = "ACF has no interior null; mainlobe/sidelobe metrics are undefined"
 
 
 def _require_null(a):
+    """(lags, |R|, first null) of an AcfResult at tau >= 0, where the public
+    metrics read it (|R| is even); DegenerateMainlobe when it has no null."""
     if a.degenerate:
         raise DegenerateMainlobe(_NO_NULL)
-    return a.first_null
-
-
-def mainlobe_area(a):
-    """Integral of |R|^2 over the mainlobe [-first_null, +first_null]."""
-    dtau = _require_null(a)
-    return _band_integral(a.lags, a.magnitudes ** 2, -dtau, dtau)
-
-
-def psl(a):
-    """Peak sidelobe level in dB: largest |R| at lags beyond the first null."""
-    dtau = _require_null(a)
-    side = a.magnitudes[a.lags >= dtau]
-    return 20 * math.log10(float(side.max()))
-
-
-def _sidelobe_weights(a):
-    """The sidelobe region [first null, T] and the mainlobe region
-    [0, first null] of an ACF over its lags >= 0, each as (support, weights):
-    its trapezoid weights on the slice of lags from its first to its last
-    non-zero weight. Raises DegenerateMainlobe when the ACF has no null."""
-    return _regions(a.lags[a.lags.size // 2:], _require_null(a))
-
-
-def _null_regions(lags, magnitudes):
-    """_sidelobe_weights from |R| on the lags >= 0 alone, its first null
-    scanned here as acf() scans it: the regions of an ACF that was never
-    built as an AcfResult."""
-    tau = _null_vertex(lags, magnitudes)
-    if tau is None:
-        raise DegenerateMainlobe(_NO_NULL)
-    return _regions(lags, tau)
+    L = a.lags.size // 2
+    return a.lags[L:], a.magnitudes[L:], a.first_null
 
 
 def _regions(lags, tau):
+    """The sidelobe region [tau, T] and the mainlobe region [0, tau] of |R|
+    on the lags >= 0, each as (support, weights): its trapezoid weights on
+    the slice of lags from its first to its last non-zero weight. tau is
+    the first null; None, as _null_vertex finds it on an ACF without one,
+    raises DegenerateMainlobe."""
+    if tau is None:
+        raise DegenerateMainlobe(_NO_NULL)
     w_den = _band_weights(lags, 0.0, tau)
     w_num = _band_weights(lags, 0.0, float(lags[-1]))
     w_num -= w_den
     return _on_support(w_num), _on_support(w_den)
+
+
+def _mainlobe_area(regions, mag):
+    """mainlobe_area from the _regions of |R| on the lags >= 0: twice the
+    mainlobe's integral of |R|^2 over [0, first null], as |R| is even."""
+    main, w_main = regions[1]
+    return 2 * float(w_main @ np.square(mag[main]))
+
+
+def _psl_db(lags, mag, tau):
+    """psl from |R| on the lags >= 0: the largest |R| at lags >= tau."""
+    return 20 * math.log10(float(mag[int(lags.searchsorted(tau)):].max()))
+
+
+def mainlobe_area(a):
+    """Integral of |R|^2 over the mainlobe [-first_null, +first_null]: twice
+    the trapezoid integral over [0, first_null] on the lags >= 0, as |R| is
+    even. A compute_metrics report's mainlobe_area is this, bit for bit."""
+    lags, mag, tau = _require_null(a)
+    return _mainlobe_area(_regions(lags, tau), mag)
+
+
+def psl(a):
+    """Peak sidelobe level in dB: largest |R| at lags beyond the first null,
+    read on the lags >= 0 (|R| is even), as compute_metrics reads it."""
+    return _psl_db(*_require_null(a))
 
 
 def _on_support(w):
@@ -460,8 +466,8 @@ def _sidelobe_ratio(regions, mag, p, with_gradient=False):
     """Linear p-norm sidelobe ratio J = (N / D)^(2/p), N = w_num @ |R|^p and
     D = w_den @ |R|^p, shared by gisr() and the optimizer objective.
 
-    mag holds |R| on the lags >= 0 only and regions are the _sidelobe_weights
-    of those lags: |R| is even, so both integrals over the whole grid are
+    mag holds |R| on the lags >= 0 only and regions are its _regions on
+    those lags: |R| is even, so both integrals over the whole grid are
     twice those over tau >= 0 and the ratio is the same.
 
     Each sum is scaled by the peak |R| on its own region's support:
@@ -500,12 +506,13 @@ def gisr(a, p):
     underflows and every finite p >= 2 is defined; see _sidelobe_ratio.
     """
     check_p(p)
-    return _gisr_db(_sidelobe_weights(a), a.magnitudes[a.lags.size // 2:], p)
+    lags, mag, tau = _require_null(a)
+    return _gisr_db(_regions(lags, tau), mag, p)
 
 
 def _gisr_db(regions, mag, p):
-    """gisr of |R| on the lags >= 0 on its _sidelobe_weights regions, found
-    by the caller, so that a report scores ISR and GISR on one scan of them."""
+    """gisr of |R| on the lags >= 0 on its _regions, found by the caller,
+    so that a report scores ISR and GISR on one scan of them."""
     return 10 * math.log10(_sidelobe_ratio(regions, mag, p))
 
 
@@ -557,51 +564,44 @@ def compute_metrics(w, delta_f, p=10, zero_pad_factor=4):
     """Evaluate the whole metric suite for one waveform.
 
     zero_pad_factor sets the spectrum's analysis grid only; the ACF is exact
-    at its native lags without padding. The report reads |R| on the lags
-    tau >= 0 only, from one real-FFT autocorrelation: no two-sided acf() is
-    built, and the mainlobe area is twice its integral over tau >= 0. SC and
+    at its native lags without padding. The report reads the _half_acf that
+    acf() mirrors, at tau >= 0, with the code the public psl, isr, gisr and
+    mainlobe_area run there, so its fields equal theirs bit for bit. SC and
     the RMS bandwidth are those of spectrum(w, zero_pad_factor), but are
     taken from the same R: no spectrum is formed. A degenerate mainlobe (no
     ACF null) is reported, not raised: the sidelobe fields come back as None
     with the degenerate flag set.
     """
     zero_pad_factor = check_int_at_least("zero_pad_factor", zero_pad_factor, 1)
-    r_conj = _conj_autocorrelation(_correlation_fft(w.samples), w.n_samples, w.sample_rate)
-    return _metrics_report(w, r_conj, delta_f, p, zero_pad_factor)
+    return _metrics_report(w, _half_acf(w), delta_f, p, zero_pad_factor)
 
 
-def _metrics_report(w, r_conj, delta_f, p, zero_pad_factor):
-    """The compute_metrics report of w from conj(R) on its lags 0..L, the
-    half of acf(w) at tau >= 0 (_conj_autocorrelation).
+def _metrics_report(w, half, delta_f, p, zero_pad_factor):
+    """The compute_metrics report of w from its _half_acf: conj(R), the lags
+    0..L, |R| there and the first null.
 
-    The first null is acf()'s _null_vertex scan of |R| there, and the
-    sidelobe and mainlobe regions are scanned once: ISR and GISR(p) are
-    scored on them, PSL is the largest |R| at lags >= the null, and the
-    mainlobe area is twice the mainlobe weights @ |R|^2, since |R| is even.
-    These equal psl, isr, gisr and first_null of acf(w) bit for bit, and
-    mainlobe_area(acf(w)) to its last bits. acf() itself is built only for
-    the CLI's ACF export.
+    The sidelobe and mainlobe regions are scanned once (_regions): ISR,
+    GISR(p) and the _mainlobe_area are scored on them, and PSL is _psl_db,
+    the helpers the public psl, isr, gisr and mainlobe_area call on acf(w)
+    at tau >= 0: every field equals theirs, and first_null, bit for bit.
+    acf() itself is built only for the CLI's ACF export.
 
     A band wider than the analysis span is clamped to it and flagged in
     sc_clamped instead of warning. p is checked whether or not the ACF is
     degenerate, so a bad p never yields a report.
     """
     check_p(p)
-    L = w.n_samples
-    n = L * zero_pad_factor
+    n = w.n_samples * zero_pad_factor
     df = 1.0 / (n * (1.0 / w.sample_rate))  # spectrum()'s bin spacing, bit for bit
     span = 2 * ((n - n // 2 - 1) * df)  # 2 * spectrum().freqs[-1]
     band = min(check_positive("delta_f", delta_f), span)
+    r_conj, lags, mag, tau = half
     in_band, beta_rms = _acf_spectral(r_conj, n, w.sample_rate, df, band / 2)
-    lags, mag = _lag_grid(L, w.sample_rate, w.T), np.abs(r_conj)
-    tau = _null_vertex(lags, mag)
     if tau is None:
         sidelobes = (None,) * 5
     else:
         regions = _regions(lags, tau)
-        main, w_main = regions[1]
-        peak = float(mag[int(lags.searchsorted(tau)):].max())
-        sidelobes = (tau, 2 * float(w_main @ np.square(mag[main])), 20 * math.log10(peak),
+        sidelobes = (tau, _mainlobe_area(regions, mag), _psl_db(lags, mag, tau),
                      _gisr_db(regions, mag, 2), _gisr_db(regions, mag, p))
     return MetricsReport(min(max(in_band, 0.0), 1.0), band, beta_rms, tau is None,
                          *sidelobes, p=p, sc_clamped=delta_f > span)

@@ -11,7 +11,6 @@ as the free variables of the sidelobe optimizer.
 
 import functools
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from ._validation import (as_float_vector, check_in_pulse, check_int_at_least,
                           check_positive, check_real)
 from .codes import PhaseCode
-from .waveform import SampledWaveform
+from .waveform import SampledWaveform, _unit_samples
 
 __all__ = [
     "MtsfmParams",
@@ -237,20 +236,6 @@ def synthesize_mtsfm(params, n_samples):
     n_samples = check_int_at_least("n_samples", n_samples, 2)
     phi = _phase_samples(params.a0, params.alpha, params.beta, n_samples)
     return SampledWaveform(_unit_samples(phi, params.T), params.T, n_samples / params.T)
-
-
-def _unit_samples(phi, T):
-    """exp(j phi) / sqrt(T) by one cos and one sin pass into one complex
-    buffer, then a multiply by 1 / sqrt(T). np.exp(1j * phi) / sqrt(T) does
-    the same arithmetic (the exponential of a zero real part is cos + j sin,
-    and numpy divides complex by real as a multiply by the reciprocal), so
-    both give the same samples bit for bit."""
-    out = np.empty(phi.size, dtype=complex)
-    np.cos(phi, out=out.real)
-    np.sin(phi, out=out.imag)
-    parts = out.view(float)
-    parts *= 1.0 / math.sqrt(T)
-    return out
 
 
 def _beta2_weights(K, T):

@@ -19,11 +19,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._validation import check_int_at_least, check_p
+from ._validation import check_int_at_least, check_p, check_real
 from .metrics import (_conj_autocorrelation, _correlation_fft, _gisr_db, _lag_grid,
-                      _null_regions, _sidelobe_ratio)
-from .mtsfm import (MtsfmParams, _beta2, _beta2_weights, _phase_adjoint,
-                    _phase_samples, _unit_samples)
+                      _null_vertex, _regions, _sidelobe_ratio)
+from .mtsfm import MtsfmParams, _beta2, _beta2_weights, _phase_adjoint, _phase_samples
+from .waveform import _unit_samples
 
 __all__ = [
     "OptimizerConfig",
@@ -69,7 +69,7 @@ class OptimizerConfig:
 
     def __post_init__(self):
         check_p(self.p)
-        if not 0 < self.delta < 1:
+        if not 0 < check_real("delta", self.delta) < 1:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         # store the int the check returns, so an integral float like 3.0 works
         object.__setattr__(self, "max_iterations",
@@ -132,7 +132,7 @@ class _Run(NamedTuple):
     p: int
     n_samples: int
     lags: np.ndarray  # the lags >= 0 of the native lag grid, as acf() builds them
-    regions: tuple  # _sidelobe_weights: sidelobe, mainlobe weights on those lags
+    regions: tuple  # metrics._regions: sidelobe, mainlobe weights on those lags
     weights: np.ndarray  # _beta2_weights of the coefficient vector
 
 
@@ -165,7 +165,7 @@ def _start(params, cfg):
     run = _Run(params.a0, T, params.K, cfg.p, n, _lag_grid(n, n / T, T), None,
                _beta2_weights(params.K, T))
     c = _correlate(params.coefficient_vector(), run)
-    return run._replace(regions=_null_regions(run.lags, c.magnitudes)), c
+    return run._replace(regions=_regions(run.lags, _null_vertex(run.lags, c.magnitudes))), c
 
 
 def _score(c, run):
@@ -415,7 +415,7 @@ def optimize(initial, cfg):
     return OptimizationResult(
         params=initial.with_coefficients(x),
         initial_gisr_db=trace[0].objective_db,
-        final_gisr_db=_gisr_db(_null_regions(run.lags, mag), mag, cfg.p),
+        final_gisr_db=_gisr_db(_regions(run.lags, _null_vertex(run.lags, mag)), mag, cfg.p),
         initial_beta2=beta2_ref,
         final_beta2=b2,
         trace=tuple(trace),

@@ -6,6 +6,7 @@ constant-modulus pulse model.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,8 +121,22 @@ def synthesize_pc(code, cfg):
     if not isinstance(cfg, SamplingConfig):
         raise TypeError("cfg must be a SamplingConfig")
     n = code.n
-    samples = np.exp(1j * np.repeat(code.phases, cfg.samples_per_chip)) / np.sqrt(cfg.T)
+    samples = _unit_samples(np.repeat(code.phases, cfg.samples_per_chip), cfg.T)
     return SampledWaveform(samples, cfg.T, n * cfg.samples_per_chip / cfg.T)
+
+
+def _unit_samples(phi, T):
+    """exp(j phi) / sqrt(T) by one cos and one sin pass into one complex
+    buffer, then a multiply by 1 / sqrt(T). np.exp(1j * phi) / sqrt(T) does
+    the same arithmetic (the exponential of a zero real part is cos + j sin,
+    and numpy divides complex by real as a multiply by the reciprocal), so
+    both give the same samples bit for bit."""
+    out = np.empty(phi.size, dtype=complex)
+    np.cos(phi, out=out.real)
+    np.sin(phi, out=out.imag)
+    parts = out.view(float)
+    parts *= 1.0 / math.sqrt(T)
+    return out
 
 
 def waveform_csv(w):

@@ -7,8 +7,8 @@ import pytest
 from mtsfm_cpm import (MtsfmParams, SamplingConfig, barker_code, fit_fourier,
                        generate_msequence, synthesize_mtsfm, synthesize_pc)
 from mtsfm_cpm.metrics import (MetricsReport, _acf_spectral, _autocorrelation, _band_weights,
-                               _correlation_fft, _lag_window, _next_pow2, _shift_spectra,
-                               _shifted_product, acf, gisr, isr, mainlobe_area, psl)
+                               _conj_autocorrelation, _correlation_fft, _lag_window, _next_pow2,
+                               _shift_spectra, _shifted_product, acf, gisr, isr)
 from mtsfm_cpm.mtsfm import _beta2, _beta2_weights, _phase_adjoint, _phase_samples
 from mtsfm_cpm.optimizer import _evaluate, _start
 from mtsfm_cpm.waveform import _time_grid
@@ -179,7 +179,7 @@ def row_at_a_time_ambiguity(w, doppler_grid):
             i = math.floor(d)
             fu, fvc = _shift_spectra(w.samples, d - i, n_fft)
             if nu == 0:
-                rows[k] = _autocorrelation(fu, L, w.sample_rate)
+                rows[k] = _autocorrelation(_conj_autocorrelation(fu, L, w.sample_rate))
             else:
                 product = _shifted_product(fu, fvc, i, np.empty(n_fft, dtype=complex))
                 _lag_window(np.fft.ifft(product), L,
@@ -230,10 +230,12 @@ def two_sided_objective_and_gradient(vec, a0, T, K, p, n_samples):
 
 
 def two_sided_report(w, delta_f, p=10, zero_pad_factor=4):
-    """The report composed from the public metrics of the two-sided acf(w):
-    psl, isr, gisr, mainlobe_area and first_null, with SC and the RMS
-    bandwidth from _acf_spectral of acf(w).values at the lags >= 0: the
-    oracle for compute_metrics, which builds no two-sided ACF."""
+    """The report composed from the two-sided acf(w): its first_null, isr and
+    gisr, the PSL as the largest |R| over every lag >= the null and the
+    mainlobe area as the trapezoid integral of |R|^2 over the whole lag grid
+    from -null to +null, with SC and the RMS bandwidth from _acf_spectral of
+    acf(w).values at the lags >= 0: the oracle for compute_metrics, which
+    builds no two-sided ACF."""
     a = acf(w)
     L = w.n_samples
     n = L * zero_pad_factor
@@ -244,7 +246,10 @@ def two_sided_report(w, delta_f, p=10, zero_pad_factor=4):
     if a.degenerate:
         sidelobes = (None,) * 5
     else:
-        sidelobes = (a.first_null, mainlobe_area(a), psl(a), isr(a), gisr(a, p))
+        dtau = a.first_null
+        area = float(_band_weights(a.lags, -dtau, dtau) @ a.magnitudes ** 2)
+        peak = 20 * math.log10(float(a.magnitudes[a.lags >= dtau].max()))
+        sidelobes = (dtau, area, peak, isr(a), gisr(a, p))
     return MetricsReport(min(max(sc, 0.0), 1.0), band, beta, a.degenerate, *sidelobes,
                          p=p, sc_clamped=delta_f > span)
 

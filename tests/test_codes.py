@@ -80,6 +80,25 @@ def test_msequence_rejects_bad_args():
         generate_msequence(17)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: generate_msequence(6, seed=1.5), "seed must be an integer, got 1.5"),
+    (lambda: generate_msequence(6, seed=True), "seed has the wrong type"),
+    (lambda: generate_msequence(6, seed="3"), "seed has the wrong type"),
+    (lambda: generate_msequence(7, taps=96.7), "taps must be an integer, got 96.7"),
+    (lambda: barker_code(13.5), "length must be an integer, got 13.5"),
+    (lambda: barker_code(True), "length has the wrong type"),
+], ids=["float-seed", "bool-seed", "str-seed", "float-taps", "float-length", "bool-length"])
+def test_code_arguments_must_be_integers(build, message):
+    # a float was truncated (seed 1.5 ran as seed 1) and a str seed ran
+    with pytest.raises(ValueError, match=f"^{message}"):
+        build()
+
+
+def test_code_arguments_take_integral_floats():
+    assert generate_msequence(6, taps=96.0, seed=3.0).label == "mseq63-taps0b1100000-seed3"
+    assert barker_code(13.0).label == "barker13"
+
+
 def code_autocorr(phases):
     """Discrete aperiodic autocorrelation of the unit chips, the brute-force way."""
     c = np.exp(1j * phases)

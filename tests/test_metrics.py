@@ -159,7 +159,7 @@ def test_acf_takes_magnitudes_once(mseq63_pc, monkeypatch):
 
     monkeypatch.setattr(np, "abs", counting_abs)
     a = acf(mseq63_pc)
-    assert calls == [a.values.shape]
+    assert calls == [(mseq63_pc.n_samples + 1,)]  # on the lags >= 0, then mirrored
     assert np.array_equal(a.magnitudes, expected.magnitudes)
     assert (a.first_null, a.degenerate) == (expected.first_null, expected.degenerate)
 
@@ -595,6 +595,19 @@ def test_report_equals_the_two_sided_acf_oracle(report_waveforms):
     assert ("unmodulated", True) in degenerate and ("mseq63-pc", False) in degenerate
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_public_metrics_of_acf_equal_the_report(report_waveforms):
+    # the public metrics and the report share one tau >= 0 implementation
+    for name, w in report_waveforms.items():
+        rep, a = compute_metrics(w, MSEQ63_BAND, 7), acf(w)
+        assert rep.degenerate == a.degenerate, name
+        if a.degenerate:
+            continue
+        public = (a.first_null, mainlobe_area(a), psl(a), isr(a), gisr(a, 7))
+        fields = (rep.delta_tau, rep.mainlobe_area, rep.psl_db, rep.isr_db, rep.gisr_db)
+        assert [v.hex() for v in public] == [v.hex() for v in fields], name
+
+
 def test_compute_metrics_builds_no_two_sided_acf(mseq63_wave32, monkeypatch):
     import mtsfm_cpm.metrics as metrics
 
@@ -630,7 +643,11 @@ def test_compute_metrics_rejects_p_below_2(build):
     (lambda w: compute_metrics(w, 2.0, p=np.array([10.0])), "p"),
     (lambda w: OptimizerConfig(max_iterations=True), "max_iterations"),
     (lambda w: fit_fourier(barker_code(13), 13.0, True), "K"),
-], ids=["bool-zero-pad", "str-zero-pad", "array-p", "bool-max-iterations", "bool-K"])
+    (lambda w: OptimizerConfig(delta="0.5"), "delta"),
+    (lambda w: OptimizerConfig(delta=[0.1]), "delta"),
+    (lambda w: OptimizerConfig(delta=np.array([0.1])), "delta"),
+], ids=["bool-zero-pad", "str-zero-pad", "array-p", "bool-max-iterations", "bool-K",
+        "str-delta", "list-delta", "array-delta"])
 def test_integer_and_p_arguments_must_be_real_scalars(barker13_wave, build, message):
     # a bool once passed as 1, and a string or an array raised a TypeError
     # that named no field

@@ -9,7 +9,6 @@ from mtsfm_cpm import (DegenerateMainlobe, MtsfmParams, OptimizerConfig, acf,
                        synthesize_mtsfm, trace_csv)
 import mtsfm_cpm.metrics as metrics
 import mtsfm_cpm.optimizer as opt
-from mtsfm_cpm.metrics import _sidelobe_weights
 from mtsfm_cpm.mtsfm import _beta2_weights
 from mtsfm_cpm.optimizer import (BAND_SLACK, GTOL, MIN_STEP, STEP_SHRINK, _active_edge,
                                  _evaluate, _project, _start, _tangent)
@@ -225,7 +224,8 @@ def test_run_regions_match_the_acf_scan(mseq63_fit32, barker13_fit, case):
                    "barker13": (barker13_fit, OptimizerConfig(n_samples=208)),
                    "barker13-p2": (barker13_fit, OptimizerConfig(p=2))}[case]
     n = cfg.resolve_n_samples(params.K)
-    expected = _sidelobe_weights(acf(synthesize_mtsfm(params, n)))
+    a = acf(synthesize_mtsfm(params, n))
+    expected = metrics._regions(a.lags[n:], a.first_null)
     for (support, weights), (slow_support, slow_weights) in zip(_start(params, cfg)[0].regions,
                                                                 expected):
         assert support == slow_support

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from mtsfm_cpm import (PhaseCode, SampledWaveform, SamplingConfig, acf,
-                       barker_code, fit_fourier, pc_phase, spectrum, synthesize_pc,
-                       waveform_csv, waveform_raw_bytes)
+                       barker_code, fit_fourier, generate_msequence, pc_phase, spectrum,
+                       synthesize_pc, waveform_csv, waveform_raw_bytes)
 from mtsfm_cpm.waveform import _time_grid
 
 
@@ -62,6 +62,16 @@ def test_synthesize_single_chip():
     assert w.n_samples == 16
     assert np.allclose(w.samples, 1.0)
     assert abs(w.energy - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("T", [63.0, 13.0, 1.0, 511.0, 0.37])
+@pytest.mark.parametrize("code", [6, 7, 9, "random"])
+def test_synthesize_pc_is_the_complex_exponential_bit_for_bit(code, T):
+    code = (PhaseCode(np.random.default_rng(3).uniform(-50, 50, 40)) if code == "random"
+            else generate_msequence(code))
+    cfg = SamplingConfig(T)
+    oracle = np.exp(1j * np.repeat(code.phases, cfg.samples_per_chip)) / np.sqrt(T)
+    assert synthesize_pc(code, cfg).samples.tobytes() == oracle.tobytes()
 
 
 def test_synthesize_constant_modulus_and_energy(barker13_wave):
