@@ -57,9 +57,13 @@ def check_int_at_least(name, value, minimum):
 
 def check_p(p):
     """Require a real scalar (see check_real) sidelobe-norm exponent p >= 2
-    that is finite (nan and inf fail)."""
+    that is finite as a float (nan, inf and an int too large for a float fail)."""
     check_real("p", p)
-    if not (math.isfinite(p) and p >= 2):
+    try:
+        ok = math.isfinite(p) and p >= 2
+    except OverflowError:  # an int too large for a float
+        ok = False
+    if not ok:
         raise ValueError(f"p must be >= 2 and finite, got {p}")
     return p
 

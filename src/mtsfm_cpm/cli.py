@@ -491,7 +491,7 @@ def main(argv=None):
         check_int_at_least("--zero-pad", args.zero_pad, 1)
         text = args.func(args, outputs.write)
         outputs.commit()
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # e.g. a spectrum too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -10,12 +10,12 @@ import cmath
 import json
 import math
 import warnings
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._validation import check_int_at_least, check_p, check_positive
-from .waveform import _csv, _text_csv
+from .waveform import _csv, _text_csv, _unit_samples
 
 __all__ = [
     "DegenerateMainlobe",
@@ -102,26 +102,13 @@ def spectrum(w, zero_pad_factor=4):
     zero_pad_factor=1 the grid coincides with the waveform's harmonic lines
     k/T, which suppresses pulse-edge leakage in moment computations; larger
     factors resolve the continuous spectral envelope between lines.
-
-    The spectrum is built in fftshift order in place: |X| of the two halves
-    of the FFT goes straight into psd, which is then squared, and freqs is
-    fftshift(fftfreq(n_fft, 1/f_s)) bit for bit, odd n_fft included. The
-    centroid's freqs * psd is formed in the FFT's own buffer, which is dead
-    by then.
     """
     zero_pad_factor = check_int_at_least("zero_pad_factor", zero_pad_factor, 1)
     n = w.n_samples * zero_pad_factor
-    h = n // 2
-    x = np.fft.fft(w.samples, n)
-    x *= 1.0 / w.sample_rate
-    psd = np.empty(n)
-    np.abs(x[n - h:], out=psd[:h])
-    np.abs(x[:n - h], out=psd[h:])
-    psd *= psd
-    freqs = np.arange(-h, n - h) * (1.0 / (n * (1.0 / w.sample_rate)))
-    moment = np.multiply(freqs, psd, out=x.view(float)[:n])
-    centroid = float(np.sum(moment) / np.sum(psd))
-    return Spectrum(freqs, psd, centroid)
+    x = np.fft.fft(w.samples, n) * (1.0 / w.sample_rate)
+    psd = np.fft.fftshift(np.abs(x) ** 2)
+    freqs = np.fft.fftshift(np.fft.fftfreq(n, 1.0 / w.sample_rate))
+    return Spectrum(freqs, psd, float(np.sum(freqs * psd) / np.sum(psd)))
 
 
 def spectral_compactness(sp, delta_f):
@@ -161,26 +148,19 @@ def rms_bandwidth_spectral(sp):
 
 @dataclass(frozen=True)
 class AcfResult:
-    """Aperiodic autocorrelation over lags [-T, T], normalized so R(0) = 1.
-
-    magnitudes is always |values|. acf() hands in the mirror of the |R| at
-    tau >= 0 it scanned the first null on through the private _magnitudes
-    (|conj z| = |z| bit for bit), so each call takes |R| once; a replace()d
-    object takes |values| anew, as dataclasses.replace() does not pass it on.
-    """
+    """Aperiodic autocorrelation over lags [-T, T], normalized so R(0) = 1;
+    magnitudes is |values|, taken once at construction."""
 
     lags: np.ndarray
     values: np.ndarray
     first_null: float
     degenerate: bool
     magnitudes: np.ndarray = field(init=False, repr=False, compare=False)
-    _magnitudes: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self, _magnitudes):
+    def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
-        magnitudes = np.abs(values) if _magnitudes is None else _magnitudes
         for name, arr in (("lags", np.asarray(self.lags, dtype=float)),
-                          ("values", values), ("magnitudes", magnitudes)):
+                          ("values", values), ("magnitudes", np.abs(values))):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -256,13 +236,13 @@ def acf(w):
 
     R is the inverse transform of the real energy spectrum |S|^2, so it is
     exactly Hermitian: R(-tau) = conj(R(tau)) bit for bit, and R(0) is real
-    with imaginary part +0.0. R, |R| and the first null are those of
-    _half_acf at tau >= 0, mirrored to the lags < 0.
+    with imaginary part +0.0. R and the first null are those of _half_acf at
+    tau >= 0, mirrored to the lags < 0.
     """
-    r_conj, half, mag, tau = _half_acf(w)
+    r_conj, half, _, tau = _half_acf(w)
     lags = np.concatenate((-half[:0:-1], half))  # -(m / f_s) is (-m) / f_s bit for bit
     return AcfResult(lags, _autocorrelation(r_conj), float(lags[-1]) if tau is None else tau,
-                     tau is None, _magnitudes=np.concatenate((mag[:0:-1], mag)))
+                     tau is None)
 
 
 def _half_acf(w):
@@ -282,11 +262,7 @@ def _shift_spectra(samples, f, n_fft):
     if f == 0:
         fu = fv = _correlation_fft(samples)
     else:
-        # e^{j x} as cos x + j sin x: numpy's complex exp is slower
-        x = (2 * np.pi * f / n_fft) * np.arange(samples.size)
-        ramp = np.empty(x.size, dtype=complex)
-        np.cos(x, out=ramp.real)
-        np.sin(x, out=ramp.imag)
+        ramp = _unit_samples((2 * np.pi * f / n_fft) * np.arange(samples.size), 1.0)
         fu, fv = _correlation_fft(samples * ramp), _correlation_fft(samples * ramp.conj())
     return fu, np.conj(fv)
 

@@ -130,7 +130,9 @@ def _unit_samples(phi, T):
     buffer, then a multiply by 1 / sqrt(T). np.exp(1j * phi) / sqrt(T) does
     the same arithmetic (the exponential of a zero real part is cos + j sin,
     and numpy divides complex by real as a multiply by the reciprocal), so
-    both give the same samples bit for bit."""
+    both give the same samples bit for bit. With T = 1 the multiply is by
+    1.0, so this is also the package's plain e^{j phi}: ambiguity()'s
+    off-bin spectral-shift ramp is built with it."""
     out = np.empty(phi.size, dtype=complex)
     np.cos(phi, out=out.real)
     np.sin(phi, out=out.imag)

@@ -336,6 +336,11 @@ def test_reproduce_mseq63_fast_and_deterministic(tmp_path, capsys):
     ["--zero-pad", "0", "reproduce", "mseq63"],
     ["--zero-pad", "0", "optimize", "{params}"],
     ["--zero-pad", "1" + "0" * 400, "metrics", "{params}"],
+    ["metrics", "{code}", "--p", "1" + "0" * 400],
+    # 13.6 PiB: beyond any 47-bit address space, so it fails at once under
+    # any overcommit policy, and below numpy's size limit, so it is a
+    # MemoryError; the report alone never forms the padded spectrum
+    ["--zero-pad", "10000000000000", "metrics", "{code}", "--export", "spectrum"],
     ["optimize", "{params}", "--delta-f", "-1"],
     ["metrics", "{params}", "--samples", "0"],
     ["fit", "{code}", "-K", "0"],
@@ -344,8 +349,9 @@ def test_reproduce_mseq63_fast_and_deterministic(tmp_path, capsys):
     ["optimize", "{params}", "--log-every", "2"],
     [],
 ], ids=["reproduce-delta", "reproduce-p", "reproduce-zero-pad", "optimize-zero-pad",
-        "metrics-huge-zero-pad", "optimize-delta-f", "metrics-samples-zero",
-        "fit-zero-harmonics", "gen-code-negative-seed",
+        "metrics-huge-zero-pad", "metrics-huge-p", "unallocatable-spectrum",
+        "optimize-delta-f", "metrics-samples-zero", "fit-zero-harmonics",
+        "gen-code-negative-seed",
         "usage-p-not-int", "usage-unknown-flag", "usage-no-subcommand"])
 def test_bad_flag_writes_nothing(tmp_path, capsys, args):
     pfile = tmp_path / "barker13_k7.json"

@@ -11,7 +11,7 @@ from mtsfm_cpm import (AcfResult, DegenerateMainlobe, MtsfmParams, OptimizerConf
                        gisr, isr, mainlobe_area, min_harmonics, psl,
                        rms_bandwidth_spectral, spectral_compactness, spectrum,
                        synthesize_mtsfm, synthesize_pc)
-from mtsfm_cpm.metrics import _next_pow2, _shifted_product
+from mtsfm_cpm.metrics import _correlation_fft, _next_pow2, _shift_spectra, _shifted_product
 from conftest import (MSEQ63_BAND, MSEQ63_T, closed_form_beta2, complex_acf,
                       fftshift_spectrum, per_row_ambiguity, row_at_a_time_ambiguity,
                       two_sided_report)
@@ -150,7 +150,7 @@ def test_acf_magnitudes_stored_once_read_only(mseq63_pc):
 
 
 def test_acf_takes_magnitudes_once(mseq63_pc, monkeypatch):
-    expected = acf(mseq63_pc)
+    a = acf(mseq63_pc)
     calls = []
 
     def counting_abs(x, *args, **kwargs):
@@ -158,10 +158,12 @@ def test_acf_takes_magnitudes_once(mseq63_pc, monkeypatch):
         return np.absolute(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "abs", counting_abs)
-    a = acf(mseq63_pc)
-    assert calls == [(mseq63_pc.n_samples + 1,)]  # on the lags >= 0, then mirrored
-    assert np.array_equal(a.magnitudes, expected.magnitudes)
-    assert (a.first_null, a.degenerate) == (expected.first_null, expected.degenerate)
+    b = AcfResult(a.lags, a.values, a.first_null, a.degenerate)
+    assert calls == [a.values.shape]  # |values|, once, at construction
+    assert np.array_equal(b.magnitudes, a.magnitudes)
+    # |conj z| = |z| bit for bit, so |R| is still the mirror of its lags >= 0
+    L = mseq63_pc.n_samples
+    assert np.array_equal(a.magnitudes[:L], a.magnitudes[:L:-1])
 
 
 def direct_acf(w):
@@ -316,6 +318,20 @@ def test_shifted_product_is_the_rolled_product():
     for i in (0, 1, -1, 5, -7, n // 2, n, -n - 3, 3 * n + 5):
         out = _shifted_product(fu, fvc, i, np.empty(n, dtype=complex))
         assert np.array_equal(out, np.roll(fu, i) * np.roll(fvc, -i)), i
+
+
+@pytest.mark.parametrize("f", [0.25, 0.5, 0.88])
+def test_shift_spectra_ramp_is_the_cos_sin_fill(mseq63_wave32, f):
+    # the oracle ramp fills e^{jx} as cos x + j sin x, in place
+    s = mseq63_wave32.samples
+    n_fft = _next_pow2(2 * s.size)
+    x = (2 * np.pi * f / n_fft) * np.arange(s.size)
+    ramp = np.empty(x.size, dtype=complex)
+    np.cos(x, out=ramp.real)
+    np.sin(x, out=ramp.imag)
+    fu, fvc = _shift_spectra(s, f, n_fft)
+    assert np.array_equal(fu, _correlation_fft(s * ramp))
+    assert np.array_equal(fvc, np.conj(_correlation_fft(s * ramp.conj())))
 
 
 def test_ambiguity_rejects_a_grid_that_is_not_1d(barker13_wave):
@@ -659,6 +675,12 @@ def test_an_int_too_large_for_a_float_is_not_a_count(barker13_wave):
     # math.isfinite of such an int raised an OverflowError that named no field
     with pytest.raises(ValueError, match="^zero_pad_factor must be an integer >= 1"):
         compute_metrics(barker13_wave, 2.0, zero_pad_factor=10 ** 400)
+    a = acf(barker13_wave)
+    for build in (lambda: OptimizerConfig(p=10 ** 400),
+                  lambda: compute_metrics(barker13_wave, 2.0, p=10 ** 400),
+                  lambda: gisr(a, 10 ** 400)):
+        with pytest.raises(ValueError, match="^p must be >= 2 and finite"):
+            build()
 
 
 def test_integral_floats_stay_accepted(barker13_wave):
