@@ -3,7 +3,8 @@
 Subcommands: gen-code, fit, metrics, optimize, reproduce. All outputs are
 deterministic for fixed inputs and flags, JSON outputs embed the input
 configuration, and a command's files appear together, only if it succeeds
-(each is staged beside its target; the set is renamed into place at the end).
+(each is staged beside its target by one os.open, so it takes the mode
+0o666 & ~umask; the set is renamed into place at the end).
 Each command returns its summary text, printed only after that rename.
 The per-sample CSV exports are formatted just before the rename, over every
 CPU the process may use, to the same bytes on any number of CPUs.
@@ -24,11 +25,11 @@ waveform     CSV ``t,re,im`` or raw interleaved little-endian float64 (re, im)
 import argparse
 import csv
 import errno
+import functools
 import io
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -37,11 +38,10 @@ import numpy as np
 from .codes import (barker_code, dump_phase_code, generate_msequence,
                     load_phase_code)
 from ._validation import check_int_at_least, check_positive
-from .metrics import acf, acf_csv, compute_metrics, spectrum, spectrum_csv
-from .mtsfm import (MtsfmParams, _phase_samples, fit_fourier, min_harmonics,
-                    synthesize_mtsfm)
+from .metrics import _acf_of, _half_acf, _metrics_report, acf_csv, spectrum, spectrum_csv
+from .mtsfm import MtsfmParams, _synthesize_with_phase, fit_fourier, min_harmonics
 from .optimizer import OptimizerConfig, optimize, trace_csv
-from .waveform import (DEFAULT_SAMPLES_PER_CHIP, SamplingConfig, _csv, _grid_column,
+from .waveform import (DEFAULT_SAMPLES_PER_CHIP, SamplingConfig, _csv, _grid_text,
                        pc_phase, synthesize_pc, waveform_csv, waveform_raw_bytes)
 
 # Reference configurations for the two built-in worked examples.
@@ -64,26 +64,30 @@ class _Outputs:
     """A command's files, staged until commit() renames them into place;
     discard() removes what is still staged and the directories made for it.
 
-    Each file gets the mode a plain open() would give it, 0o666 & ~umask
-    (mkstemp stages it 0600). A _Text file is staged empty and formatted by
-    commit(), on every CPU the process may use."""
+    Each file is staged beside its target as <name>.<tag>.<index>, with one
+    random tag per command, by one os.open(O_CREAT | O_EXCL) of mode 0o666:
+    the kernel applies the umask, so the file gets the mode a plain open()
+    would give it, 0o666 & ~umask. Each distinct parent directory is checked,
+    and made with its missing ancestors, once. A _Text file is staged empty
+    and formatted by commit(), on every CPU the process may use."""
 
     def __init__(self):
-        self.staged = []  # (temp path, target path)
-        self.made = []    # directories created, in order
-        self.texts = []   # (temp path, _Text) still to format
-        umask = os.umask(0)  # reading the umask means setting it
-        os.umask(umask)
-        self.mode = 0o666 & ~umask
+        self.staged = []      # (temp path, target path)
+        self.made = []        # directories created, in order
+        self.texts = []       # (temp path, _Text) still to format
+        self.parents = set()  # directories that exist or were made
+        self.tag = os.urandom(6).hex()
 
     def write(self, path, data):
-        new = [d for d in reversed(path.parents) if not d.exists()]
-        path.parent.mkdir(parents=True, exist_ok=True)
-        self.made += new
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+        if path.parent not in self.parents:
+            new = [d for d in reversed(path.parents) if not d.exists()]
+            path.parent.mkdir(parents=True, exist_ok=True)
+            self.made += new
+            self.parents.add(path.parent)
+        tmp = f"{path}.{self.tag}.{len(self.staged)}"
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC, 0o666)
         self.staged.append((tmp, path))
         with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
-            os.fchmod(fd, self.mode)
             if isinstance(data, _Text):
                 self.texts.append((tmp, data))
             else:
@@ -136,16 +140,17 @@ def _format_texts(texts):
     process formats the first share itself; each other share goes to a
     forked worker, which leaves by os._exit, so no atexit handler, stdio
     flush or test teardown runs in it. Every worker is waited for, also when
-    this process raises; a failed worker raises OSError. The grid columns
-    are cached first, so the workers inherit them and this process keeps
-    them for its next command.
+    this process raises; a failed worker raises OSError. The grid columns'
+    texts are cached first, so the workers inherit them and this process
+    keeps them for its next command.
     """
     if not texts:
         return
     n = min(len(texts), _cpus()) if hasattr(os, "fork") else 1
     if n > 1:
-        for grid in {text.grid.tobytes(): text.grid for _, text in texts}.values():
-            _grid_column(grid)
+        for key in dict.fromkeys(np.ascontiguousarray(text.grid, float).tobytes()
+                                 for _, text in texts):
+            _grid_text(key)
     first, *rest = _shares(texts, n)
     workers = []
     try:
@@ -199,7 +204,7 @@ def _report_csv(report, config):
     """The report as a header and one row: its fields, then each config key
     as a config_<key> column, the provenance the JSON report embeds. None is
     an empty cell, and a cell holding a comma or quote is quoted."""
-    row = json.loads(report.to_json())
+    row = report._fields()
     row.update((f"config_{k}", v) for k, v in config.items())
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows([row, row.values()])
@@ -214,13 +219,15 @@ def _write_variant(write, args, out_dir, stem, w, phase, delta_f, exports=()):
     requested exports.
 
     The report is compute_metrics': it reads the ACF on the lags tau >= 0
-    only and takes SC and the RMS bandwidth from it, so the two-sided acf()
-    is built only for the acf export and the zero-padded spectrum only for
-    the spectrum export. phase is the grid phase w was synthesized from. The
-    CSV exports are handed to write as _Text, formatted when the files are
-    committed. Returns the report and the path it was written to.
+    only and takes SC and the RMS bandwidth from it. The acf export mirrors
+    that same half (_acf_of), so the samples are correlated once, and the
+    zero-padded spectrum is built only for the spectrum export. phase is the
+    grid phase w was synthesized from. The CSV exports are handed to write
+    as _Text, formatted when the files are committed. Returns the report and
+    the path it was written to.
     """
-    report = compute_metrics(w, delta_f, args.p, args.zero_pad)
+    half = _half_acf(w)
+    report = _metrics_report(w, half, delta_f, args.p, args.zero_pad)
     if args.format == "csv":
         report_path = out_dir / f"{stem}_metrics.csv"
         write(report_path, _report_csv(report, _provenance(args)))
@@ -232,7 +239,7 @@ def _write_variant(write, args, out_dir, stem, w, phase, delta_f, exports=()):
             sp = spectrum(w, args.zero_pad)
             write(out_dir / f"{stem}_spectrum.csv", _Text(spectrum_csv, sp.freqs, (sp,)))
         elif kind == "acf":
-            a = acf(w)
+            a = _acf_of(half)
             write(out_dir / f"{stem}_acf.csv", _Text(acf_csv, a.lags, (a,)))
         elif kind == "waveform":
             write(out_dir / f"{stem}_waveform.csv", _Text(waveform_csv, w.times, (w,)))
@@ -244,12 +251,6 @@ def _write_variant(write, args, out_dir, stem, w, phase, delta_f, exports=()):
         else:
             raise ValueError(f"unknown export {kind!r}; choose from {','.join(EXPORTS)}")
     return report, report_path
-
-
-def _mtsfm_waveform(params, n_samples):
-    """The synthesized waveform and the grid phase it is built from."""
-    return (synthesize_mtsfm(params, n_samples),
-            _phase_samples(params.a0, params.alpha, params.beta, n_samples))
 
 
 def _provenance(args):
@@ -297,7 +298,7 @@ def _load_input(args):
     if path.suffix == ".json":
         params = MtsfmParams.from_json(path.read_text())
         n = args.samples if args.samples is not None else 64 * params.K
-        w, phase = _mtsfm_waveform(params, n)
+        w, phase = _synthesize_with_phase(params, n)
         delta_f = args.delta_f if args.delta_f is not None else _default_band(params)
         return w, phase, delta_f, path.stem
     code = load_phase_code(path)
@@ -333,7 +334,7 @@ def cmd_optimize(args, write):
     n_report = max(cfg.resolve_n_samples(params.K), 64 * params.K)
     for tag, prm in (("before", params), ("after", result.params)):
         _write_variant(write, args, out_dir, f"{stem}_{tag}",
-                       *_mtsfm_waveform(prm, n_report), delta_f)
+                       *_synthesize_with_phase(prm, n_report), delta_f)
     return (f"GISR(p={args.p}): {result.initial_gisr_db:.2f} -> "
             f"{result.final_gisr_db:.2f} dB ({result.termination_reason}) "
             f"-> {out_dir / (stem + '.json')}")
@@ -370,7 +371,7 @@ def cmd_reproduce(args, write):
     def variant(name, w, phase):
         report, _ = _write_variant(write, args, out_dir, name, w, phase, delta_f,
                                    ("spectrum", "acf", "phase"))
-        summary["variants"][name] = json.loads(report.to_json())
+        summary["variants"][name] = report._fields()
 
     buf = io.StringIO()
     dump_phase_code(code, buf)
@@ -382,13 +383,13 @@ def cmd_reproduce(args, write):
     for K in spec_cfg["harmonics"]:
         fits[K] = fit_fourier(code, T, K)
         write(out_dir / f"fit_k{K}.json", fits[K].to_json(extra={"config": prov}))
-        variant(f"init_k{K}", *_mtsfm_waveform(fits[K], n_samples))
+        variant(f"init_k{K}", *_synthesize_with_phase(fits[K], n_samples))
 
     for K in spec_cfg["optimize_harmonics"]:
         result = optimize(fits[K], cfg)
         write(out_dir / f"opt_k{K}_result.json", result.to_json(extra={"config": prov}))
         write(out_dir / f"opt_k{K}_trace.csv", trace_csv(result.trace))
-        variant(f"opt_k{K}", *_mtsfm_waveform(result.params, n_samples))
+        variant(f"opt_k{K}", *_synthesize_with_phase(result.params, n_samples))
 
     write(out_dir / "summary.json", json.dumps(summary, indent=2))
 
@@ -409,6 +410,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache  # parse_args reads the parser and returns a new Namespace
 def build_parser():
     parser = _Parser(
         prog="mtsfm-cpm",

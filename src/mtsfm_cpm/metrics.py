@@ -239,8 +239,15 @@ def acf(w):
     with imaginary part +0.0. R and the first null are those of _half_acf at
     tau >= 0, mirrored to the lags < 0.
     """
-    r_conj, half, _, tau = _half_acf(w)
-    lags = np.concatenate((-half[:0:-1], half))  # -(m / f_s) is (-m) / f_s bit for bit
+    return _acf_of(_half_acf(w))
+
+
+def _acf_of(half):
+    """The acf() result from a _half_acf: conj(R) and its lags at tau >= 0,
+    mirrored to the lags < 0. half is only read, so the caller may also
+    score it (_metrics_report) and correlate the samples once."""
+    r_conj, half_lags, _, tau = half
+    lags = np.concatenate((-half_lags[:0:-1], half_lags))  # -(m / f_s) is (-m) / f_s bit for bit
     return AcfResult(lags, _autocorrelation(r_conj), float(lags[-1]) if tau is None else tau,
                      tau is None)
 
@@ -517,8 +524,9 @@ class MetricsReport:
     p: int
     sc_clamped: bool = False
 
-    def to_json(self, extra=None):
-        obj = {
+    def _fields(self):
+        """The report's unit-suffixed keys and values, as to_json writes them."""
+        return {
             "sc_fraction": self.sc,
             "delta_f_hz": self.delta_f,
             "beta_rms_rad_s": self.beta_rms,
@@ -531,6 +539,9 @@ class MetricsReport:
             "p": self.p,
             "sc_clamped": self.sc_clamped,
         }
+
+    def to_json(self, extra=None):
+        obj = self._fields()
         if extra:
             obj.update(extra)
         return json.dumps(obj, indent=2)
@@ -560,7 +571,7 @@ def _metrics_report(w, half, delta_f, p, zero_pad_factor):
     GISR(p) and the _mainlobe_area are scored on them, and PSL is _psl_db,
     the helpers the public psl, isr, gisr and mainlobe_area call on acf(w)
     at tau >= 0: every field equals theirs, and first_null, bit for bit.
-    acf() itself is built only for the CLI's ACF export.
+    half is only read: the CLI's ACF export mirrors the same half (_acf_of).
 
     A band wider than the analysis span is clamped to it and flagged in
     sc_clamped instead of warning. p is checked whether or not the ACF is

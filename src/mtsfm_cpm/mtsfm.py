@@ -233,9 +233,15 @@ def synthesize_mtsfm(params, n_samples):
     Rejects sample counts below 4K, which would undersample the highest
     phase harmonic.
     """
+    return _synthesize_with_phase(params, n_samples)[0]
+
+
+def _synthesize_with_phase(params, n_samples):
+    """synthesize_mtsfm's waveform and the grid phase it is built from, by
+    one _phase_samples."""
     n_samples = check_int_at_least("n_samples", n_samples, 2)
     phi = _phase_samples(params.a0, params.alpha, params.beta, n_samples)
-    return SampledWaveform(_unit_samples(phi, params.T), params.T, n_samples / params.T)
+    return SampledWaveform(_unit_samples(phi, params.T), params.T, n_samples / params.T), phi
 
 
 def _beta2_weights(K, T):

@@ -13,7 +13,8 @@ from mtsfm_cpm import (MtsfmParams, SamplingConfig, acf, acf_csv, barker_code, f
                        load_phase_code, pc_phase, spectrum, spectrum_csv,
                        synthesize_mtsfm, synthesize_pc)
 from mtsfm_cpm import cli
-from mtsfm_cpm.cli import _mtsfm_waveform, main
+from mtsfm_cpm.cli import main
+from mtsfm_cpm.mtsfm import _synthesize_with_phase
 from mtsfm_cpm.waveform import _grid_text
 from conftest import (acf_csv_oracle, phase_csv_oracle, spectrum_csv_oracle,
                       waveform_csv_oracle, weak_tones)
@@ -130,7 +131,7 @@ def test_reports_build_an_acf_only_for_its_export(tmp_path, monkeypatch):
         raise AssertionError("a two-sided ACF was built for a report")
 
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "acf", refuse)
+        patch.setattr(cli, "_acf_of", refuse)
         assert run(["metrics", code_file, "--export", "spectrum,phase"], tmp_path) == 0
         assert run(["optimize", str(tmp_path / "barker13_k7.json"),
                     "--max-iterations", "2", "--samples", "208"], tmp_path) == 0
@@ -138,6 +139,39 @@ def test_reports_build_an_acf_only_for_its_export(tmp_path, monkeypatch):
                 "--export", "acf"], tmp_path) == 0
     w = synthesize_pc(load_phase_code(code_file), SamplingConfig(13.0, 9))
     assert (tmp_path / "barker13_acf.csv").read_bytes() == acf_csv(acf(w)).encode()
+
+
+def counting(monkeypatch, name):
+    """Record the size argument of every np.fft.<name> call."""
+    calls, fn = [], getattr(np.fft, name)
+
+    def counted(a, n=None, *args, **kwargs):
+        calls.append(n)
+        return fn(a, n, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def test_acf_export_correlates_the_samples_once(tmp_path, monkeypatch):
+    run(["gen-code", "barker", "--length", "13"], tmp_path)
+    code_file = tmp_path / "barker13.txt"
+    w = synthesize_pc(load_phase_code(code_file), SamplingConfig(13.0))
+    n_fft = 1 << (2 * w.n_samples - 1).bit_length()  # next_pow2(2L)
+    calls = counting(monkeypatch, "fft")
+    assert run(["metrics", str(code_file), "--export", "acf"], tmp_path) == 0
+    assert calls == [n_fft]
+    assert (tmp_path / "barker13_acf.csv").read_bytes() == acf_csv(acf(w)).encode()
+
+
+def test_phase_export_synthesizes_the_phase_once(tmp_path, monkeypatch):
+    params = fit_fourier(barker_code(13), 13.0, 7)
+    pfile = tmp_path / "barker13_k7.json"
+    pfile.write_text(params.to_json())
+    calls = counting(monkeypatch, "irfft")
+    assert run(["metrics", str(pfile), "--export", "phase"], tmp_path) == 0
+    assert len(calls) == 1
+    assert_phase_csv_synthesizes(tmp_path / "barker13_k7_phase.csv", params, 64 * 7)
 
 
 def test_metrics_degenerate_params_is_not_an_error(tmp_path):
@@ -373,6 +407,26 @@ def test_help_exits_zero(capsys):
     assert capsys.readouterr().out.startswith("usage: mtsfm-cpm optimize")
 
 
+def test_parser_carries_nothing_between_calls(tmp_path, capsys):
+    run(["gen-code", "barker", "--length", "13"], tmp_path)
+    code_file = str(tmp_path / "barker13.txt")
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["--out-dir", str(first), "--format", "csv", "metrics", code_file,
+                 "--export", "acf"]) == 0
+    assert main(["--out-dir", str(second), "metrics", code_file]) == 0
+    assert sorted(p.name for p in first.iterdir()) == ["barker13_acf.csv",
+                                                       "barker13_metrics.csv"]
+    assert [p.name for p in second.iterdir()] == ["barker13_metrics.json"]
+    report = json.loads((second / "barker13_metrics.json").read_text())
+    assert report["config"]["format"] == "json" and report["config"]["export"] is None
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: mtsfm-cpm")
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_metrics_flags_a_clamped_band(tmp_path):
     run(["gen-code", "barker", "--length", "13"], tmp_path)
     assert run(["metrics", str(tmp_path / "barker13.txt"), "--delta-f", "1e9"], tmp_path) == 0
@@ -443,6 +497,24 @@ def test_outputs_take_the_umask_mode(tmp_path):
     assert set(modes.values()) == {0o644}, modes
 
 
+def test_commands_stage_beside_their_targets_and_clean_up(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["gen-code", "barker", "--length", "13"], out) == 0
+    code_file = str(out / "barker13.txt")
+    assert run(["metrics", code_file, "--export", "acf"], out) == 0
+    names = ["barker13.txt", "barker13_acf.csv", "barker13_metrics.json"]
+    assert sorted(p.name for p in out.iterdir()) == names
+    before = {p: p.read_bytes() for p in out.iterdir()}
+    # a failure after files are staged: in the same out-dir, and in new directories
+    for out_dir in (out, out / "new" / "deeper"):
+        assert run(["metrics", code_file, "--export", "acf,waveform,bogus"], out_dir) == 1
+        assert "unknown export 'bogus'" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in out.iterdir()} == before
+    # a rerun commits over the earlier files
+    assert run(["metrics", code_file, "--export", "acf"], out) == 0
+    assert {p: p.read_bytes() for p in out.iterdir()} == before
+
+
 def reproduce_oracles(out_dir):
     """{file name: oracle text} of every CSV export of reproduce mseq63."""
     code = load_phase_code(out_dir / "pc_code.txt")
@@ -452,7 +524,7 @@ def reproduce_oracles(out_dir):
     for name, text in (("init_k32", (out_dir / "fit_k32.json").read_text()),
                        ("init_k64", (out_dir / "fit_k64.json").read_text()),
                        ("opt_k32", json.dumps(opt))):
-        variants[name] = _mtsfm_waveform(MtsfmParams.from_json(text), 63 * 32)
+        variants[name] = _synthesize_with_phase(MtsfmParams.from_json(text), 63 * 32)
     texts = {}
     for name, (w, phase) in variants.items():
         texts[f"{name}_spectrum.csv"] = spectrum_csv_oracle(spectrum(w))

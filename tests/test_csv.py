@@ -11,7 +11,8 @@ from mtsfm_cpm import (AcfResult, OptimizerConfig, SampledWaveform, SamplingConf
                        Spectrum, acf, acf_csv, barker_code, optimize, pc_phase, spectrum,
                        spectrum_csv, synthesize_mtsfm, synthesize_pc, waveform_csv)
 import mtsfm_cpm.metrics as metrics
-from mtsfm_cpm.cli import _mtsfm_waveform, _phase_csv
+from mtsfm_cpm.cli import _phase_csv
+from mtsfm_cpm.mtsfm import _synthesize_with_phase
 from mtsfm_cpm.waveform import _grid_text
 
 from conftest import (MSEQ63_T, acf_csv_oracle, phase_csv_oracle,
@@ -38,7 +39,7 @@ def waveform_and_phase(request, mseq63_code, mseq63_pc, mseq63_fit32):
     if request.param == "pc":
         return mseq63_pc, pc_phase(mseq63_code, MSEQ63_T, mseq63_pc.times)
     if request.param == "k32":
-        return _mtsfm_waveform(mseq63_fit32, 63 * 32)
+        return _synthesize_with_phase(mseq63_fit32, 63 * 32)
     L = 1024
     return SampledWaveform(np.ones(L, dtype=complex), 1.0, float(L)), np.zeros(L)
 
