@@ -148,16 +148,6 @@ def per_row_ambiguity(w, doppler_grid):
     return np.array(rows)
 
 
-def fftshift_spectrum(w, zero_pad_factor):
-    """(freqs, psd, centroid) from fftshift copies of the scaled FFT's |X|^2
-    and of fftfreq: the oracle for metrics.spectrum."""
-    n_fft = w.n_samples * zero_pad_factor
-    x = np.fft.fft(w.samples, n_fft) * (1.0 / w.sample_rate)
-    psd = np.fft.fftshift(np.abs(x) ** 2)
-    freqs = np.fft.fftshift(np.fft.fftfreq(n_fft, d=1.0 / w.sample_rate))
-    return freqs, psd, float(np.sum(freqs * psd) / np.sum(psd))
-
-
 def row_at_a_time_ambiguity(w, doppler_grid):
     """ambiguity() with each correlated row inverse-transformed on its own:
     its bin-shifted product, one np.fft.ifft, then _lag_window. Repeated

