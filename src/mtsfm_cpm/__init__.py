@@ -9,9 +9,9 @@ Each public name is listed once, in the ``__all__`` of the module that
 defines it; the package re-exports their union.
 """
 
-from . import codes, estimators, metrics, mtsfm, optimizer, waveform
+from . import codes, metrics, mtsfm, optimizer, waveform
+from . import estimators  # noqa: F401  (empty; perfbench's spans.LAYERS reads it)
 from .codes import *  # noqa: F401,F403
-from .estimators import *  # noqa: F401,F403
 from .metrics import *  # noqa: F401,F403
 from .mtsfm import *  # noqa: F401,F403
 from .optimizer import *  # noqa: F401,F403
@@ -20,4 +20,4 @@ from .waveform import *  # noqa: F401,F403
 __version__ = "0.1.0"
 
 __all__ = [*codes.__all__, *waveform.__all__, *mtsfm.__all__, *metrics.__all__,
-           *optimizer.__all__, *estimators.__all__, "__version__"]
+           *optimizer.__all__, "__version__"]

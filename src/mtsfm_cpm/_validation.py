@@ -25,15 +25,18 @@ def check_real(name, value):
     return value
 
 
+def _finite(value):
+    """math.isfinite that reads an int too large for a float as not finite."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def check_positive(name, value):
     """Require a real scalar (see check_real) that is positive and finite as
     a float: an int too large for a float is not."""
-    check_real(name, value)
-    try:
-        ok = math.isfinite(value) and value > 0
-    except OverflowError:  # an int too large for a float
-        ok = False
-    if not ok:
+    if not (_finite(check_real(name, value)) and value > 0):
         raise ValueError(f"{name} must be positive and finite, got {value}")
     return value
 
@@ -43,13 +46,8 @@ def check_int_at_least(name, value, minimum):
     such as 4 or 4.0, that is finite as a float, and return it as an int.
     A minimum of -math.inf checks the type alone and leaves the range, and
     its message, to the caller."""
-    check_real(name, value)
-    try:
-        # finiteness first: int() of inf or nan raises without naming the value
-        ok = math.isfinite(value) and int(value) == value and value >= minimum
-    except OverflowError:  # an int too large for a float
-        ok = False
-    if not ok:
+    # finiteness first: int() of inf or nan raises without naming the value
+    if not (_finite(check_real(name, value)) and int(value) == value and value >= minimum):
         bound = f" >= {minimum}" if minimum > -math.inf else ""
         raise ValueError(f"{name} must be an integer{bound}, got {value}")
     return int(value)
@@ -58,12 +56,7 @@ def check_int_at_least(name, value, minimum):
 def check_p(p):
     """Require a real scalar (see check_real) sidelobe-norm exponent p >= 2
     that is finite as a float (nan, inf and an int too large for a float fail)."""
-    check_real("p", p)
-    try:
-        ok = math.isfinite(p) and p >= 2
-    except OverflowError:  # an int too large for a float
-        ok = False
-    if not ok:
+    if not (_finite(check_real("p", p)) and p >= 2):
         raise ValueError(f"p must be >= 2 and finite, got {p}")
     return p
 

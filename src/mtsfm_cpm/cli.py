@@ -271,9 +271,19 @@ def cmd_gen_code(args, write):
     return f"{code.label}: N={code.n} -> {path}"
 
 
+def _pulse_length(args, code):
+    """--pulse-length, or one second per chip."""
+    return args.pulse_length if args.pulse_length is not None else float(code.n)
+
+
+def _chip_band(code, T):
+    """The null-to-null band of the chip envelope, 2N/T: a code input's band."""
+    return 2.0 * code.n / T
+
+
 def cmd_fit(args, write):
     code = load_phase_code(args.code_file)
-    T = args.pulse_length if args.pulse_length is not None else float(code.n)
+    T = _pulse_length(args, code)
     bound = min_harmonics(code.n)
     K = args.harmonics if args.harmonics is not None else bound
     params = fit_fourier(code, T, K)
@@ -297,14 +307,14 @@ def _load_input(args):
     path = Path(args.input)
     if path.suffix == ".json":
         params = MtsfmParams.from_json(path.read_text())
-        n = args.samples if args.samples is not None else 64 * params.K
+        n = OptimizerConfig(n_samples=args.samples).resolve_n_samples(params.K)
         w, phase = _synthesize_with_phase(params, n)
         delta_f = args.delta_f if args.delta_f is not None else _default_band(params)
         return w, phase, delta_f, path.stem
     code = load_phase_code(path)
-    T = args.pulse_length if args.pulse_length is not None else float(code.n)
+    T = _pulse_length(args, code)
     w = synthesize_pc(code, SamplingConfig(T, args.samples_per_chip))
-    delta_f = args.delta_f if args.delta_f is not None else 2.0 * code.n / T
+    delta_f = args.delta_f if args.delta_f is not None else _chip_band(code, T)
     return w, pc_phase(code, T, w.times), delta_f, path.stem
 
 
@@ -331,7 +341,9 @@ def cmd_optimize(args, write):
     write(out_dir / f"{stem}.json", result.to_json(extra={"config": _provenance(args)}))
     write(out_dir / f"{stem}_trace.csv", trace_csv(result.trace))
 
-    n_report = max(cfg.resolve_n_samples(params.K), 64 * params.K)
+    # the reports take at least the default density
+    n_report = max(cfg.resolve_n_samples(params.K),
+                   OptimizerConfig().resolve_n_samples(params.K))
     for tag, prm in (("before", params), ("after", result.params)):
         _write_variant(write, args, out_dir, f"{stem}_{tag}",
                        *_synthesize_with_phase(prm, n_report), delta_f)
@@ -359,7 +371,7 @@ def cmd_reproduce(args, write):
 
     out_dir = Path(args.out_dir) / args.example
     T = float(code.n)
-    delta_f = 2.0 * code.n / T  # null-to-null band of the chip envelope
+    delta_f = _chip_band(code, T)
     scfg = SamplingConfig(T, args.samples_per_chip)
     n_samples = code.n * args.samples_per_chip
     cfg = OptimizerConfig(p=args.p, delta=args.delta,

@@ -82,7 +82,6 @@ class Spectrum:
 
     freqs: np.ndarray
     psd: np.ndarray
-    centroid: float
 
     def __post_init__(self):
         for name in ("freqs", "psd"):
@@ -93,6 +92,11 @@ class Spectrum:
     @property
     def df(self):
         return float(self.freqs[1] - self.freqs[0])
+
+    @property
+    def centroid(self):
+        """Mean frequency, sum(freqs * psd) / sum(psd)."""
+        return float(np.sum(self.freqs * self.psd) / np.sum(self.psd))
 
 
 def spectrum(w, zero_pad_factor=4):
@@ -108,7 +112,7 @@ def spectrum(w, zero_pad_factor=4):
     x = np.fft.fft(w.samples, n) * (1.0 / w.sample_rate)
     psd = np.fft.fftshift(np.abs(x) ** 2)
     freqs = np.fft.fftshift(np.fft.fftfreq(n, 1.0 / w.sample_rate))
-    return Spectrum(freqs, psd, float(np.sum(freqs * psd) / np.sum(psd)))
+    return Spectrum(freqs, psd)
 
 
 def spectral_compactness(sp, delta_f):

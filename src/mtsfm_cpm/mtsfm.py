@@ -241,7 +241,7 @@ def _synthesize_with_phase(params, n_samples):
     one _phase_samples."""
     n_samples = check_int_at_least("n_samples", n_samples, 2)
     phi = _phase_samples(params.a0, params.alpha, params.beta, n_samples)
-    return SampledWaveform(_unit_samples(phi, params.T), params.T, n_samples / params.T), phi
+    return SampledWaveform(_unit_samples(phi, params.T), params.T), phi
 
 
 def _beta2_weights(K, T):

@@ -48,13 +48,12 @@ class SamplingConfig:
 class SampledWaveform:
     """Unit-energy complex baseband samples on a midpoint grid over [-T/2, T/2].
 
-    sample_rate must be n_samples / T (to a relative 1e-12): the metrics take
-    their lag and frequency spacing from it.
+    sample_rate is n_samples / T: the metrics take their lag and frequency
+    spacing from it.
     """
 
     samples: np.ndarray
     T: float
-    sample_rate: float
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=complex)
@@ -63,16 +62,16 @@ class SampledWaveform:
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
         check_positive("T", self.T)
-        check_positive("sample_rate", self.sample_rate)
-        rate = samples.size / self.T
-        if not abs(self.sample_rate - rate) <= 1e-12 * rate:
-            raise ValueError(f"sample_rate {self.sample_rate} is not n_samples / T = {rate}")
         if not abs(self.energy - 1.0) <= 1e-9:  # nan or inf samples fail too
             raise ValueError(f"waveform energy {self.energy} is not 1 within 1e-9")
 
     @property
     def n_samples(self):
         return self.samples.size
+
+    @property
+    def sample_rate(self):
+        return self.samples.size / self.T
 
     @property
     def energy(self):
@@ -120,9 +119,8 @@ def synthesize_pc(code, cfg):
     """
     if not isinstance(cfg, SamplingConfig):
         raise TypeError("cfg must be a SamplingConfig")
-    n = code.n
     samples = _unit_samples(np.repeat(code.phases, cfg.samples_per_chip), cfg.T)
-    return SampledWaveform(samples, cfg.T, n * cfg.samples_per_chip / cfg.T)
+    return SampledWaveform(samples, cfg.T)
 
 
 def _unit_samples(phi, T):

@@ -248,7 +248,7 @@ def test_criterion_7_invariant_suite(mseq63_code, mseq63_pc, mseq63_fit32,
 def test_criterion_8_degenerate_handling():
     T = 1.0
     L = 1024
-    w = m.SampledWaveform(np.ones(L, dtype=complex) / math.sqrt(T), T, L / T)
+    w = m.SampledWaveform(np.ones(L, dtype=complex) / math.sqrt(T), T)
     a = m.acf(w)
     assert a.degenerate and a.first_null == a.lags[-1]
     triangle = 1 - np.abs(a.lags) / T

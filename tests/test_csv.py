@@ -41,7 +41,7 @@ def waveform_and_phase(request, mseq63_code, mseq63_pc, mseq63_fit32):
     if request.param == "k32":
         return _synthesize_with_phase(mseq63_fit32, 63 * 32)
     L = 1024
-    return SampledWaveform(np.ones(L, dtype=complex), 1.0, float(L)), np.zeros(L)
+    return SampledWaveform(np.ones(L, dtype=complex), 1.0), np.zeros(L)
 
 
 def test_writers_match_oracles_cold_and_warm(waveform_and_phase):
@@ -71,14 +71,14 @@ def test_negative_zero_and_nan_round_trip():
     _grid_text.cache_clear()
     for grid in grids:
         assert _phase_csv(grid, data) == phase_csv_oracle(grid, data)
-        sp = Spectrum(grid, data, 0.0)
+        sp = Spectrum(grid, data)
         assert spectrum_csv(sp) == spectrum_csv_oracle(sp)
         a = AcfResult(grid, np.array([complex(-0.0, -0.0), complex(math.nan, 0.0), 1.0]),
                       1.0, False)
         assert acf_csv(a) == acf_csv_oracle(a)
     assert _phase_csv(grids[1], data).split("\n")[1] == "-0.0,-0.0"
     assert _grid_text.cache_info().misses == 2
-    w = SampledWaveform(np.array([complex(1.0, -0.0), complex(-1.0, 0.0)]), 1.0, 2.0)
+    w = SampledWaveform(np.array([complex(1.0, -0.0), complex(-1.0, 0.0)]), 1.0)
     assert waveform_csv(w) == waveform_csv_oracle(w)
     assert ",-0.0\n" in waveform_csv(w)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mtsfm_cpm import (AcfResult, DegenerateMainlobe, MtsfmParams, OptimizerConfig,
-                       PhaseCode, SampledWaveform, SamplingConfig, acf, ambiguity,
+                       PhaseCode, SampledWaveform, SamplingConfig, Spectrum, acf, ambiguity,
                        barker_code, compute_metrics, fit_fourier, generate_msequence,
                        gisr, isr, mainlobe_area, min_harmonics, psl,
                        rms_bandwidth_spectral, spectral_compactness, spectrum,
@@ -18,7 +18,7 @@ from conftest import (MSEQ63_BAND, MSEQ63_T, closed_form_beta2, complex_acf,
 
 
 def rect_pulse(L=1024, T=1.0):
-    return SampledWaveform(np.ones(L, dtype=complex) / np.sqrt(T), T, L / T)
+    return SampledWaveform(np.ones(L, dtype=complex) / np.sqrt(T), T)
 
 
 # --------------------------------------------------------------------------
@@ -424,11 +424,18 @@ def test_rms_bandwidth_is_centroid_relative():
     sp = spectrum(w, zero_pad_factor=1)
     # shift by an exact number of bins: same spread about a moved centroid
     shift = 5.0 / w.T
-    shifted = SampledWaveform(w.samples * np.exp(2j * np.pi * shift * w.times),
-                              w.T, w.sample_rate)
+    shifted = SampledWaveform(w.samples * np.exp(2j * np.pi * shift * w.times), w.T)
     sp2 = spectrum(shifted, zero_pad_factor=1)
     assert sp2.centroid == pytest.approx(sp.centroid + shift, abs=1e-9)
     assert rms_bandwidth_spectral(sp2) == pytest.approx(
+        rms_bandwidth_spectral(sp), rel=1e-9)
+    # a hand-built Spectrum takes its centroid from freqs and psd, so moving
+    # the psd by whole bins moves the centroid and keeps the spread
+    moved = np.zeros_like(sp.psd)
+    moved[5:] = sp.psd[:-5]
+    sp3 = Spectrum(sp.freqs, moved)
+    assert sp3.centroid == pytest.approx(sp.centroid + 5 * sp.df, abs=1e-9)
+    assert rms_bandwidth_spectral(sp3) == pytest.approx(
         rms_bandwidth_spectral(sp), rel=1e-9)
 
 
@@ -522,7 +529,7 @@ def oracle_waveforms():
     # off centre, so the first moment (the sums over Im R) shows in beta
     w = waves["barker13-x9"]
     waves["barker13-x9-offset"] = SampledWaveform(
-        w.samples * np.exp(2j * np.pi * 0.37 * w.times), w.T, w.sample_rate)
+        w.samples * np.exp(2j * np.pi * 0.37 * w.times), w.T)
     for degree in (6, 7):
         code = generate_msequence(degree)
         T = float(code.n)
@@ -575,7 +582,7 @@ def report_waveforms(mseq63_code, mseq63_pc, mseq63_fit32, mseq63_fit64):
              "mseq63-k64": synthesize_mtsfm(mseq63_fit64, 63 * 32),
              "barker13-x9": synthesize_pc(barker_code(13), SamplingConfig(13.0, 9)),
              "unmodulated": rect_pulse(),
-             "two-samples": SampledWaveform(np.array([1.0, 1j]), 1.0, 2.0)}
+             "two-samples": SampledWaveform(np.array([1.0, 1j]), 1.0)}
     for K in range(8, 65):
         waves[f"sweep-k{K}"] = synthesize_mtsfm(fit_fourier(mseq63_code, MSEQ63_T, K), 63 * 32)
     for degree in (7, 8, 9, 10):
@@ -719,8 +726,7 @@ def test_random_code_invariants(seed):
 
 def test_metrics_invariant_under_time_reversal(mseq63_pc):
     rep = compute_metrics(mseq63_pc, MSEQ63_BAND)
-    reversed_w = SampledWaveform(mseq63_pc.samples[::-1], mseq63_pc.T,
-                                 mseq63_pc.sample_rate)
+    reversed_w = SampledWaveform(mseq63_pc.samples[::-1], mseq63_pc.T)
     rep_r = compute_metrics(reversed_w, MSEQ63_BAND)
     assert rep_r.sc == pytest.approx(rep.sc, abs=1e-9)
     assert rep_r.psl_db == pytest.approx(rep.psl_db, abs=1e-9)

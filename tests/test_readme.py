@@ -32,4 +32,4 @@ def test_every_public_name_resolves_once():
     names = mtsfm_cpm.__all__
     for name in names:
         getattr(mtsfm_cpm, name)
-    assert len(set(names)) == len(names) == 46  # 45 names and __version__
+    assert len(set(names)) == len(names) == 44  # 43 names and __version__

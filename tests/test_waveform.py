@@ -22,7 +22,7 @@ def test_sampling_config_validation():
 def test_pulse_length_must_be_a_positive_real_scalar(T, message):
     # a bool once passed as T = 1 and a list failed on '<=' without a name
     builds = (lambda: SamplingConfig(T),
-              lambda: SampledWaveform(np.ones(13) / np.sqrt(13.0), T, 1.0),
+              lambda: SampledWaveform(np.ones(13) / np.sqrt(13.0), T),
               lambda: fit_fourier(barker_code(13), T, 7))
     for build in builds:
         with pytest.raises(ValueError, match=f"^{message}"):
@@ -91,27 +91,18 @@ def test_global_phase_offset_leaves_metrics_unchanged(mseq63_code):
 
 def test_sampled_waveform_rejects_wrong_energy():
     with pytest.raises(ValueError, match="energy"):
-        SampledWaveform(2.0 * np.ones(8), T=1.0, sample_rate=8.0)
+        SampledWaveform(2.0 * np.ones(8), T=1.0)
 
 
-def test_sampled_waveform_rejects_a_sample_rate_off_n_over_t(barker13_wave):
-    w = barker13_wave
-    rate = w.n_samples / w.T
-    # twice the rate would halve every lag and frequency spacing of the metrics
-    for bad in (2 * rate, rate * (1 + 1e-11), rate * (1 - 1e-11)):
-        with pytest.raises(ValueError, match="sample_rate"):
-            SampledWaveform(w.samples * np.sqrt(bad / rate), w.T, bad)
-    for ok in (rate * (1 + 1e-13), rate * (1 - 1e-13)):
-        assert SampledWaveform(w.samples, w.T, ok).sample_rate == ok
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan)])
 def test_sampled_waveform_rejects_non_finite_samples(bad):
     # an energy of nan compares False against any tolerance
     with pytest.raises(ValueError, match="energy"):
-        SampledWaveform([bad, bad], 1.0, 2.0)
+        SampledWaveform([bad, bad], 1.0)
     with pytest.raises(ValueError, match="energy"):
-        SampledWaveform([bad, 1.0], 1.0, 2.0)
+        SampledWaveform([bad, 1.0], 1.0)
 
 
 def test_waveform_csv_round_trip(barker13_wave):
