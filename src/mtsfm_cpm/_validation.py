@@ -6,9 +6,18 @@ import numbers
 import numpy as np
 
 
+def read_only_copy(values, dtype=float):
+    """values copied into a new read-only array of dtype: the caller's array
+    stays writable, and no view of it can write into the copy."""
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
 def as_float_vector(values, name):
-    """Copy to a 1-D float64 array and require at least one finite entry."""
-    arr = np.array(values, dtype=float, copy=True)
+    """A read_only_copy as a 1-D float64 array, with at least one entry, all
+    of them finite."""
+    arr = read_only_copy(values)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:

@@ -31,7 +31,6 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,23 +40,14 @@ from ._validation import check_int_at_least, check_positive
 from .metrics import _acf_of, _half_acf, _metrics_report, acf_csv, spectrum, spectrum_csv
 from .mtsfm import MtsfmParams, _synthesize_with_phase, fit_fourier, min_harmonics
 from .optimizer import OptimizerConfig, optimize, trace_csv
-from .waveform import (DEFAULT_SAMPLES_PER_CHIP, SamplingConfig, _csv, _grid_text,
-                       pc_phase, synthesize_pc, waveform_csv, waveform_raw_bytes)
+from .waveform import (DEFAULT_SAMPLES_PER_CHIP, SamplingConfig, _csv, pc_phase,
+                       synthesize_pc, waveform_csv, waveform_raw_bytes)
 
 # Reference configurations for the two built-in worked examples.
 MSEQ63 = dict(degree=6, taps=0b1100000, seed=62, harmonics=(64, 32),
               optimize_harmonics=(32,))
 POLY65_FILE = Path("data") / "polyphase_barker_n65.txt"
 POLY65 = dict(harmonics=(65, 33), optimize_harmonics=(33, 65))
-
-
-class _Text(NamedTuple):
-    """A CSV export formatted at commit time: format(*args), one row per
-    entry of grid."""
-
-    format: Callable[..., str]
-    grid: np.ndarray
-    args: tuple
 
 
 class _Outputs:
@@ -68,13 +58,14 @@ class _Outputs:
     random tag per command, by one os.open(O_CREAT | O_EXCL) of mode 0o666:
     the kernel applies the umask, so the file gets the mode a plain open()
     would give it, 0o666 & ~umask. Each distinct parent directory is checked,
-    and made with its missing ancestors, once. A _Text file is staged empty
-    and formatted by commit(), on every CPU the process may use."""
+    and made with its missing ancestors, once. A file whose data is a
+    callable is staged empty, and commit() writes the text the callable
+    returns into it, on every CPU the process may use."""
 
     def __init__(self):
         self.staged = []      # (temp path, target path)
         self.made = []        # directories created, in order
-        self.texts = []       # (temp path, _Text) still to format
+        self.texts = []       # (temp path, callable) still to format
         self.parents = set()  # directories that exist or were made
         self.tag = os.urandom(6).hex()
 
@@ -88,7 +79,7 @@ class _Outputs:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC, 0o666)
         self.staged.append((tmp, path))
         with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
-            if isinstance(data, _Text):
+            if callable(data):
                 self.texts.append((tmp, data))
             else:
                 fh.write(data)
@@ -117,41 +108,26 @@ def _cpus():
     return os.cpu_count() or 1
 
 
-def _shares(texts, n):
-    """texts split into n shares of about equal row count, longest first."""
-    shares, rows = [[] for _ in range(n)], [0] * n
-    for item in sorted(texts, key=lambda item: -item[1].grid.size):
-        i = rows.index(min(rows))
-        shares[i].append(item)
-        rows[i] += item[1].grid.size
-    return shares
-
-
 def _format_share(share):
     for tmp, text in share:
         with open(tmp, "w") as fh:
-            fh.write(text.format(*text.args))
+            fh.write(text())
 
 
 def _format_texts(texts):
-    """Format each staged (temp path, _Text) into its file.
+    """Write the text of each staged (temp path, callable) into its file.
 
-    The texts are split over one share per CPU this process may use. The
-    process formats the first share itself; each other share goes to a
-    forked worker, which leaves by os._exit, so no atexit handler, stdio
-    flush or test teardown runs in it. Every worker is waited for, also when
-    this process raises; a failed worker raises OSError. The grid columns'
-    texts are cached first, so the workers inherit them and this process
-    keeps them for its next command.
+    The texts are dealt round-robin, in staging order, into one share per
+    CPU this process may use. The process formats the first share itself;
+    each other share goes to a forked worker, which leaves by os._exit, so
+    no atexit handler, stdio flush or test teardown runs in it. Every worker
+    is waited for, also when this process raises; a failed worker raises
+    OSError.
     """
     if not texts:
         return
     n = min(len(texts), _cpus()) if hasattr(os, "fork") else 1
-    if n > 1:
-        for key in dict.fromkeys(np.ascontiguousarray(text.grid, float).tobytes()
-                                 for _, text in texts):
-            _grid_text(key)
-    first, *rest = _shares(texts, n)
+    first, *rest = (texts[i::n] for i in range(n))
     workers = []
     try:
         for share in rest:
@@ -223,8 +199,8 @@ def _write_variant(write, args, out_dir, stem, w, phase, delta_f, exports=()):
     that same half (_acf_of), so the samples are correlated once, and the
     zero-padded spectrum is built only for the spectrum export. phase is the
     grid phase w was synthesized from. The CSV exports are handed to write
-    as _Text, formatted when the files are committed. Returns the report and
-    the path it was written to.
+    as callables, formatted when the files are committed. Returns the report
+    and the path it was written to.
     """
     half = _half_acf(w)
     report = _metrics_report(w, half, delta_f, args.p, args.zero_pad)
@@ -237,17 +213,15 @@ def _write_variant(write, args, out_dir, stem, w, phase, delta_f, exports=()):
     for kind in exports:
         if kind == "spectrum":
             sp = spectrum(w, args.zero_pad)
-            write(out_dir / f"{stem}_spectrum.csv", _Text(spectrum_csv, sp.freqs, (sp,)))
+            write(out_dir / f"{stem}_spectrum.csv", functools.partial(spectrum_csv, sp))
         elif kind == "acf":
-            a = _acf_of(half)
-            write(out_dir / f"{stem}_acf.csv", _Text(acf_csv, a.lags, (a,)))
+            write(out_dir / f"{stem}_acf.csv", functools.partial(acf_csv, _acf_of(half)))
         elif kind == "waveform":
-            write(out_dir / f"{stem}_waveform.csv", _Text(waveform_csv, w.times, (w,)))
+            write(out_dir / f"{stem}_waveform.csv", functools.partial(waveform_csv, w))
         elif kind == "waveform-raw":
             write(out_dir / f"{stem}_waveform.f64", waveform_raw_bytes(w))
         elif kind == "phase":
-            times = w.times
-            write(out_dir / f"{stem}_phase.csv", _Text(_phase_csv, times, (times, phase)))
+            write(out_dir / f"{stem}_phase.csv", functools.partial(_phase_csv, w.times, phase))
         else:
             raise ValueError(f"unknown export {kind!r}; choose from {','.join(EXPORTS)}")
     return report, report_path

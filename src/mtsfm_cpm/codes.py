@@ -32,9 +32,7 @@ class PhaseCode:
     label: str = ""
 
     def __post_init__(self):
-        phases = as_float_vector(self.phases, "phases")
-        phases.flags.writeable = False
-        object.__setattr__(self, "phases", phases)
+        object.__setattr__(self, "phases", as_float_vector(self.phases, "phases"))
 
     def __len__(self):
         return self.phases.size

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._validation import check_int_at_least, check_p, check_positive
+from ._validation import check_int_at_least, check_p, check_positive, read_only_copy
 from .waveform import _csv, _text_csv, _unit_samples
 
 __all__ = [
@@ -85,9 +85,7 @@ class Spectrum:
 
     def __post_init__(self):
         for name in ("freqs", "psd"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, read_only_copy(getattr(self, name)))
 
     @property
     def df(self):
@@ -162,10 +160,9 @@ class AcfResult:
     magnitudes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
-        for name, arr in (("lags", np.asarray(self.lags, dtype=float)),
-                          ("values", values), ("magnitudes", np.abs(values))):
-            arr.flags.writeable = False
+        values = read_only_copy(self.values, complex)
+        for name, arr in (("lags", read_only_copy(self.lags)), ("values", values),
+                          ("magnitudes", read_only_copy(np.abs(values)))):
             object.__setattr__(self, name, arr)
 
 
@@ -178,19 +175,16 @@ def _correlation_fft(u):
 def _conj_autocorrelation(spec, L, sample_rate):
     """conj(R) at the lags 0..L-1, then the exact zero at lag T, from the
     _correlation_fft spectrum S of samples of length L, where
-    R[m] = sum_n s[n+m] conj(s[n]) / f_s. S is consumed: the real energy
-    spectrum S.real^2 + S.imag^2 is formed in place in its real part, which
-    allocates nothing the size of S.
+    R[m] = sum_n s[n+m] conj(s[n]) / f_s. S is only read.
 
-    R is the inverse transform of |S|^2, so conj(R) is its forward real FFT:
-    one rfft instead of a complex ifft of S conj(S). The scaling is an
-    in-place multiply by 1 / (n_fft f_s) of the L lags kept; numpy runs
+    R is the inverse transform of the real energy spectrum
+    |S|^2 = S.real^2 + S.imag^2, so conj(R) is its forward real FFT: one
+    rfft instead of a complex ifft of S conj(S). The scaling is an in-place
+    multiply by 1 / (n_fft f_s) of the L lags kept; numpy runs
     complex-by-real division through its slower complex division loop. The
     result is a view of the rfft's own output."""
-    parts = spec.view(float)
-    parts *= parts
-    power = spec.real
-    power += spec.imag
+    power = np.square(spec.real)
+    power += np.square(spec.imag)
     h = np.fft.rfft(power)[:L + 1]
     h[:L] *= 1.0 / (spec.size * sample_rate)
     h[L] = 0.0
@@ -310,11 +304,11 @@ def ambiguity(w, doppler_grid):
     a class holds O(rows x n_fft) memory. The nu = 0 row is acf()'s own
     autocorrelation of S, so it matches acf() bit for bit.
 
-    A row whose exact value nu occurs earlier in the grid is copied from the
-    first such row. The surface obeys chi(-tau, -nu) = conj(chi(tau, nu)),
-    and the lag axis is symmetric, so a row whose exact negation -nu
-    (nu != 0) occurs earlier is mirrored from the first such row as
-    conj(row[::-1]). Neither is correlated.
+    The surface obeys chi(-tau, -nu) = conj(chi(tau, nu)), and the lag axis
+    is symmetric, so a row whose exact negation -nu (nu != 0) occurs earlier
+    is mirrored from the first such row as conj(row[::-1]) and not
+    correlated. Every other row is correlated, a repeated nu too: it joins
+    its class's batched inverse FFT, which gives it the same bits.
     """
     doppler_grid = np.asarray(doppler_grid, dtype=float)
     if doppler_grid.ndim != 1:
@@ -327,33 +321,30 @@ def ambiguity(w, doppler_grid):
         raise ValueError("doppler_grid must be finite, and so must its spectral shifts")
     t0 = float(w.times[0])
     rows = np.empty((doppler_grid.size, 2 * L + 1), dtype=complex)
-    first, copies, classes = {}, [], {}  # classes: f -> [(row, i, nu)]
+    first, mirrors, classes = {}, [], {}  # classes: f -> [(row, i, nu)]
     for k, (nu, d) in enumerate(zip(doppler_grid.tolist(), shifts.tolist())):
-        if nu in first:
-            copies.append((k, first[nu], False))
-        elif nu != 0 and -nu in first:
-            copies.append((k, first[-nu], True))
+        if nu != 0 and -nu in first:
+            mirrors.append((k, first[-nu]))
         else:
             i = math.floor(d)
             classes.setdefault(d - i, []).append((k, i, nu))
         first.setdefault(nu, k)
     for f, members in classes.items():  # one class alive at a time: O(rows x n_fft)
         fu, fvc = _shift_spectra(w.samples, f, n_fft)
-        shifted = [(k, i, nu) for k, i, nu in members if nu != 0]
+        shifted = []
+        for k, i, nu in members:
+            if nu == 0:
+                rows[k] = _autocorrelation(_conj_autocorrelation(fu, L, w.sample_rate))
+            else:
+                shifted.append((k, i, nu))
         if shifted:
             block = np.empty((len(shifted), n_fft), dtype=complex)
             for product, (_, i, _) in zip(block, shifted):
                 _shifted_product(fu, fvc, i, product)
             for cc, (k, _, nu) in zip(np.fft.ifft(block, axis=-1), shifted):
                 _lag_window(cc, L, cmath.exp(2j * math.pi * nu * t0) / w.sample_rate, rows[k])
-        for k, _, nu in members:
-            if nu == 0:  # last, as it consumes fu
-                rows[k] = _autocorrelation(_conj_autocorrelation(fu, L, w.sample_rate))
-    for k, j, mirrored in copies:  # row j < k is filled by now
-        if mirrored:
-            np.conj(rows[j][::-1], out=rows[k])
-        else:
-            rows[k] = rows[j]
+    for k, j in mirrors:  # row j < k is filled by now
+        np.conj(rows[j][::-1], out=rows[k])
     return rows
 
 

@@ -52,8 +52,6 @@ class MtsfmParams:
         if not np.isfinite(check_real("a0", self.a0)):
             raise ValueError("a0 must be finite")
         check_positive("T", self.T)
-        alpha.flags.writeable = False
-        beta.flags.writeable = False
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
 

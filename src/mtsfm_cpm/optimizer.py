@@ -152,7 +152,7 @@ def _correlate(vec, run):
     L = run.n_samples
     samples = _unit_samples(_phase_samples(run.a0, vec[:run.K], vec[run.K:], L), run.T)
     spec = _correlation_fft(samples)
-    r_conj = _conj_autocorrelation(spec.copy(), L, L / run.T)  # _score needs spec
+    r_conj = _conj_autocorrelation(spec, L, L / run.T)
     return _Correlation(samples, spec, r_conj, np.abs(r_conj))
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validation import check_in_pulse, check_int_at_least, check_positive
+from ._validation import check_in_pulse, check_int_at_least, check_positive, read_only_copy
 
 __all__ = [
     "DEFAULT_SAMPLES_PER_CHIP",
@@ -56,10 +56,9 @@ class SampledWaveform:
     T: float
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=complex)
+        samples = read_only_copy(self.samples, complex)
         if samples.ndim != 1 or samples.size < 2:
             raise ValueError("samples must be a 1-D array with at least 2 entries")
-        samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
         check_positive("T", self.T)
         if not abs(self.energy - 1.0) <= 1e-9:  # nan or inf samples fail too
@@ -177,7 +176,4 @@ def _text_csv(header, grid, *texts):
 
 def waveform_raw_bytes(w):
     """Raw interleaved little-endian float64 pairs (re, im)."""
-    inter = np.empty(2 * w.n_samples, dtype="<f8")
-    inter[0::2] = w.samples.real
-    inter[1::2] = w.samples.imag
-    return inter.tobytes()
+    return w.samples.astype("<c16").tobytes()

@@ -150,9 +150,10 @@ def per_row_ambiguity(w, doppler_grid):
 
 def row_at_a_time_ambiguity(w, doppler_grid):
     """ambiguity() with each correlated row inverse-transformed on its own:
-    its bin-shifted product, one np.fft.ifft, then _lag_window. Repeated
-    rows are copied, negated rows mirrored and the nu = 0 row autocorrelated
-    as ambiguity() does: the oracle for its batched inverse FFT."""
+    its bin-shifted product, one np.fft.ifft, then _lag_window. Negated
+    rows are mirrored and the nu = 0 row autocorrelated as ambiguity() does,
+    and a repeated row is correlated again: the oracle for its batched
+    inverse FFT."""
     grid = np.asarray(doppler_grid, dtype=float)
     L = w.n_samples
     n_fft = _next_pow2(2 * L)
@@ -160,9 +161,7 @@ def row_at_a_time_ambiguity(w, doppler_grid):
     rows = np.empty((grid.size, 2 * L + 1), dtype=complex)
     first = {}
     for k, nu in enumerate(grid.tolist()):
-        if nu in first:
-            rows[k] = rows[first[nu]]
-        elif nu != 0 and -nu in first:
+        if nu != 0 and -nu in first:
             rows[k] = np.conj(rows[first[-nu]][::-1])
         else:
             d = nu * (w.T * n_fft / (2 * L))

@@ -593,6 +593,31 @@ def test_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, command)
         assert runs[1][name].decode() == text, name
 
 
+def test_reproduce_deals_each_cpu_two_texts_of_each_kind(tmp_path, monkeypatch):
+    parent, shares = os.getpid(), []
+    fork, format_share = cli._fork, cli._format_share
+
+    def kinds(share):
+        names = [Path(tmp).name.split(".")[0] for tmp, _ in share]
+        return sorted(name.rsplit("_", 1)[1] for name in names)
+
+    def forking(share):
+        shares.append(kinds(share))
+        return fork(share)
+
+    def formatting(share):
+        if os.getpid() == parent:
+            shares.append(kinds(share))
+        format_share(share)
+
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_fork", forking)
+    monkeypatch.setattr(cli, "_format_share", formatting)
+    assert run(["reproduce", "mseq63", "--max-iterations", "2"], tmp_path) == 0
+    assert shares == [["acf", "acf", "phase", "phase", "spectrum", "spectrum"]] * 2
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize("where", ["worker", "parent"])
 def test_a_formatter_that_raises_leaves_nothing(tmp_path, monkeypatch, capsys, where):
     parent = os.getpid()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mtsfm_cpm import (AcfResult, OptimizerConfig, SampledWaveform, SamplingConfig,
-                       Spectrum, acf, acf_csv, barker_code, optimize, pc_phase, spectrum,
+                       Spectrum, acf, acf_csv, optimize, pc_phase, spectrum,
                        spectrum_csv, synthesize_mtsfm, synthesize_pc, waveform_csv)
 import mtsfm_cpm.metrics as metrics
 from mtsfm_cpm.cli import _phase_csv

@@ -11,7 +11,8 @@ from mtsfm_cpm import (AcfResult, DegenerateMainlobe, MtsfmParams, OptimizerConf
                        gisr, isr, mainlobe_area, min_harmonics, psl,
                        rms_bandwidth_spectral, spectral_compactness, spectrum,
                        synthesize_mtsfm, synthesize_pc)
-from mtsfm_cpm.metrics import _correlation_fft, _next_pow2, _shift_spectra, _shifted_product
+from mtsfm_cpm.metrics import (_conj_autocorrelation, _correlation_fft, _next_pow2,
+                               _shift_spectra, _shifted_product)
 from conftest import (MSEQ63_BAND, MSEQ63_T, closed_form_beta2, complex_acf,
                       per_row_ambiguity, row_at_a_time_ambiguity,
                       two_sided_report)
@@ -149,6 +150,35 @@ def test_acf_magnitudes_stored_once_read_only(mseq63_pc):
     # the constructor still takes (lags, values, first_null, degenerate)
     b = AcfResult(a.lags, a.values, a.first_null, a.degenerate)
     assert np.array_equal(b.magnitudes, a.magnitudes)
+
+
+@pytest.mark.parametrize("make, fields", [
+    (lambda w: w, ("samples",)),
+    (spectrum, ("freqs", "psd")),
+    (acf, ("lags", "values")),
+], ids=["SampledWaveform", "Spectrum", "AcfResult"])
+def test_arrays_are_private_read_only_copies(mseq63_pc, make, fields):
+    source = make(mseq63_pc)
+    arrays = {name: getattr(source, name).copy() for name in fields}
+    views = [arr[:] for arr in arrays.values()]  # taken before construction
+    made = dataclasses.replace(source, **arrays)
+    for view in views:
+        view[0] = 5
+    for arr in arrays.values():
+        assert arr.flags.writeable
+    for f in dataclasses.fields(source):
+        assert np.array_equal(getattr(made, f.name), getattr(source, f.name)), f.name
+    for name in fields:
+        assert not getattr(made, name).flags.writeable
+    if fields == ("samples",):
+        assert made.energy == source.energy
+
+
+def test_conj_autocorrelation_leaves_its_spectrum_unchanged(mseq63_pc):
+    spec = _correlation_fft(mseq63_pc.samples)
+    before = spec.tobytes()
+    _conj_autocorrelation(spec, mseq63_pc.n_samples, mseq63_pc.sample_rate)
+    assert spec.tobytes() == before
 
 
 def test_acf_takes_magnitudes_once(mseq63_pc, monkeypatch):
