@@ -366,9 +366,8 @@ def _null_vertex(lags, magnitudes):
         return None
     y0, y1, y2 = magnitudes[i:i + 3].tolist()
     t0, t1 = lags[i:i + 2].tolist()
-    denom = y0 - 2 * y1 + y2
-    offset = 0.5 * (y0 - y2) / denom if denom > 0 else 0.0
-    return t1 + min(max(offset, -1.0), 1.0) * (t1 - t0)
+    # y1 < y0, y2: the computed y0 - 2 y1 + y2 > 0 and the offset is below 1/2
+    return t1 + 0.5 * (y0 - y2) / (y0 - 2 * y1 + y2) * (t1 - t0)
 
 
 _NO_NULL = "ACF has no interior null; mainlobe/sidelobe metrics are undefined"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validation import (as_float_vector, check_in_pulse, check_int_at_least,
+from ._validation import (_finite, as_float_vector, check_in_pulse, check_int_at_least,
                           check_positive, check_real)
 from .codes import PhaseCode
 from .waveform import SampledWaveform, _unit_samples
@@ -49,7 +49,7 @@ class MtsfmParams:
         if alpha.size != beta.size:
             raise ValueError(f"alpha and beta must have equal length, "
                              f"got {alpha.size} and {beta.size}")
-        if not np.isfinite(check_real("a0", self.a0)):
+        if not _finite(check_real("a0", self.a0)):
             raise ValueError("a0 must be finite")
         check_positive("T", self.T)
         object.__setattr__(self, "alpha", alpha)
@@ -89,15 +89,12 @@ class MtsfmParams:
             if key not in obj:
                 raise ValueError(f"params JSON is missing the key {key!r}")
         for key in ("alpha", "beta"):  # np.array would read true as 1.0 and "1.5" as 1.5
-            entries = obj[key] if isinstance(obj[key], list) else []
-            bad = [v for v in entries if isinstance(v, bool) or not isinstance(v, (int, float))]
+            if not isinstance(obj[key], list):
+                raise ValueError(f"params JSON {key} must be a list, got {obj[key]!r}")
+            bad = [v for v in obj[key] if isinstance(v, bool) or not isinstance(v, (int, float))]
             if bad:
                 raise ValueError(f"params JSON {key} entries must be numbers, got {bad[0]!r}")
-        try:
-            return cls(a0=obj["a0"], alpha=np.array(obj["alpha"], dtype=float),
-                       beta=np.array(obj["beta"], dtype=float), T=obj["T"])
-        except TypeError as exc:
-            raise ValueError(f"params JSON has a value of the wrong type: {exc}") from None
+        return cls(a0=obj["a0"], alpha=obj["alpha"], beta=obj["beta"], T=obj["T"])
 
 
 def min_harmonics(n_chips):
@@ -107,7 +104,7 @@ def min_harmonics(n_chips):
     harmonic of frequency at least 1/(2 t_b) = N/(2T), hence ceil(N/2).
     """
     n_chips = check_int_at_least("n_chips", n_chips, 1)
-    return max(1, (n_chips + 1) // 2)
+    return (n_chips + 1) // 2
 
 
 def fit_fourier(code, T, K):

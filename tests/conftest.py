@@ -57,6 +57,23 @@ def barker13_wave():
     return synthesize_pc(barker_code(13), SamplingConfig(13.0))
 
 
+def fft_calls(monkeypatch):
+    """Record every np.fft fft, ifft, rfft and irfft call as (kind, shape):
+    the shape of the input with its last axis, the one transformed, replaced
+    by the size n when it is given."""
+    calls = []
+
+    def counting(kind, fn):
+        def counted(a, n=None, *args, **kwargs):
+            calls.append((kind, np.shape(a)[:-1] + (np.shape(a)[-1] if n is None else n,)))
+            return fn(a, n, *args, **kwargs)
+        return counted
+
+    for kind in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, kind, counting(kind, getattr(np.fft, kind)))
+    return calls
+
+
 def weak_tones():
     """A weak two-tone phase keeps the ACF a monotone triangle: no interior null."""
     return MtsfmParams(0.0, np.array([0.05, 0.0, 0.0, 0.0]),

@@ -16,7 +16,7 @@ from mtsfm_cpm import cli
 from mtsfm_cpm.cli import main
 from mtsfm_cpm.mtsfm import _synthesize_with_phase
 from mtsfm_cpm.waveform import _grid_text
-from conftest import (acf_csv_oracle, phase_csv_oracle, spectrum_csv_oracle,
+from conftest import (acf_csv_oracle, fft_calls, phase_csv_oracle, spectrum_csv_oracle,
                       waveform_csv_oracle, weak_tones)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -159,26 +159,14 @@ def test_reports_build_an_acf_only_for_its_export(tmp_path, monkeypatch):
     assert (tmp_path / "barker13_acf.csv").read_bytes() == acf_csv(acf(w)).encode()
 
 
-def counting(monkeypatch, name):
-    """Record the size argument of every np.fft.<name> call."""
-    calls, fn = [], getattr(np.fft, name)
-
-    def counted(a, n=None, *args, **kwargs):
-        calls.append(n)
-        return fn(a, n, *args, **kwargs)
-
-    monkeypatch.setattr(np.fft, name, counted)
-    return calls
-
-
 def test_acf_export_correlates_the_samples_once(tmp_path, monkeypatch):
     run(["gen-code", "barker", "--length", "13"], tmp_path)
     code_file = tmp_path / "barker13.txt"
     w = synthesize_pc(load_phase_code(code_file), SamplingConfig(13.0))
     n_fft = 1 << (2 * w.n_samples - 1).bit_length()  # next_pow2(2L)
-    calls = counting(monkeypatch, "fft")
+    calls = fft_calls(monkeypatch)
     assert run(["metrics", str(code_file), "--export", "acf"], tmp_path) == 0
-    assert calls == [n_fft]
+    assert [c for c in calls if c[0] == "fft"] == [("fft", (n_fft,))]
     assert (tmp_path / "barker13_acf.csv").read_bytes() == acf_csv(acf(w)).encode()
 
 
@@ -186,9 +174,9 @@ def test_phase_export_synthesizes_the_phase_once(tmp_path, monkeypatch):
     params = fit_fourier(barker_code(13), 13.0, 7)
     pfile = tmp_path / "barker13_k7.json"
     pfile.write_text(params.to_json())
-    calls = counting(monkeypatch, "irfft")
+    calls = fft_calls(monkeypatch)
     assert run(["metrics", str(pfile), "--export", "phase"], tmp_path) == 0
-    assert len(calls) == 1
+    assert [c for c in calls if c[0] == "irfft"] == [("irfft", (64 * 7,))]
     assert_phase_csv_synthesizes(tmp_path / "barker13_k7_phase.csv", params, 64 * 7)
 
 
@@ -226,8 +214,11 @@ def test_metrics_p_below_2_on_degenerate_input_writes_nothing(tmp_path, capsys):
      "alpha entries must be numbers, got True"),
     ('{"T": 1.0, "a0": 0.0, "alpha": [0.1, 0.2], "beta": ["1.5", "2"]}',
      "beta entries must be numbers, got '1.5'"),
+    ('{"T": 1.0, "a0": 0.0, "alpha": {}, "beta": [0.1]}', "alpha must be a list, got {}"),
+    ('{"T": 1.0, "a0": 1%s, "alpha": [0.1], "beta": [0.1]}' % ("0" * 400),
+     "a0 must be finite"),
 ], ids=["missing-alpha", "top-level-list", "string-T", "list-a0", "bool-T", "huge-int-T",
-        "bool-alpha", "string-beta"])
+        "bool-alpha", "string-beta", "dict-alpha", "huge-int-a0"])
 def test_metrics_malformed_params_is_one_line_error(tmp_path, capsys, text, message):
     pfile = tmp_path / "bad.json"
     pfile.write_text(text)

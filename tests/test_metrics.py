@@ -11,9 +11,10 @@ from mtsfm_cpm import (AcfResult, DegenerateMainlobe, MtsfmParams, OptimizerConf
                        gisr, isr, mainlobe_area, min_harmonics, psl,
                        rms_bandwidth_spectral, spectral_compactness, spectrum,
                        synthesize_mtsfm, synthesize_pc)
-from mtsfm_cpm.metrics import (_conj_autocorrelation, _correlation_fft, _next_pow2,
-                               _shift_spectra, _shifted_product)
-from conftest import (MSEQ63_BAND, MSEQ63_T, closed_form_beta2, complex_acf,
+from mtsfm_cpm.metrics import (_acf_spectral, _conj_autocorrelation, _correlation_fft,
+                               _next_pow2, _shift_spectra, _shifted_product)
+from mtsfm_cpm.waveform import _time_grid, _unit_samples
+from conftest import (MSEQ63_BAND, MSEQ63_T, closed_form_beta2, complex_acf, fft_calls,
                       per_row_ambiguity, row_at_a_time_ambiguity,
                       two_sided_report)
 
@@ -762,3 +763,81 @@ def test_metrics_invariant_under_time_reversal(mseq63_pc):
     assert rep_r.psl_db == pytest.approx(rep.psl_db, abs=1e-9)
     assert rep_r.isr_db == pytest.approx(rep.isr_db, abs=1e-9)
     assert rep_r.beta_rms == pytest.approx(rep.beta_rms, rel=1e-9)
+
+
+# --------------------------------------------------------------------------
+# exact values and guards that only these inputs reach, and the FFT work
+# --------------------------------------------------------------------------
+
+def test_half_acf_is_exactly_zero_at_lag_T(barker13_wave):
+    # lag T has no overlap, but the real FFT of the power reads rounding there
+    L = barker13_wave.n_samples
+    spec = _correlation_fft(barker13_wave.samples)
+    assert np.fft.rfft(np.square(spec.real) + np.square(spec.imag))[L] != 0
+    assert _conj_autocorrelation(spec, L, barker13_wave.sample_rate)[L] == 0
+
+
+def test_acf_lags_end_at_T_bit_for_bit():
+    # for L = 416 samples over T = 2.9 s, L / (L / T) is not T
+    w = synthesize_pc(barker_code(13), SamplingConfig(2.9))
+    assert w.n_samples / w.sample_rate != 2.9
+    a = acf(w)
+    assert a.lags[-1] == 2.9 and a.lags[0] == -2.9
+
+
+def test_psl_reads_the_first_lag_past_the_null():
+    # the samples (1, j, 1) have |R| = 1, 0, 1/3, 0 on the lags 0, 1, 2, 3 = T:
+    # the null's vertex is a quarter lag past lag 1, and the one sidelobe is
+    # at lag 2, the first lag past it
+    w = SampledWaveform(np.array([1, 1j, 1]) / np.sqrt(3.0), 3.0)
+    a = acf(w)
+    assert a.first_null == pytest.approx(1.25)
+    assert psl(a) == compute_metrics(w, 0.5).psl_db == pytest.approx(20 * math.log10(1 / 3))
+
+
+def test_band_fractions_are_clamped_to_0_1():
+    # on the harmonic lines of 6 samples over T = 3 s, the band sums round past
+    # [0, 1]: to 1 + 4e-16 for the unmodulated pulse, whose energy is all in
+    # the DC line, and by the ACF path to -1e-16 for a tone on line 2, outside
+    # a band of 1/2 Hz
+    t = _time_grid(6, 3.0)
+    flat, tone = (SampledWaveform(_unit_samples(2 * np.pi * k * t / 3.0, 3.0), 3.0)
+                  for k in (0, 2))
+    assert spectral_compactness(spectrum(flat, 1), 5 / 6) == 1.0
+    assert compute_metrics(flat, 5 / 6, zero_pad_factor=1).sc == 1.0
+    assert compute_metrics(tone, 0.5, zero_pad_factor=1).sc == 0.0
+
+
+def test_negative_second_moment_reads_zero_bandwidth():
+    # a central second moment that sums below 0 reads an RMS bandwidth of 0,
+    # not a math domain error: here from a spectrum with negative power, and
+    # on a 4-point grid from the ACF half conj(R) = (1, 0.9), which no two
+    # samples have (theirs has |R(1)| <= R(0) / 2)
+    assert rms_bandwidth_spectral(Spectrum(np.array([-1.0, 0.0, 1.0]),
+                                           np.array([-1.0, 3.0, -1.0]))) == 0.0
+    assert _acf_spectral(np.array([1.0, 0.9, 0.0], complex), 4, 1.0, 0.25, 0.25)[1] == 0.0
+
+
+def test_compute_metrics_fft_work(mseq63_pc, monkeypatch):
+    # one correlation FFT and one real FFT of its power at next_pow2(2L) = 4096,
+    # and none at the padded spectrum's size, 4L = 8064
+    calls = fft_calls(monkeypatch)
+    compute_metrics(mseq63_pc, MSEQ63_BAND)
+    assert calls == [("fft", (4096,)), ("rfft", (4096,))]
+
+
+def test_ambiguity_fft_work(barker13_wave, monkeypatch):
+    # L = 416 and n_fft = 1024, so nu shifts the spectrum by d = 16 nu bins.
+    # The class f = 0 takes one FFT of the samples, which the nu = 0 row's
+    # real FFT of the power shares; the class f = 1/2 takes two FFTs of the
+    # modulated samples. Each class inverse-transforms its shifted rows in one
+    # batch. A -nu row mirrored from its +nu row makes no transform.
+    n = 1024
+    expected = [("fft", (n,)), ("rfft", (n,)), ("ifft", (2, n)),
+                ("fft", (n,)), ("fft", (n,)), ("ifft", (1, n))]
+    calls = fft_calls(monkeypatch)
+    ambiguity(barker13_wave, [0.0, 1 / 16, 1 / 8, 1 / 32])
+    assert calls == expected
+    calls.clear()
+    ambiguity(barker13_wave, [0.0, 1 / 16, -1 / 16, 1 / 8, 1 / 32, -1 / 32])
+    assert calls == expected

@@ -352,3 +352,11 @@ def test_params_validation():
                         (True, 1.0, "a0"), (0.0, [1.0], "T"), (0.0, True, "T")):
         with pytest.raises(ValueError, match=f"^{name} has the wrong type"):
             MtsfmParams(a0, np.array([1.0]), np.array([1.0]), T)
+    with pytest.raises(ValueError, match="^a0 must be finite"):  # not a TypeError
+        MtsfmParams(10 ** 400, np.array([1.0]), np.array([1.0]), 1.0)
+    with pytest.raises(ValueError, match="^alpha must be one-dimensional"):
+        MtsfmParams(0.0, np.ones((2, 2)), np.ones(4), 1.0)
+    with pytest.raises(ValueError, match="^code must be one-dimensional"):
+        fit_fourier(np.ones((2, 3)), 1.0, 1)
+    with pytest.raises(ValueError, match="^expected 4 coefficients, got shape"):
+        MtsfmParams(0.0, np.ones(2), np.ones(2), 1.0).with_coefficients(np.ones(5))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from mtsfm_cpm.mtsfm import _beta2_weights
 from mtsfm_cpm.optimizer import (BAND_SLACK, GTOL, MIN_STEP, STEP_SHRINK, _active_edge,
                                  _evaluate, _project, _start, _tangent)
 from conftest import (MSEQ63_BAND, MSEQ63_SEED, MSEQ63_T, MSEQ63_TAPS,
-                      closed_form_beta2, fd_gradient,
+                      closed_form_beta2, fd_gradient, fft_calls,
                       two_sided_objective_and_gradient, weak_tones)
 
 
@@ -306,6 +307,7 @@ def test_optimize_trace_within_band_slack(barker13_fit):
     res = optimize(barker13_fit, OptimizerConfig(max_iterations=60))
     assert len(res.trace) > 1
     assert max(r.constraint_residual for r in res.trace) <= BAND_SLACK
+    assert res.trace[0].constraint_residual == 0.0  # the band's midpoint is inside it
     # the trace records the squared bandwidth of the iterate that is returned
     assert res.trace[-1].beta2_rel * res.initial_beta2 == pytest.approx(
         res.final_beta2, rel=1e-15)
@@ -444,11 +446,17 @@ def test_the_readme_result_does_not_hinge_on_the_last_ulp():
     assert np.ptp(sc) < 5e-5
 
 
-def test_failed_search_with_memory_retries_along_tangent_gradient(barker13_fit,
-                                                                  monkeypatch):
-    trials, t = 1, 1.0  # the trials of one line search from t = 1
+def search_trials():
+    """The trials of one failed line search: t = 1, 1/2, ... down to MIN_STEP."""
+    trials, t = 1, 1.0
     while t * STEP_SHRINK >= MIN_STEP:
         t, trials = t * STEP_SHRINK, trials + 1
+    return trials
+
+
+def test_failed_search_with_memory_retries_along_tangent_gradient(barker13_fit,
+                                                                  monkeypatch):
+    trials = search_trials()
     memory, poisoned = [], [0]
     direction, evaluate = opt._lbfgs_direction, opt._evaluate
 
@@ -489,3 +497,106 @@ def test_trace_ends_with_the_returned_iterate_off_stride(barker13_fit):
     # a record's step is the one its iterate was accepted at: 1, 1/2, 1/4, ...
     assert all(r.accepted and r.step_size in STEP_SHRINK ** np.arange(40)
                for r in res.trace[1:])
+
+
+# the transforms of one evaluation at the criterion-4 size (K=32, L=2016):
+# the synthesis irfft, the correlation FFT and the real FFT of its power,
+# then the gradient's lag kernel irfft, its ifft correlation and the
+# synthesis adjoint's rfft
+EVALUATION_FFTS = [("irfft", (2016,)), ("fft", (4096,)), ("rfft", (4096,)),
+                   ("irfft", (4096,)), ("ifft", (4096,)), ("rfft", (2016,))]
+
+
+def test_one_evaluation_makes_six_transforms(mseq63_fit32, monkeypatch):
+    run = _start(mseq63_fit32, OptimizerConfig(n_samples=2016))[0]
+    calls = fft_calls(monkeypatch)
+    _evaluate(mseq63_fit32.coefficient_vector(), run)
+    assert calls == EVALUATION_FFTS
+
+
+def test_optimize_makes_six_transforms_per_evaluation(mseq63_fit32, monkeypatch):
+    # the criterion-4 run: the start's evaluation is the first, and the result
+    # is scored on the |R| of the evaluation that accepted it
+    calls = fft_calls(monkeypatch)
+    res = optimize(mseq63_fit32, OptimizerConfig(n_samples=2016))
+    assert res.converged
+    assert calls == EVALUATION_FFTS * res.n_evaluations
+
+
+def on_toy_objective(monkeypatch, params, f_and_g):
+    """Make optimize() from params minimize f_and_g(x) -> (f, g) over the
+    coefficient vector x in place of the sidelobe ratio. Every evaluation
+    reports the start's own |R|, which the result is scored on. Returns the
+    (x, f) of each evaluation, the start's first."""
+    seen, start_mag = [], []
+
+    def toy(x, mag):
+        f, g = f_and_g(x)
+        seen.append((x, f))
+        return f, g, mag
+
+    def score(c, run):
+        start_mag.append(c.magnitudes)
+        return toy(params.coefficient_vector(), c.magnitudes)
+
+    monkeypatch.setattr(opt, "_score", score)
+    monkeypatch.setattr(opt, "_evaluate", lambda x, run: toy(x, start_mag[0]))
+    return seen
+
+
+TOY_CFG = OptimizerConfig(delta=0.5, n_samples=208)  # every toy iterate is inside the band
+
+
+def test_armijo_rejects_a_too_small_decrease(barker13_fit, monkeypatch):
+    # f = 1 + a |x - m|^2 with a = 0.99995: the first trial, x - g, lands at
+    # (1 - 2a)(x - m) from m, which lowers f by 4 a^2 (1 - a) |x - m|^2, less
+    # than ARMIJO times g.(x - cand) = |g|^2 = 4 a^2 |x - m|^2
+    x0 = barker13_fit.coefficient_vector()
+    m, a = x0 + 0.01 * np.eye(x0.size)[0], 0.99995
+    seen = on_toy_objective(monkeypatch, barker13_fit,
+                            lambda x: (1 + a * ((x - m) @ (x - m)), 2 * a * (x - m)))
+    res = optimize(barker13_fit, dataclasses.replace(TOY_CFG, max_iterations=1))
+    (_, f0), (_, f1) = seen[:2]
+    assert f1 < f0  # the first trial lowers f, by too little
+    assert res.trace[1].accepted and res.trace[1].step_size == STEP_SHRINK
+
+
+def test_memory_refuses_a_pair_without_positive_curvature(barker13_fit, monkeypatch):
+    # f = 10 - |x - m|^2 with x0 - m = v: the first trial, t = 1 along -g = 2v,
+    # is accepted with s = 2v and y = g(x0 + 2v) - g(x0) = -4v, so s.y < 0
+    x0 = barker13_fit.coefficient_vector()
+    m = x0 - 0.01 * np.eye(x0.size)[0]
+    seen = on_toy_objective(monkeypatch, barker13_fit,
+                            lambda x: (10 - (x - m) @ (x - m), -2 * (x - m)))
+    memories, direction = [], opt._lbfgs_direction
+
+    def spy(g_t, memory):
+        memories.append(list(memory))
+        return direction(g_t, memory)
+
+    monkeypatch.setattr(opt, "_lbfgs_direction", spy)
+    res = optimize(barker13_fit, dataclasses.replace(TOY_CFG, max_iterations=2))
+    s, y = seen[1][0] - x0, -2 * (seen[1][0] - m) + 2 * (x0 - m)
+    assert res.trace[1].accepted and res.trace[1].step_size == 1.0 and s @ y < 0
+    assert memories[1] == []  # the second direction is built from no pair
+
+
+def test_a_flat_objective_ends_after_one_search(barker13_fit, monkeypatch):
+    # f = 1 and g = 0: every trial meets the Armijo test, with equality, but
+    # none lowers f, so the search fails; with no memory it is not retried
+    on_toy_objective(monkeypatch, barker13_fit, lambda x: (1.0, np.zeros(x.size)))
+    res = optimize(barker13_fit, TOY_CFG)
+    assert res.termination_reason == "step_underflow" and not res.trace[-1].accepted
+    assert np.array_equal(res.params.coefficient_vector(), barker13_fit.coefficient_vector())
+    assert res.n_evaluations == 1 + search_trials()
+
+
+def test_an_objective_of_zero_reads_the_db_floor(barker13_fit, monkeypatch):
+    # J underflows to 0 when the sidelobe sum's peak term does, at p above
+    # about 1e17; a trace record then reads the -3000 dB floor, not a math
+    # domain error. Here every point but the start scores 0.
+    x0 = barker13_fit.coefficient_vector()
+    on_toy_objective(monkeypatch, barker13_fit,
+                     lambda x: (float(np.array_equal(x, x0)), np.full(x.size, 0.01)))
+    res = optimize(barker13_fit, dataclasses.replace(TOY_CFG, max_iterations=1))
+    assert res.trace[1].accepted and res.trace[1].objective_db == -3000.0

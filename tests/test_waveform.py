@@ -15,6 +15,18 @@ def test_sampling_config_validation():
         SamplingConfig(1.0, samples_per_chip=4)
 
 
+@pytest.mark.parametrize("samples", [np.ones((2, 2)) / np.sqrt(2.0), np.ones(1)],
+                         ids=["2-d", "one-sample"])
+def test_waveform_rejects_samples_of_the_wrong_shape(samples):
+    with pytest.raises(ValueError, match="^samples must be a 1-D array with at least 2"):
+        SampledWaveform(samples, 1.0)
+
+
+def test_synthesize_pc_needs_a_sampling_config():
+    with pytest.raises(TypeError, match="^cfg must be a SamplingConfig"):
+        synthesize_pc(barker_code(13), 13.0)
+
+
 @pytest.mark.parametrize("T, message", [
     (True, "T has the wrong type"), ([13.0], "T has the wrong type"),
     (np.array(13.0), "T has the wrong type"), (10 ** 400, "T must be positive and finite"),
