@@ -16,8 +16,11 @@ def read_only_copy(values, dtype=float):
 
 def as_float_vector(values, name):
     """A read_only_copy as a 1-D float64 array, with at least one entry, all
-    of them finite."""
-    arr = read_only_copy(values)
+    of them finite: an int too large for a float is not."""
+    try:
+        arr = read_only_copy(values)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite everywhere") from None
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:

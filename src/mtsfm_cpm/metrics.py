@@ -141,7 +141,7 @@ def rms_bandwidth_spectral(sp):
     """
     df = sp.df
     second = float(np.sum((sp.freqs - sp.centroid) ** 2 * sp.psd) * df)
-    return 2 * np.pi * math.sqrt(max(second, 0.0))
+    return 2 * np.pi * math.sqrt(max(second, 0.0) + 0.0)  # -0.0 + 0.0 is +0.0
 
 
 # ---------------------------------------------------------------------------
@@ -263,27 +263,15 @@ def _half_acf(w):
 def _shift_spectra(samples, f, n_fft):
     """The n_fft-point spectra U and conj(V) of samples times
     e^{+j 2 pi f n / n_fft} and times e^{-j 2 pi f n / n_fft}: the plain
-    spectrum shifted by -f and by +f bins. At f = 0 both are that spectrum."""
+    spectrum shifted by -f and by +f bins. At f = 0 both are that spectrum.
+    Each comes stored twice over, in 2 n_fft entries, so that its circular
+    shift m -> m + r, 0 <= r < n_fft, is the contiguous slice [r, r + n_fft)."""
     if f == 0:
         fu = fv = _correlation_fft(samples)
     else:
         ramp = _unit_samples((2 * np.pi * f / n_fft) * np.arange(samples.size), 1.0)
         fu, fv = _correlation_fft(samples * ramp), _correlation_fft(samples * ramp.conj())
-    return fu, np.conj(fv)
-
-
-def _shifted_product(fu, fvc, i, out):
-    """out[m] = fu[m - i] * fvc[m + i], indices mod the common length: the
-    product np.roll(fu, i) * np.roll(fvc, -i), as at most three contiguous
-    products of slices with no copy. With the two np.roll copies per row,
-    off-bin grids ran slower than modulating each row's samples directly
-    (BENCH_12.json)."""
-    n = out.size
-    ru, rv = i % n, -i % n
-    cuts = sorted({0, ru, rv, n})
-    for a, b in zip(cuts, cuts[1:]):
-        np.multiply(fu[(a - ru) % n:][:b - a], fvc[(a - rv) % n:][:b - a], out=out[a:b])
-    return out
+    return np.tile(fu, 2), np.tile(np.conj(fv), 2)
 
 
 def ambiguity(w, doppler_grid):
@@ -299,7 +287,9 @@ def ambiguity(w, doppler_grid):
     V_f are the spectra of s e^{+-j 2 pi f n / n_fft}. Rows with the same
     fractional part f share U_f and V_f, computed once per class and one
     class at a time; the f = 0 class uses S itself, so on-bin rows need no
-    forward FFT of their own. The products of a class's rows are written into
+    forward FFT of their own. U_f and conj(V_f) are stored twice over
+    (_shift_spectra), so a row's product, indices mod n_fft, is one multiply
+    of two contiguous slices. The products of a class's rows are written into
     one (rows x n_fft) block and inverse-transformed by one batched FFT, so
     a class holds O(rows x n_fft) memory. The nu = 0 row is acf()'s own
     autocorrelation of S, so it matches acf() bit for bit.
@@ -330,17 +320,17 @@ def ambiguity(w, doppler_grid):
             classes.setdefault(d - i, []).append((k, i, nu))
         first.setdefault(nu, k)
     for f, members in classes.items():  # one class alive at a time: O(rows x n_fft)
-        fu, fvc = _shift_spectra(w.samples, f, n_fft)
+        u2, v2 = _shift_spectra(w.samples, f, n_fft)
         shifted = []
         for k, i, nu in members:
             if nu == 0:
-                rows[k] = _autocorrelation(_conj_autocorrelation(fu, L, w.sample_rate))
+                rows[k] = _autocorrelation(_conj_autocorrelation(u2[:n_fft], L, w.sample_rate))
             else:
                 shifted.append((k, i, nu))
         if shifted:
             block = np.empty((len(shifted), n_fft), dtype=complex)
             for product, (_, i, _) in zip(block, shifted):
-                _shifted_product(fu, fvc, i, product)
+                np.multiply(u2[-i % n_fft:][:n_fft], v2[i % n_fft:][:n_fft], out=product)
             for cc, (k, _, nu) in zip(np.fft.ifft(block, axis=-1), shifted):
                 _lag_window(cc, L, cmath.exp(2j * math.pi * nu * t0) / w.sample_rate, rows[k])
     for k, j in mirrors:  # row j < k is filled by now
@@ -451,11 +441,13 @@ def _sidelobe_ratio(regions, mag, p, with_gradient=False):
     J = (m_s / m_0)^2 (N~ / D~)^(2/p) with N~ = w_num @ (|R| / m_s)^p and
     D~ = w_den @ (|R| / m_0)^p, m_s the largest sidelobe |R| and m_0 the
     largest mainlobe |R|, |R(0)|. Each power is taken on its own support
-    only, where it is at most 1, and N~ and D~ are at least the weight at
-    their peak, so every finite p >= 2 is defined: nothing overflows or
-    underflows. m_s > 0 because the first null is a strict local minimum of
-    |R|, refined to within half a lag, so the next lag lies in the sidelobe
-    support with |R| above the null's.
+    only, where it is at most 1, so nothing overflows. The term at the peak
+    is its weight times x^p with x = m (1 / m), which can read one ulp below
+    1; for p above about 7e18 that term, and then the whole sum, can
+    underflow to 0, and such a p raises a ValueError naming it. m_s > 0
+    because the first null is a strict local minimum of |R|, refined to
+    within half a lag, so the next lag lies in the sidelobe support with |R|
+    above the null's.
 
     with_gradient also returns dJ/d|R|^2 at every lag >= 0 with the regions
     held fixed, J (w_num / N - w_den / D) |R|^(p-2) in the same scaling:
@@ -464,6 +456,8 @@ def _sidelobe_ratio(regions, mag, p, with_gradient=False):
     (side, w_num), (main, w_den) = regions
     m_s, num, w_num_p2 = _scaled_power_sum(w_num, mag[side], p)
     m_0, den, w_den_p2 = _scaled_power_sum(w_den, mag[main], p)
+    if num == 0 or den == 0:
+        raise ValueError(f"p = {p} is too large: a region's scaled |R|^p sum underflows to 0")
     ratio = (m_s / m_0) ** 2 * (num / den) ** (2.0 / p)
     if not with_gradient:
         return ratio
@@ -479,8 +473,9 @@ def gisr(a, p):
     10*log10( [int_null^T |R|^p / int_0^null |R|^p]^(2/p) ); p = 2 is the
     standard integrated sidelobe ratio, and as p grows the ratio tends to
     the PSL. Each integral is taken scaled by its own region's peak |R|
-    (the sidelobe peak m_s > 0, and |R(0)|), so it neither overflows nor
-    underflows and every finite p >= 2 is defined; see _sidelobe_ratio.
+    (the sidelobe peak m_s > 0, and |R(0)|), so it never overflows; a p so
+    large (above about 7e18) that an integral underflows to 0 raises a
+    ValueError naming p; see _sidelobe_ratio.
     """
     check_p(p)
     lags, mag, tau = _require_null(a)
@@ -509,7 +504,6 @@ class MetricsReport:
     sc: float
     delta_f: float
     beta_rms: float
-    degenerate: bool
     delta_tau: float | None
     mainlobe_area: float | None
     psl_db: float | None
@@ -517,6 +511,11 @@ class MetricsReport:
     gisr_db: float | None
     p: int
     sc_clamped: bool = False
+
+    @property
+    def degenerate(self):
+        """True when the ACF has no null: the sidelobe fields are then None."""
+        return self.delta_tau is None
 
     def _fields(self):
         """The report's unit-suffixed keys and values, as to_json writes them."""
@@ -550,8 +549,8 @@ def compute_metrics(w, delta_f, p=10, zero_pad_factor=4):
     mainlobe_area run there, so its fields equal theirs bit for bit. SC and
     the RMS bandwidth are those of spectrum(w, zero_pad_factor), but are
     taken from the same R: no spectrum is formed. A degenerate mainlobe (no
-    ACF null) is reported, not raised: the sidelobe fields come back as None
-    with the degenerate flag set.
+    ACF null) is reported, not raised: the sidelobe fields come back as None,
+    and so the degenerate flag reads True.
     """
     zero_pad_factor = check_int_at_least("zero_pad_factor", zero_pad_factor, 1)
     return _metrics_report(w, _half_acf(w), delta_f, p, zero_pad_factor)
@@ -584,8 +583,8 @@ def _metrics_report(w, half, delta_f, p, zero_pad_factor):
         regions = _regions(lags, tau)
         sidelobes = (tau, _mainlobe_area(regions, mag), _psl_db(lags, mag, tau),
                      _gisr_db(regions, mag, 2), _gisr_db(regions, mag, p))
-    return MetricsReport(min(max(in_band, 0.0), 1.0), band, beta_rms, tau is None,
-                         *sidelobes, p=p, sc_clamped=delta_f > span)
+    return MetricsReport(min(max(in_band, 0.0), 1.0), band, beta_rms, *sidelobes,
+                         p=p, sc_clamped=delta_f > span)
 
 
 def _sine_sums(x, ks, n):
@@ -673,7 +672,7 @@ def _acf_spectral(r_conj, n, sample_rate, df, hi):
     m1 = df * sum_j / sample_rate
     m2 = df * df * sum_j2 / sample_rate
     second = (m2 - m1 * m1 / m0) * df
-    return band / sample_rate, 2 * np.pi * math.sqrt(max(second, 0.0))
+    return band / sample_rate, 2 * np.pi * math.sqrt(max(second, 0.0) + 0.0)
 
 
 def spectrum_csv(sp):

@@ -97,14 +97,21 @@ class TraceRecord:
 @dataclass(frozen=True)
 class OptimizationResult:
     params: MtsfmParams
-    initial_gisr_db: float
     final_gisr_db: float
     initial_beta2: float
     final_beta2: float
     trace: tuple
-    converged: bool
     termination_reason: str
     n_evaluations: int
+
+    @property
+    def initial_gisr_db(self):
+        """The objective at the start: the first trace record's."""
+        return self.trace[0].objective_db
+
+    @property
+    def converged(self):
+        return self.termination_reason == "converged"
 
     def to_json(self, extra=None):
         obj = {
@@ -357,7 +364,11 @@ def optimize(initial, cfg):
         raise ValueError("initialization has all-zero coefficients; "
                          "the bandwidth band is empty and cannot be projected onto")
     run, start = _start(initial, cfg)
-    beta2_ref = b2 = _beta2(x, run.weights)
+    with np.errstate(over="ignore"):  # an overflow is the error below
+        beta2_ref = b2 = _beta2(x, run.weights)
+    if not math.isfinite(beta2_ref):
+        raise ValueError("the initialization's squared RMS bandwidth overflows a float; "
+                         "the bandwidth band is not finite")
     band = ((1 - cfg.delta) * beta2_ref, (1 + cfg.delta) * beta2_ref)
     f, g, mag = _score(start, run)
     n_evals = 1
@@ -414,12 +425,10 @@ def optimize(initial, cfg):
 
     return OptimizationResult(
         params=initial.with_coefficients(x),
-        initial_gisr_db=trace[0].objective_db,
         final_gisr_db=_gisr_db(_regions(run.lags, _null_vertex(run.lags, mag)), mag, cfg.p),
         initial_beta2=beta2_ref,
         final_beta2=b2,
         trace=tuple(trace),
-        converged=reason == "converged",
         termination_reason=reason or "max_iterations",
         n_evaluations=n_evals,
     )

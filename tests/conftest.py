@@ -8,7 +8,7 @@ from mtsfm_cpm import (MtsfmParams, SamplingConfig, barker_code, fit_fourier,
                        generate_msequence, synthesize_mtsfm, synthesize_pc)
 from mtsfm_cpm.metrics import (MetricsReport, _acf_spectral, _autocorrelation, _band_weights,
                                _conj_autocorrelation, _correlation_fft, _lag_window, _next_pow2,
-                               _shift_spectra, _shifted_product, acf, gisr, isr)
+                               _shift_spectra, acf, gisr, isr)
 from mtsfm_cpm.mtsfm import _beta2, _beta2_weights, _phase_adjoint, _phase_samples
 from mtsfm_cpm.optimizer import _evaluate, _start
 from mtsfm_cpm.waveform import _time_grid
@@ -78,6 +78,13 @@ def weak_tones():
     """A weak two-tone phase keeps the ACF a monotone triangle: no interior null."""
     return MtsfmParams(0.0, np.array([0.05, 0.0, 0.0, 0.0]),
                        np.array([0.0, 0.02, 0.0, 0.0]), 2.0)
+
+
+def underflowing_tones():
+    """Two tones whose sidelobe peak m reads m (1 / m) = 1 - 2^-53, so at
+    p = 10^20 the sidelobe power sum scaled by m underflows to 0."""
+    return MtsfmParams(0.0, np.array([0.26841707970891465, 0.35867194917034445]),
+                       np.array([1.3224574697668332, -0.013914668524093734]), 1.0)
 
 
 def closed_form_beta2(params):
@@ -167,10 +174,10 @@ def per_row_ambiguity(w, doppler_grid):
 
 def row_at_a_time_ambiguity(w, doppler_grid):
     """ambiguity() with each correlated row inverse-transformed on its own:
-    its bin-shifted product, one np.fft.ifft, then _lag_window. Negated
-    rows are mirrored and the nu = 0 row autocorrelated as ambiguity() does,
-    and a repeated row is correlated again: the oracle for its batched
-    inverse FFT."""
+    the product of np.roll copies of its class's spectra, one np.fft.ifft,
+    then _lag_window. Negated rows are mirrored and the nu = 0 row
+    autocorrelated as ambiguity() does, and a repeated row is correlated
+    again: the oracle for its sliced products and batched inverse FFT."""
     grid = np.asarray(doppler_grid, dtype=float)
     L = w.n_samples
     n_fft = _next_pow2(2 * L)
@@ -183,12 +190,11 @@ def row_at_a_time_ambiguity(w, doppler_grid):
         else:
             d = nu * (w.T * n_fft / (2 * L))
             i = math.floor(d)
-            fu, fvc = _shift_spectra(w.samples, d - i, n_fft)
+            fu, fvc = (s[:n_fft] for s in _shift_spectra(w.samples, d - i, n_fft))
             if nu == 0:
                 rows[k] = _autocorrelation(_conj_autocorrelation(fu, L, w.sample_rate))
             else:
-                product = _shifted_product(fu, fvc, i, np.empty(n_fft, dtype=complex))
-                _lag_window(np.fft.ifft(product), L,
+                _lag_window(np.fft.ifft(np.roll(fu, i) * np.roll(fvc, -i)), L,
                             cmath.exp(2j * math.pi * nu * t0) / w.sample_rate, rows[k])
         first.setdefault(nu, k)
     return rows
@@ -256,7 +262,7 @@ def two_sided_report(w, delta_f, p=10, zero_pad_factor=4):
         area = float(_band_weights(a.lags, -dtau, dtau) @ a.magnitudes ** 2)
         peak = 20 * math.log10(float(a.magnitudes[a.lags >= dtau].max()))
         sidelobes = (dtau, area, peak, isr(a), gisr(a, p))
-    return MetricsReport(min(max(sc, 0.0), 1.0), band, beta, a.degenerate, *sidelobes,
+    return MetricsReport(min(max(sc, 0.0), 1.0), band, beta, *sidelobes,
                          p=p, sc_clamped=delta_f > span)
 
 

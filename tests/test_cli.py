@@ -17,7 +17,7 @@ from mtsfm_cpm.cli import main
 from mtsfm_cpm.mtsfm import _synthesize_with_phase
 from mtsfm_cpm.waveform import _grid_text
 from conftest import (acf_csv_oracle, fft_calls, phase_csv_oracle, spectrum_csv_oracle,
-                      waveform_csv_oracle, weak_tones)
+                      underflowing_tones, waveform_csv_oracle, weak_tones)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -217,8 +217,10 @@ def test_metrics_p_below_2_on_degenerate_input_writes_nothing(tmp_path, capsys):
     ('{"T": 1.0, "a0": 0.0, "alpha": {}, "beta": [0.1]}', "alpha must be a list, got {}"),
     ('{"T": 1.0, "a0": 1%s, "alpha": [0.1], "beta": [0.1]}' % ("0" * 400),
      "a0 must be finite"),
+    ('{"T": 1.0, "a0": 0.0, "alpha": [1%s], "beta": [0.1]}' % ("0" * 400),
+     "alpha must be finite everywhere"),
 ], ids=["missing-alpha", "top-level-list", "string-T", "list-a0", "bool-T", "huge-int-T",
-        "bool-alpha", "string-beta", "dict-alpha", "huge-int-a0"])
+        "bool-alpha", "string-beta", "dict-alpha", "huge-int-a0", "huge-int-alpha"])
 def test_metrics_malformed_params_is_one_line_error(tmp_path, capsys, text, message):
     pfile = tmp_path / "bad.json"
     pfile.write_text(text)
@@ -319,6 +321,32 @@ def test_optimize_rejects_zero_params(tmp_path, capsys):
     assert run(["optimize", str(pfile), "--max-iterations", "1",
                 "--samples", "64"], tmp_path) == 1
     assert "zero" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_optimize_rejects_an_overflowing_bandwidth(tmp_path, capsys):
+    # finite coefficients whose squared RMS bandwidth overflows to inf
+    pfile = tmp_path / "huge.json"
+    pfile.write_text('{"T": 1.0, "a0": 0.0, "alpha": [1e154], "beta": [1e154]}')
+    out_dir = tmp_path / "out"
+    assert run(["optimize", str(pfile), "--max-iterations", "2"], out_dir) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bandwidth overflows" in err
+    assert err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["metrics", "optimize"])
+def test_a_p_whose_power_sum_underflows_is_one_line_error(tmp_path, capsys, command):
+    pfile = tmp_path / "tones.json"
+    pfile.write_text(underflowing_tones().to_json())
+    out_dir = tmp_path / "out"
+    assert run([command, str(pfile), "--p", str(10 ** 20)], out_dir) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: p = 100000000000000000000 is too large")
+    assert err.count("\n") == 1
+    assert not out_dir.exists()
 
 
 def test_optimize_degenerate_start_is_one_line_error(tmp_path, capsys):

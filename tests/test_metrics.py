@@ -12,7 +12,7 @@ from mtsfm_cpm import (AcfResult, DegenerateMainlobe, MtsfmParams, OptimizerConf
                        rms_bandwidth_spectral, spectral_compactness, spectrum,
                        synthesize_mtsfm, synthesize_pc)
 from mtsfm_cpm.metrics import (_acf_spectral, _conj_autocorrelation, _correlation_fft,
-                               _next_pow2, _shift_spectra, _shifted_product)
+                               _next_pow2, _shift_spectra)
 from mtsfm_cpm.waveform import _time_grid, _unit_samples
 from conftest import (MSEQ63_BAND, MSEQ63_T, closed_form_beta2, complex_acf, fft_calls,
                       per_row_ambiguity, row_at_a_time_ambiguity,
@@ -344,15 +344,6 @@ def test_ambiguity_inverse_transforms_a_class_in_one_call(mseq63_wave32, monkeyp
     assert calls == [(16, _next_pow2(2 * mseq63_wave32.n_samples))]
 
 
-def test_shifted_product_is_the_rolled_product():
-    rng = np.random.default_rng(3)
-    n = 16
-    fu, fvc = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
-    for i in (0, 1, -1, 5, -7, n // 2, n, -n - 3, 3 * n + 5):
-        out = _shifted_product(fu, fvc, i, np.empty(n, dtype=complex))
-        assert np.array_equal(out, np.roll(fu, i) * np.roll(fvc, -i)), i
-
-
 @pytest.mark.parametrize("f", [0.25, 0.5, 0.88])
 def test_shift_spectra_ramp_is_the_cos_sin_fill(mseq63_wave32, f):
     # the oracle ramp fills e^{jx} as cos x + j sin x, in place
@@ -362,9 +353,12 @@ def test_shift_spectra_ramp_is_the_cos_sin_fill(mseq63_wave32, f):
     ramp = np.empty(x.size, dtype=complex)
     np.cos(x, out=ramp.real)
     np.sin(x, out=ramp.imag)
-    fu, fvc = _shift_spectra(s, f, n_fft)
-    assert np.array_equal(fu, _correlation_fft(s * ramp))
-    assert np.array_equal(fvc, np.conj(_correlation_fft(s * ramp.conj())))
+    # each spectrum is stored twice over: both halves are the oracle's
+    u2, v2 = _shift_spectra(s, f, n_fft)
+    for spec, want in ((u2, _correlation_fft(s * ramp)),
+                       (v2, np.conj(_correlation_fft(s * ramp.conj())))):
+        assert spec.shape == (2 * n_fft,)
+        assert np.array_equal(spec[:n_fft], want) and np.array_equal(spec[n_fft:], want)
 
 
 def test_ambiguity_rejects_a_grid_that_is_not_1d(barker13_wave):
@@ -816,6 +810,24 @@ def test_negative_second_moment_reads_zero_bandwidth():
     assert rms_bandwidth_spectral(Spectrum(np.array([-1.0, 0.0, 1.0]),
                                            np.array([-1.0, 3.0, -1.0]))) == 0.0
     assert _acf_spectral(np.array([1.0, 0.9, 0.0], complex), 4, 1.0, 0.25, 0.25)[1] == 0.0
+
+
+def test_a_zero_second_moment_reads_plus_zero_bandwidth():
+    # tones over T = 3e163 s make _acf_spectral's central second moment -0.0
+    params = MtsfmParams(0.0, [0.6404226504432821, 0.10490011715303971, -0.535669373161111],
+                         [0.36159505490948474, 1.3040000451301372, 0.9470809631292422],
+                         3.085572023585511e163)
+    w = synthesize_mtsfm(params, 24)
+    assert math.copysign(1.0, compute_metrics(w, 1.0).beta_rms) == 1.0
+    # a power spectrum's moment is never negative, so rms_bandwidth_spectral
+    # reads -0.0 only on a hand-built one: here its -2e-320 times df underflows
+    sp = Spectrum(np.array([-1e-160, 0.0, 1e-160]), np.array([-1.0, 3.0, -1.0]))
+    assert math.copysign(1.0, rms_bandwidth_spectral(sp)) == 1.0
+    # a NaN moment stays NaN on both paths
+    assert math.isnan(rms_bandwidth_spectral(Spectrum(np.array([-1.0, 0.0, 1.0]),
+                                                      np.array([np.nan, 1.0, 0.0]))))
+    assert math.isnan(_acf_spectral(np.array([1.0, np.nan, 0.0], complex), 4, 1.0, 0.25,
+                                    0.25)[1])
 
 
 def test_compute_metrics_fft_work(mseq63_pc, monkeypatch):

@@ -354,6 +354,13 @@ def test_params_validation():
             MtsfmParams(a0, np.array([1.0]), np.array([1.0]), T)
     with pytest.raises(ValueError, match="^a0 must be finite"):  # not a TypeError
         MtsfmParams(10 ** 400, np.array([1.0]), np.array([1.0]), 1.0)
+    # in a vector, too, an int too large for a float is not finite: not an OverflowError
+    for make, name in ((lambda: MtsfmParams(0.0, [10 ** 400], [0.0], 1.0), "alpha"),
+                       (lambda: MtsfmParams(0.0, [0.0], [-10 ** 400], 1.0), "beta"),
+                       (lambda: PhaseCode([10 ** 400]), "phases"),
+                       (lambda: fit_fourier([0.0, 10 ** 400], 1.0, 1), "code")):
+        with pytest.raises(ValueError, match=f"^{name} must be finite everywhere"):
+            make()
     with pytest.raises(ValueError, match="^alpha must be one-dimensional"):
         MtsfmParams(0.0, np.ones((2, 2)), np.ones(4), 1.0)
     with pytest.raises(ValueError, match="^code must be one-dimensional"):

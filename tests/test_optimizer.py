@@ -15,7 +15,7 @@ from mtsfm_cpm.optimizer import (BAND_SLACK, GTOL, MIN_STEP, STEP_SHRINK, _activ
                                  _evaluate, _project, _start, _tangent)
 from conftest import (MSEQ63_BAND, MSEQ63_SEED, MSEQ63_T, MSEQ63_TAPS,
                       closed_form_beta2, fd_gradient, fft_calls,
-                      two_sided_objective_and_gradient, weak_tones)
+                      two_sided_objective_and_gradient, underflowing_tones, weak_tones)
 
 
 @pytest.fixture(scope="module")
@@ -600,3 +600,24 @@ def test_an_objective_of_zero_reads_the_db_floor(barker13_fit, monkeypatch):
                      lambda x: (float(np.array_equal(x, x0)), np.full(x.size, 0.01)))
     res = optimize(barker13_fit, dataclasses.replace(TOY_CFG, max_iterations=1))
     assert res.trace[1].accepted and res.trace[1].objective_db == -3000.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_optimize_rejects_an_overflowing_bandwidth():
+    # finite coefficients whose squared RMS bandwidth overflows to inf
+    with pytest.raises(ValueError, match="bandwidth overflows"):
+        optimize(MtsfmParams(0.0, [1e154], [1e154], 1.0), OptimizerConfig(max_iterations=2))
+
+
+@pytest.mark.parametrize("fn", ["gisr", "objective", "gradient", "optimize"])
+def test_a_p_whose_power_sum_underflows_raises_naming_it(fn):
+    params, p = underflowing_tones(), 10 ** 20
+    cfg = OptimizerConfig(p=p)
+    call = {"gisr": lambda: gisr(acf(synthesize_mtsfm(params, 128)), p),
+            "objective": lambda: objective(params, cfg),
+            "gradient": lambda: gradient(params, cfg),
+            "optimize": lambda: optimize(params, cfg)}[fn]
+    with pytest.raises(ValueError, match=f"^p = {p} is too large"):
+        call()
+    # at p = 10^18 the peak term, about e^-111, does not underflow
+    assert gisr(acf(synthesize_mtsfm(params, 128)), 10 ** 18) < 0

@@ -1,11 +1,12 @@
 """One-line mutation audit of the numeric core.
 
 Each mutant replaces one line of metrics.py, optimizer.py, mtsfm.py,
-waveform.py (plus one line each of _validation.py and cli.py). For each
-mutant the runner copies the tree, applies the mutant and runs the tier-1
-suite with -x. A mutant that the whole suite passes has survived: the code
-it changes is either unreachable or unguarded. Each entry records its
-verdict:
+waveform.py, _validation.py or cli.py. For each mutant the runner copies
+the tree, applies the mutant and runs the tier-1 suite with -x, less
+tests/test_mutants.py: that test checks this list against the unmutated
+tree (static_problem), so it fails on every copy. A mutant that the whole
+suite passes has survived: the code it changes is either unreachable or
+unguarded. Each entry records its verdict:
 
 - killed: the suite fails on the mutant, first at the named test;
 - deleted: the code the mutant changes was deleted because no input can
@@ -71,9 +72,13 @@ MUTANTS = [
            "    return min(max(frac, 0.0), 1.0)", "    return frac",
            "tests/test_metrics.py::test_band_fractions_are_clamped_to_0_1"),
     killed("rms-spectral-floor", "metrics.py",
-           "    return 2 * np.pi * math.sqrt(max(second, 0.0))",
+           "    return 2 * np.pi * math.sqrt(max(second, 0.0) + 0.0)  # -0.0 + 0.0 is +0.0",
            "    return 2 * np.pi * math.sqrt(abs(second))",
            "tests/test_metrics.py::test_negative_second_moment_reads_zero_bandwidth"),
+    killed("rms-spectral-signed-zero", "metrics.py",
+           "    return 2 * np.pi * math.sqrt(max(second, 0.0) + 0.0)  # -0.0 + 0.0 is +0.0",
+           "    return 2 * np.pi * math.sqrt(max(second, 0.0))",
+           "tests/test_metrics.py::test_a_zero_second_moment_reads_plus_zero_bandwidth"),
     killed("conj-acf-zero-at-T", "metrics.py",
            "    h[L] = 0.0", "    pass",
            "tests/test_metrics.py::test_half_acf_is_exactly_zero_at_lag_T"),
@@ -110,6 +115,9 @@ MUTANTS = [
     killed("power-sum-unscaled", "metrics.py",
            "    m = float(mag.max())", "    m = 1.0",
            "tests/test_cli.py::test_large_p_writes_finite_outputs[optimize-p700]"),
+    killed("sidelobe-underflow", "metrics.py",
+           "    if num == 0 or den == 0:", "    if False:",
+           "tests/test_cli.py::test_a_p_whose_power_sum_underflows_is_one_line_error[metrics]"),
     killed("sidelobe-gradient-sign", "metrics.py",
            "    d_power[main] -= w_den_p2", "    d_power[main] += w_den_p2",
            "tests/test_cli.py::test_reproduce_mseq63_table_matches_readme"),
@@ -122,9 +130,13 @@ MUTANTS = [
            "    return MetricsReport(in_band, band,",
            "tests/test_metrics.py::test_band_fractions_are_clamped_to_0_1"),
     killed("acf-spectral-floor", "metrics.py",
-           "    return band / sample_rate, 2 * np.pi * math.sqrt(max(second, 0.0))",
+           "    return band / sample_rate, 2 * np.pi * math.sqrt(max(second, 0.0) + 0.0)",
            "    return band / sample_rate, 2 * np.pi * math.sqrt(abs(second))",
            "tests/test_metrics.py::test_negative_second_moment_reads_zero_bandwidth"),
+    killed("acf-spectral-signed-zero", "metrics.py",
+           "    return band / sample_rate, 2 * np.pi * math.sqrt(max(second, 0.0) + 0.0)",
+           "    return band / sample_rate, 2 * np.pi * math.sqrt(max(second, 0.0))",
+           "tests/test_metrics.py::test_a_zero_second_moment_reads_plus_zero_bandwidth"),
     equivalent("band-window", "metrics.py",
                "    b, last = max(q - 2, 0), min(q + 2, top)",
                "    b, last = max(q - 3, 0), min(q + 3, top)",
@@ -176,6 +188,9 @@ MUTANTS = [
     killed("optimize-all-zero", "optimizer.py",
            "    if not x.any():", "    if False:",
            "tests/test_cli.py::test_optimize_rejects_zero_params"),
+    killed("optimize-beta2-finite", "optimizer.py",
+           "    if not math.isfinite(beta2_ref):", "    if False:",
+           "tests/test_cli.py::test_optimize_rejects_an_overflowing_bandwidth"),
     killed("project-all-zero", "optimizer.py",
            "    if b2 == 0.0:", "    if False:",
            "tests/test_optimizer.py::test_project_rejects_all_zero"),
@@ -238,6 +253,10 @@ MUTANTS = [
            'check_int_at_least("samples_per_chip", self.samples_per_chip, 1)',
            "tests/test_waveform.py::test_sampling_config_validation"),
     # _validation.py and cli.py
+    killed("float-vector-huge-int", "_validation.py",
+           '        raise ValueError(f"{name} must be finite everywhere") from None',
+           "        raise",
+           "tests/test_cli.py::test_metrics_malformed_params_is_one_line_error[huge-int-alpha]"),
     killed("float-vector-ndim", "_validation.py",
            "    if arr.ndim != 1:", "    if False:",
            "tests/test_mtsfm.py::test_params_validation"),
@@ -248,30 +267,41 @@ MUTANTS = [
 ]
 
 
-def _apply(m, tree):
-    """Apply m to the copy at tree; False when its line is not in the file."""
-    path = tree / PKG / m.file
-    text = path.read_text()
-    if text.count(m.old) != 1:
-        return False
-    path.write_text(text.replace(m.old, m.new))
-    return True
+def static_problem(m):
+    """Why m's entry does not fit the tree, without running anything, or None:
+    its old text must occur exactly once in its file (not at all if it is
+    deleted), and the test a killed mutant names must be a test function of
+    the named file."""
+    source = (ROOT / PKG / m.file).read_text()
+    if m.verdict == "deleted":
+        return "still present" if m.old in source else None
+    if source.count(m.old) != 1:
+        return f"line not found once in {m.file}: {m.old.strip()!r}"
+    if m.verdict == "killed":
+        path, _, test = m.why.partition("::")
+        name = test.split("[")[0]
+        file = ROOT / path
+        defined = rf"^def {re.escape(name)}\("
+        if not (file.is_file() and re.search(defined, file.read_text(), re.M)):
+            return f"no test function {m.why}"
+    return None
 
 
 def _run(m, scratch):
     """(held, message) for one mutant."""
-    source = (ROOT / PKG / m.file).read_text()
-    if m.verdict == "deleted":
-        return m.old not in source, "deleted" if m.old not in source else "still present"
+    problem = static_problem(m)
+    if problem or m.verdict == "deleted":
+        return not problem, problem or "deleted"
     with tempfile.TemporaryDirectory(prefix=f"{m.name}-", dir=scratch) as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info"))
-        if not _apply(m, tree):
-            return False, f"line not found once in {m.file}: {m.old.strip()!r}"
+        path = tree / PKG / m.file
+        path.write_text(path.read_text().replace(m.old, m.new))
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-             "--continue-on-collection-errors", "-W", "error::RuntimeWarning"],
+             "--continue-on-collection-errors", "-W", "error::RuntimeWarning",
+             "--ignore", "tests/test_mutants.py"],
             cwd=tree, env={**os.environ, "PYTHONPATH": str(tree / "src")},
             capture_output=True, text=True)
     if proc.returncode == 0:
