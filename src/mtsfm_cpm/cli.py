@@ -27,7 +27,6 @@ import csv
 import errno
 import functools
 import io
-import json
 import os
 import sys
 from pathlib import Path
@@ -40,7 +39,7 @@ from ._validation import check_int_at_least, check_positive
 from .metrics import _acf_of, _half_acf, _metrics_report, acf_csv, spectrum, spectrum_csv
 from .mtsfm import MtsfmParams, _synthesize_with_phase, fit_fourier, min_harmonics
 from .optimizer import OptimizerConfig, optimize, trace_csv
-from .waveform import (DEFAULT_SAMPLES_PER_CHIP, SamplingConfig, _csv, pc_phase,
+from .waveform import (DEFAULT_SAMPLES_PER_CHIP, SamplingConfig, _csv, _json, pc_phase,
                        synthesize_pc, waveform_csv, waveform_raw_bytes)
 
 # Reference configurations for the two built-in worked examples.
@@ -173,7 +172,7 @@ def _join(pid, r):
 
 
 def _phase_csv(times, phases):
-    return _csv("t_s,phase_rad", times, np.asarray(phases).tolist())
+    return _csv("t_s,phase_rad", times, map(repr, np.asarray(phases).tolist()))
 
 
 def _report_csv(report, config):
@@ -377,7 +376,7 @@ def cmd_reproduce(args, write):
         write(out_dir / f"opt_k{K}_trace.csv", trace_csv(result.trace))
         variant(f"opt_k{K}", *_synthesize_with_phase(result.params, n_samples))
 
-    write(out_dir / "summary.json", json.dumps(summary, indent=2))
+    write(out_dir / "summary.json", _json(summary))
 
     lines = [f"{'variant':<10} {'SC':>8} {'ISR dB':>8} {'PSL dB':>8}"]
     for name, v in summary["variants"].items():

@@ -7,7 +7,6 @@ generalization are 10*log10 of energy ratios.
 """
 
 import cmath
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -15,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._validation import check_int_at_least, check_p, check_positive, read_only_copy
-from .waveform import _csv, _text_csv, _unit_samples
+from .waveform import _csv, _json, _unit_samples
 
 __all__ = [
     "DegenerateMainlobe",
@@ -534,10 +533,7 @@ class MetricsReport:
         }
 
     def to_json(self, extra=None):
-        obj = self._fields()
-        if extra:
-            obj.update(extra)
-        return json.dumps(obj, indent=2)
+        return _json(self._fields(), extra)
 
 
 def compute_metrics(w, delta_f, p=10, zero_pad_factor=4):
@@ -677,7 +673,7 @@ def _acf_spectral(r_conj, n, sample_rate, df, hi):
 
 def spectrum_csv(sp):
     """CSV text with header ``f_hz,psd``."""
-    return _csv("f_hz,psd", sp.freqs, sp.psd.tolist())
+    return _csv("f_hz,psd", sp.freqs, map(repr, sp.psd.tolist()))
 
 
 def acf_csv(a):
@@ -705,4 +701,4 @@ def acf_csv(a):
     head_arg = [t[1:] if t[0] == "-" else "-" + t for t in arg[::-1][:half]]
     for i, z in zip(own, v[own].tolist()):
         head_mag[i], head_arg[i] = repr(abs(z)), repr(math.atan2(z.imag, z.real))
-    return _text_csv("tau_s,abs_r,arg_r", a.lags, head_mag + mag, head_arg + arg)
+    return _csv("tau_s,abs_r,arg_r", a.lags, head_mag + mag, head_arg + arg)

@@ -18,7 +18,7 @@ import numpy as np
 from ._validation import (_finite, as_float_vector, check_in_pulse, check_int_at_least,
                           check_positive, check_real)
 from .codes import PhaseCode
-from .waveform import SampledWaveform, _unit_samples
+from .waveform import SampledWaveform, _json, _unit_samples
 
 __all__ = [
     "MtsfmParams",
@@ -52,6 +52,12 @@ class MtsfmParams:
         if not _finite(check_real("a0", self.a0)):
             raise ValueError("a0 must be finite")
         check_positive("T", self.T)
+        # synthesis's inverse FFT sums up to twice the phase bound
+        # |a0|/2 + sum_k |alpha_k| + |beta_k|, so twice it must be a float
+        bound = abs(self.a0) / 2 + sum(np.abs(alpha).tolist()) + sum(np.abs(beta).tolist())
+        if not _finite(2 * bound):
+            raise ValueError("alpha and beta are too large: the synthesized phase "
+                             "overflows a float")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
 
@@ -70,13 +76,14 @@ class MtsfmParams:
             raise ValueError(f"expected {2 * self.K} coefficients, got shape {vector.shape}")
         return MtsfmParams(self.a0, vector[: self.K], vector[self.K:], self.T)
 
+    def _fields(self):
+        """The keys and values to_json writes, before any extra keys."""
+        return {"T": self.T, "a0": self.a0,
+                "alpha": self.alpha.tolist(), "beta": self.beta.tolist()}
+
     def to_json(self, extra=None):
         """Serialize as {"T", "a0", "alpha", "beta"}; round-trips bit-exactly."""
-        obj = {"T": self.T, "a0": self.a0,
-               "alpha": self.alpha.tolist(), "beta": self.beta.tolist()}
-        if extra:
-            obj.update(extra)
-        return json.dumps(obj, indent=2)
+        return _json(self._fields(), extra)
 
     @classmethod
     def from_json(cls, text):

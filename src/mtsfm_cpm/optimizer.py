@@ -11,7 +11,6 @@ so no general-purpose constrained solver is needed. It stops when it is
 stationary on the band, and it is fully deterministic.
 """
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from ._validation import check_int_at_least, check_p, check_real
 from .metrics import (_conj_autocorrelation, _correlation_fft, _gisr_db, _lag_grid,
                       _null_vertex, _regions, _sidelobe_ratio)
 from .mtsfm import MtsfmParams, _beta2, _beta2_weights, _phase_adjoint, _phase_samples
-from .waveform import _unit_samples
+from .waveform import _json, _unit_samples
 
 __all__ = [
     "OptimizerConfig",
@@ -114,7 +113,7 @@ class OptimizationResult:
         return self.termination_reason == "converged"
 
     def to_json(self, extra=None):
-        obj = {
+        return _json({
             "initial_gisr_db": self.initial_gisr_db,
             "final_gisr_db": self.final_gisr_db,
             "initial_beta2": self.initial_beta2,
@@ -123,11 +122,8 @@ class OptimizationResult:
             "termination_reason": self.termination_reason,
             "n_evaluations": self.n_evaluations,
             "n_trace_records": len(self.trace),
-            "params": json.loads(self.params.to_json()),
-        }
-        if extra:
-            obj.update(extra)
-        return json.dumps(obj, indent=2)
+            "params": self.params._fields(),
+        }, extra)
 
 
 class _Run(NamedTuple):
@@ -140,7 +136,6 @@ class _Run(NamedTuple):
     n_samples: int
     lags: np.ndarray  # the lags >= 0 of the native lag grid, as acf() builds them
     regions: tuple  # metrics._regions: sidelobe, mainlobe weights on those lags
-    weights: np.ndarray  # _beta2_weights of the coefficient vector
 
 
 class _Correlation(NamedTuple):
@@ -169,8 +164,7 @@ def _start(params, cfg):
     of that |R| (DegenerateMainlobe when it has none), so the start is
     synthesized and correlated once for the region and its first evaluation."""
     n, T = cfg.resolve_n_samples(params.K), params.T
-    run = _Run(params.a0, T, params.K, cfg.p, n, _lag_grid(n, n / T, T), None,
-               _beta2_weights(params.K, T))
+    run = _Run(params.a0, T, params.K, cfg.p, n, _lag_grid(n, n / T, T), None)
     c = _correlate(params.coefficient_vector(), run)
     return run._replace(regions=_regions(run.lags, _null_vertex(run.lags, c.magnitudes))), c
 
@@ -344,8 +338,13 @@ def optimize(initial, cfg):
     Every evaluation scores the sidelobe ratio on one mainlobe region,
     [0, first ACF null of the initialization]. The band holds the half-power
     (-3 dB) width, not that null, which moves out by 11-45% over the 13-state
-    mseq63 problem set. An initialization whose ACF has no null raises
-    DegenerateMainlobe. final_gisr_db is the result's gisr at its own null.
+    mseq63 problem set. final_gisr_db is the result's gisr at its own null.
+
+    The start is rejected, in this order, with a ValueError when its squared
+    RMS bandwidth beta2_ref is 0 (all-zero coefficients) or not finite,
+    before anything is synthesized; with a ValueError when cfg.n_samples is
+    below 4K; with DegenerateMainlobe when its ACF has no null; and with a
+    ValueError when cfg.p is so large that a scaled |R|^p sum underflows.
 
     ``n_evaluations`` counts objective evaluations; each returns the
     gradient with the objective, so one line-search trial is one evaluation.
@@ -360,19 +359,20 @@ def optimize(initial, cfg):
     built once, at the end.
     """
     x = initial.coefficient_vector()
-    if not x.any():
-        raise ValueError("initialization has all-zero coefficients; "
-                         "the bandwidth band is empty and cannot be projected onto")
-    run, start = _start(initial, cfg)
-    with np.errstate(over="ignore"):  # an overflow is the error below
-        beta2_ref = b2 = _beta2(x, run.weights)
-    if not math.isfinite(beta2_ref):
-        raise ValueError("the initialization's squared RMS bandwidth overflows a float; "
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow or inf * 0: the error below
+        weights = _beta2_weights(initial.K, initial.T)
+        beta2_ref = b2 = _beta2(x, weights)
+    if not 0.0 < beta2_ref < math.inf:
+        raise ValueError("initialization has all-zero coefficients, or a squared RMS "
+                         "bandwidth that underflows to 0; the bandwidth band is empty"
+                         if beta2_ref == 0.0 else
+                         "the initialization's squared RMS bandwidth overflows a float; "
                          "the bandwidth band is not finite")
+    run, start = _start(initial, cfg)
     band = ((1 - cfg.delta) * beta2_ref, (1 + cfg.delta) * beta2_ref)
     f, g, mag = _score(start, run)
     n_evals = 1
-    normal = _active_edge(x, g, b2, band, beta2_ref, run.weights)
+    normal = _active_edge(x, g, b2, band, beta2_ref, weights)
     g_t = _tangent(g, normal)
     g_t_norm = math.sqrt(g_t @ g_t)
     g_t_stop = GTOL * g_t_norm
@@ -383,7 +383,7 @@ def optimize(initial, cfg):
         nonlocal n_evals
         t = 1.0
         while True:
-            cand, b2c = _project(x + t * d, band, run.weights)
+            cand, b2c = _project(x + t * d, band, weights)
             fc, gc, magc = _evaluate(cand, run)
             n_evals += 1
             if fc < f and fc <= f + ARMIJO * float(g @ (cand - x)):
@@ -408,7 +408,7 @@ def optimize(initial, cfg):
             reason = "step_underflow"
         else:
             x_new, b2, f, g, mag = new
-            normal = _active_edge(x_new, g, b2, band, beta2_ref, run.weights)
+            normal = _active_edge(x_new, g, b2, band, beta2_ref, weights)
             g_t_new = _tangent(g, normal)
             s, y = x_new - x, g_t_new - g_t
             sy = float(s @ y)

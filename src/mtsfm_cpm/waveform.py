@@ -3,9 +3,14 @@
 All waveforms live on a uniform midpoint time grid over [-T/2, T/2] and are
 normalized to unit energy, matching the 1/sqrt(T) amplitude of the
 constant-modulus pulse model.
+
+Each export format has one writer here: _csv writes every per-sample CSV
+(the waveform, spectrum, ACF and phase exports) and _json every JSON document
+(params, metrics reports, optimize results and reproduce's summary).
 """
 
 import functools
+import json
 import math
 from dataclasses import dataclass
 
@@ -140,7 +145,8 @@ def _unit_samples(phi, T):
 
 def waveform_csv(w):
     """CSV text with header ``t,re,im``."""
-    return _csv("t,re,im", w.times, w.samples.real.tolist(), w.samples.imag.tolist())
+    return _csv("t,re,im", w.times, map(repr, w.samples.real.tolist()),
+                map(repr, w.samples.imag.tolist()))
 
 
 @functools.lru_cache(maxsize=4)
@@ -148,30 +154,24 @@ def _grid_text(key):
     return "\n".join(map(repr, np.frombuffer(key).tolist()))
 
 
-def _grid_column(x):
-    """The repr strings of a grid column (frequencies, lags or times),
-    formatted once per distinct content."""
-    return _grid_text(np.ascontiguousarray(x, float).tobytes()).split("\n")
-
-
 def _csv(header, grid, *columns):
-    """CSV text: a header line, then one row per grid entry holding its repr
-    and the reprs of the Python floats of each column, each row ending in a
-    newline.
+    """CSV text: a header line, then one row per grid entry holding the
+    grid value's repr and the text of each column, one str per row, each
+    row ending in a newline.
 
     The waveform variants of one command share their sampling grid, so a grid
-    column is formatted once and cached by its bytes. The cache keeps one
-    joined string per column, split on use: a cached list of per-value str
-    objects is faster, but its thousands of small objects pin allocator
-    arenas and raise the peak RSS.
+    column (frequencies, lags or times) is formatted once and cached by its
+    bytes. The cache keeps one joined string per grid, split on use: a cached
+    list of per-value str objects is faster, but its thousands of small
+    objects pin allocator arenas and raise the peak RSS.
     """
-    return _text_csv(header, grid, *[map(repr, c) for c in columns])
+    grid_text = _grid_text(np.ascontiguousarray(grid, float).tobytes()).split("\n")
+    return "\n".join([header, *map(",".join, zip(grid_text, *columns)), ""])
 
 
-def _text_csv(header, grid, *texts):
-    """_csv with each data column given as its text, one str per row."""
-    rows = map(",".join, zip(_grid_column(grid), *texts))
-    return "\n".join([header, *rows, ""])
+def _json(fields, extra=None):
+    """A JSON document indented by 2: the keys of fields, then those of extra."""
+    return json.dumps({**fields, **(extra or {})}, indent=2)
 
 
 def waveform_raw_bytes(w):

@@ -219,8 +219,11 @@ def test_metrics_p_below_2_on_degenerate_input_writes_nothing(tmp_path, capsys):
      "a0 must be finite"),
     ('{"T": 1.0, "a0": 0.0, "alpha": [1%s], "beta": [0.1]}' % ("0" * 400),
      "alpha must be finite everywhere"),
+    ('{"T": 63.0, "a0": 0.0, "alpha": [1e308], "beta": [0.0]}', "alpha and beta are too large"),
 ], ids=["missing-alpha", "top-level-list", "string-T", "list-a0", "bool-T", "huge-int-T",
-        "bool-alpha", "string-beta", "dict-alpha", "huge-int-a0", "huge-int-alpha"])
+        "bool-alpha", "string-beta", "dict-alpha", "huge-int-a0", "huge-int-alpha",
+        "phase-overflow"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_metrics_malformed_params_is_one_line_error(tmp_path, capsys, text, message):
     pfile = tmp_path / "bad.json"
     pfile.write_text(text)
@@ -332,6 +335,22 @@ def test_optimize_rejects_an_overflowing_bandwidth(tmp_path, capsys):
     assert run(["optimize", str(pfile), "--max-iterations", "2"], out_dir) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "bandwidth overflows" in err
+    assert err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("text, message", [
+    ('{"T": 1e-160, "a0": 0.0, "alpha": [0.1], "beta": [0.1]}', "bandwidth overflows"),
+    ('{"T": 63.0, "a0": 0.0, "alpha": [1e308], "beta": [0.0]}', "alpha and beta are too large"),
+], ids=["tiny-T", "phase-overflow"])
+def test_optimize_rejects_a_start_it_cannot_synthesize_or_band(tmp_path, capsys, text, message):
+    pfile = tmp_path / "start.json"
+    pfile.write_text(text)
+    out_dir = tmp_path / "out"
+    assert run(["optimize", str(pfile)], out_dir) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1
     assert not out_dir.exists()
 

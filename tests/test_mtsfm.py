@@ -361,6 +361,11 @@ def test_params_validation():
                        (lambda: fit_fourier([0.0, 10 ** 400], 1.0, 1), "code")):
         with pytest.raises(ValueError, match=f"^{name} must be finite everywhere"):
             make()
+    # a finite vector whose synthesized phase overflows: twice the phase bound is inf
+    for alpha, beta in (([1e308], [0.0]), ([0.5e308], [0.4e308]), ([0.3e308] * 2, [0.3e308] * 2)):
+        with pytest.raises(ValueError, match="^alpha and beta are too large"):
+            MtsfmParams(1.0, alpha, beta, 63.0)
+    MtsfmParams(1.0, [0.8e308], [0.0], 63.0)  # twice the bound is 1.6e308
     with pytest.raises(ValueError, match="^alpha must be one-dimensional"):
         MtsfmParams(0.0, np.ones((2, 2)), np.ones(4), 1.0)
     with pytest.raises(ValueError, match="^code must be one-dimensional"):

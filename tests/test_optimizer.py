@@ -351,10 +351,11 @@ def test_converged_is_stationary_on_the_band(barker13_fit):
     assert res.converged and res.termination_reason == "converged"
     run = _start(barker13_fit, cfg)[0]
     band = band_of(res.initial_beta2, cfg.delta)
+    weights = _beta2_weights(barker13_fit.K, barker13_fit.T)
 
     def tangent_norm(vec, b2):
         _, g, _ = _evaluate(vec, run)
-        normal = _active_edge(vec, g, b2, band, res.initial_beta2, run.weights)
+        normal = _active_edge(vec, g, b2, band, res.initial_beta2, weights)
         return np.linalg.norm(_tangent(g, normal))
 
     start = tangent_norm(barker13_fit.coefficient_vector(), res.initial_beta2)
@@ -607,6 +608,21 @@ def test_optimize_rejects_an_overflowing_bandwidth():
     # finite coefficients whose squared RMS bandwidth overflows to inf
     with pytest.raises(ValueError, match="bandwidth overflows"):
         optimize(MtsfmParams(0.0, [1e154], [1e154], 1.0), OptimizerConfig(max_iterations=2))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_tiny_pulse_length_is_rejected_before_any_synthesis(monkeypatch):
+    # (2 pi k / T)^2 overflows: optimize names the band before _start runs,
+    # and objective and gradient, which need no band, compute no weights
+    params, cfg = MtsfmParams(0.0, [0.1], [0.1], 1e-160), OptimizerConfig(max_iterations=2)
+    for fn in (objective, gradient):
+        with pytest.raises(DegenerateMainlobe):
+            fn(params, cfg)
+    monkeypatch.setattr(opt, "_start", lambda *a: pytest.fail("the start was synthesized"))
+    with pytest.raises(ValueError, match="bandwidth overflows"):
+        optimize(params, cfg)
+    with pytest.raises(ValueError, match="all-zero coefficients"):
+        optimize(MtsfmParams(0.0, [0.0], [0.0], 1.0), cfg)
 
 
 @pytest.mark.parametrize("fn", ["gisr", "objective", "gradient", "optimize"])

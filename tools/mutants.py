@@ -185,11 +185,11 @@ MUTANTS = [
     killed("two-loop-scaling", "optimizer.py",
            "    if memory:", "    if False:",
            "tests/test_acceptance.py::test_criterion_4_converges_on_the_band"),
-    killed("optimize-all-zero", "optimizer.py",
-           "    if not x.any():", "    if False:",
+    killed("optimize-band-positive", "optimizer.py",
+           "    if not 0.0 < beta2_ref < math.inf:", "    if not -1.0 < beta2_ref < math.inf:",
            "tests/test_cli.py::test_optimize_rejects_zero_params"),
-    killed("optimize-beta2-finite", "optimizer.py",
-           "    if not math.isfinite(beta2_ref):", "    if False:",
+    killed("optimize-band-finite", "optimizer.py",
+           "    if not 0.0 < beta2_ref < math.inf:", "    if not 0.0 < beta2_ref <= math.inf:",
            "tests/test_cli.py::test_optimize_rejects_an_overflowing_bandwidth"),
     killed("project-all-zero", "optimizer.py",
            "    if b2 == 0.0:", "    if False:",
@@ -213,6 +213,9 @@ MUTANTS = [
            '        if not _finite(check_real("a0", self.a0)):',
            '        if not np.isfinite(check_real("a0", self.a0)):',
            "tests/test_cli.py::test_metrics_malformed_params_is_one_line_error[huge-int-a0]"),
+    killed("params-phase-bound", "mtsfm.py",
+           "        if not _finite(2 * bound):", "        if not _finite(bound):",
+           "tests/test_cli.py::test_metrics_malformed_params_is_one_line_error[phase-overflow]"),
     killed("with-coefficients-shape", "mtsfm.py",
            "        if vector.shape != (2 * self.K,):", "        if False:",
            "tests/test_mtsfm.py::test_params_validation"),
