@@ -74,8 +74,8 @@ def generate_msequence(degree, taps=None, seed=1):
         Register length, 2..16. The code length is 2**degree - 1.
     taps : int, optional
         Feedback polynomial mask; bit k is the x^k coefficient and x^0 is
-        implicit. Defaults to the built-in table entry for ``degree``. Its
-        highest set bit must be x^degree (ValueError otherwise). Primitivity
+        implicit. Defaults to the built-in table entry for ``degree``. It must
+        be non-negative with x^degree its highest set bit (ValueError). Primitivity
         is not verified here: a non-primitive mask of the right degree yields
         a shorter-period sequence and is the caller's responsibility.
     seed : int
@@ -90,9 +90,9 @@ def generate_msequence(degree, taps=None, seed=1):
     if degree > 16:
         raise ValueError(f"degree must be in [2, 16], got {degree}")
     taps = PRIMITIVE_TAPS[degree] if taps is None else check_int_at_least("taps", taps, -math.inf)
-    if taps.bit_length() != degree + 1:
+    if taps >> degree != 1:  # a negative mask shifts to -1 or less
         raise ValueError(f"taps must have x^{degree} as their highest term "
-                         f"(bit {degree} set, no higher bit), got {taps:#b}")
+                         f"(bit {degree} set, no higher bit, not negative), got {taps:#b}")
     n_states = (1 << degree) - 1
     state = seed = check_int_at_least("seed", seed, -math.inf)
     if not 0 < seed <= n_states:

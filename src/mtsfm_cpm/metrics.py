@@ -149,20 +149,38 @@ def rms_bandwidth_spectral(sp):
 
 @dataclass(frozen=True)
 class AcfResult:
-    """Aperiodic autocorrelation over lags [-T, T], normalized so R(0) = 1;
-    magnitudes is |values|, taken once at construction."""
+    """Aperiodic autocorrelation R, normalized so R(0) = 1, built from R at
+    half_lags 0, 1/f_s .. (L-1)/f_s, T (half_values) and its first null, or
+    None. The rest is derived at construction: values, R over the lags
+    [-T, T], is the half's _autocorrelation mirror, so an AcfResult is
+    Hermitian bit for bit, R(0) real and R(+-T) = +0+0j (half_values reads
+    them too); magnitudes is |values|, first_null is null or else T, and
+    degenerate says there is no null."""
 
-    lags: np.ndarray
-    values: np.ndarray
-    first_null: float
-    degenerate: bool
+    half_lags: np.ndarray
+    half_values: np.ndarray
+    null: float | None
+    lags: np.ndarray = field(init=False, repr=False, compare=False)
+    values: np.ndarray = field(init=False, repr=False, compare=False)
     magnitudes: np.ndarray = field(init=False, repr=False, compare=False)
+    first_null: float = field(init=False, compare=False)
+    degenerate: bool = field(init=False, compare=False)
 
     def __post_init__(self):
-        values = read_only_copy(self.values, complex)
-        for name, arr in (("lags", read_only_copy(self.lags)), ("values", values),
-                          ("magnitudes", read_only_copy(np.abs(values)))):
-            object.__setattr__(self, name, arr)
+        half_lags = read_only_copy(self.half_lags)
+        shape = np.shape(self.half_values)
+        if half_lags.ndim != 1 or half_lags.size < 2 or shape != half_lags.shape:
+            raise ValueError("half_lags and half_values must be 1-D, of one length >= 2")
+        lags = np.concatenate((-half_lags[:0:-1], half_lags))  # -(m / f_s) is (-m) / f_s
+        values = _autocorrelation(np.asarray(self.half_values, dtype=complex))
+        for arr in (lags, values):
+            arr.flags.writeable = False
+        derived = dict(half_lags=half_lags, half_values=values[values.size // 2:], lags=lags,
+                       values=values, magnitudes=read_only_copy(np.abs(values)),
+                       first_null=float(half_lags[-1]) if self.null is None else self.null,
+                       degenerate=self.null is None)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 def _correlation_fft(u):
@@ -190,17 +208,17 @@ def _conj_autocorrelation(spec, L, sample_rate):
     return h
 
 
-def _autocorrelation(h):
-    """The autocorrelation R from its conjugate half h, conj(R) at the lags
-    0..L (_conj_autocorrelation): lags -(L-1)..(L-1) with exact zeros at
-    lags -L and +L. R(-m) = conj(R(m)) bit for bit: the negative lags are
-    the mirror of the lags > 0, and R(0) has imaginary part +0.0."""
-    L = h.size - 1
+def _autocorrelation(r):
+    """The autocorrelation at the lags -L..L from r, R at the lags 0..L:
+    the negative lags mirror the lags > 0, R(-m) = conj(R(m)) bit for bit,
+    R(0) keeps its real part only, imaginary part +0.0, and the lags -L and
+    +L hold exact zeros +0+0j, so the result is Hermitian whatever r holds."""
+    L = r.size - 1
     out = np.empty(2 * L + 1, dtype=complex)
-    np.conj(h, out=out[L:])
-    out[L] = h[0].real  # conj would make its imaginary part -0.0
-    out[0] = out[-1] = 0.0
-    out[1:L] = h[L - 1:0:-1]
+    out[L:] = r
+    out[L] = r[0].real  # R(0) is real: imaginary part +0.0
+    out[0] = out[-1] = 0.0  # R(-T) is +0+0j, not conj(R(T))
+    np.conj(r[L - 1:0:-1], out=out[1:L])
     return out
 
 
@@ -215,7 +233,7 @@ def _lag_window(cc, L, scale, out):
 
 def _lag_grid(L, sample_rate, T):
     """The lags >= 0 of the native lag grid of L samples: 0, 1/f_s ..
-    (L-1)/f_s, then T. acf() mirrors them for the lags < 0."""
+    (L-1)/f_s, then T. AcfResult mirrors them for the lags < 0."""
     lags = np.arange(L + 1) / sample_rate
     lags[L] = T
     return lags
@@ -232,26 +250,16 @@ def acf(w):
     all magnitude-based metrics agree.
 
     R is the inverse transform of the real energy spectrum |S|^2, so it is
-    exactly Hermitian: R(-tau) = conj(R(tau)) bit for bit, and R(0) is real
-    with imaginary part +0.0. R and the first null are those of _half_acf at
-    tau >= 0, mirrored to the lags < 0.
+    exactly Hermitian. The result is built from R and the first null of
+    _half_acf at tau >= 0; AcfResult mirrors them to the lags < 0.
     """
-    return _acf_of(_half_acf(w))
-
-
-def _acf_of(half):
-    """The acf() result from a _half_acf: conj(R) and its lags at tau >= 0,
-    mirrored to the lags < 0. half is only read, so the caller may also
-    score it (_metrics_report) and correlate the samples once."""
-    r_conj, half_lags, _, tau = half
-    lags = np.concatenate((-half_lags[:0:-1], half_lags))  # -(m / f_s) is (-m) / f_s bit for bit
-    return AcfResult(lags, _autocorrelation(r_conj), float(lags[-1]) if tau is None else tau,
-                     tau is None)
+    r_conj, lags, _, tau = _half_acf(w)
+    return AcfResult(lags, np.conj(r_conj), tau)
 
 
 def _half_acf(w):
     """(conj(R), lags, |R|, first null or None) of w at the lags 0..L, the
-    half of the ACF that acf() mirrors and compute_metrics scores: one
+    half of the ACF that AcfResult mirrors and compute_metrics scores: one
     correlation (_conj_autocorrelation), |R| once, and its _null_vertex scan."""
     L = w.n_samples
     r_conj = _conj_autocorrelation(_correlation_fft(w.samples), L, w.sample_rate)
@@ -323,7 +331,8 @@ def ambiguity(w, doppler_grid):
         shifted = []
         for k, i, nu in members:
             if nu == 0:
-                rows[k] = _autocorrelation(_conj_autocorrelation(u2[:n_fft], L, w.sample_rate))
+                rows[k] = _autocorrelation(
+                    np.conj(_conj_autocorrelation(u2[:n_fft], L, w.sample_rate)))
             else:
                 shifted.append((k, i, nu))
         if shifted:
@@ -362,15 +371,6 @@ def _null_vertex(lags, magnitudes):
 _NO_NULL = "ACF has no interior null; mainlobe/sidelobe metrics are undefined"
 
 
-def _require_null(a):
-    """(lags, |R|, first null) of an AcfResult at tau >= 0, where the public
-    metrics read it (|R| is even); DegenerateMainlobe when it has no null."""
-    if a.degenerate:
-        raise DegenerateMainlobe(_NO_NULL)
-    L = a.lags.size // 2
-    return a.lags[L:], a.magnitudes[L:], a.first_null
-
-
 def _regions(lags, tau):
     """The sidelobe region [tau, T] and the mainlobe region [0, tau] of |R|
     on the lags >= 0, each as (support, weights): its trapezoid weights on
@@ -401,14 +401,15 @@ def mainlobe_area(a):
     """Integral of |R|^2 over the mainlobe [-first_null, +first_null]: twice
     the trapezoid integral over [0, first_null] on the lags >= 0, as |R| is
     even. A compute_metrics report's mainlobe_area is this, bit for bit."""
-    lags, mag, tau = _require_null(a)
-    return _mainlobe_area(_regions(lags, tau), mag)
+    return _mainlobe_area(_regions(a.half_lags, a.null), np.abs(a.half_values))
 
 
 def psl(a):
     """Peak sidelobe level in dB: largest |R| at lags beyond the first null,
     read on the lags >= 0 (|R| is even), as compute_metrics reads it."""
-    return _psl_db(*_require_null(a))
+    if a.degenerate:
+        raise DegenerateMainlobe(_NO_NULL)
+    return _psl_db(a.half_lags, np.abs(a.half_values), a.null)
 
 
 def _on_support(w):
@@ -477,8 +478,7 @@ def gisr(a, p):
     ValueError naming p; see _sidelobe_ratio.
     """
     check_p(p)
-    lags, mag, tau = _require_null(a)
-    return _gisr_db(_regions(lags, tau), mag, p)
+    return _gisr_db(_regions(a.half_lags, a.null), np.abs(a.half_values), p)
 
 
 def _gisr_db(regions, mag, p):
@@ -541,7 +541,7 @@ def compute_metrics(w, delta_f, p=10, zero_pad_factor=4):
 
     zero_pad_factor sets the spectrum's analysis grid only; the ACF is exact
     at its native lags without padding. The report reads the _half_acf that
-    acf() mirrors, at tau >= 0, with the code the public psl, isr, gisr and
+    acf() is built from, at tau >= 0, with the code the public psl, isr, gisr and
     mainlobe_area run there, so its fields equal theirs bit for bit. SC and
     the RMS bandwidth are those of spectrum(w, zero_pad_factor), but are
     taken from the same R: no spectrum is formed. A degenerate mainlobe (no
@@ -560,7 +560,7 @@ def _metrics_report(w, half, delta_f, p, zero_pad_factor):
     GISR(p) and the _mainlobe_area are scored on them, and PSL is _psl_db,
     the helpers the public psl, isr, gisr and mainlobe_area call on acf(w)
     at tau >= 0: every field equals theirs, and first_null, bit for bit.
-    half is only read: the CLI's ACF export mirrors the same half (_acf_of).
+    half is only read: the CLI's ACF export builds its AcfResult from it.
 
     A band wider than the analysis span is clamped to it and flagged in
     sc_clamped instead of warning. p is checked whether or not the ACF is
@@ -679,26 +679,20 @@ def spectrum_csv(sp):
 def acf_csv(a):
     """CSV text with header ``tau_s,abs_r,arg_r``.
 
-    acf() results are Hermitian, so each mirrored pair of rows is formatted
-    once: a row in the first half whose value is the conjugate of its mirror
-    row's value bit for bit (sign of zero included, NaN never) takes the
-    mirror's |R| text and its arg text with the sign flipped, and neither
-    value is computed. That relies on abs being even and math.atan2 odd in
-    the imaginary part bit for bit, as IEEE 754 requires of hypot and atan2
-    (a test holds this platform to it). Every other row is formatted on its
-    own, so the text is that of formatting each value, whatever a holds.
-    |R| and arg R are Python's abs and math.atan2: numpy's change last bits.
+    An AcfResult is Hermitian by construction, so the L + 1 rows at
+    tau >= 0 are formatted once, and each row at -(L-1)..-1 takes its
+    mirror's |R| text and its arg text negated (a NaN's reads -nan). That
+    relies on abs being even and math.atan2 odd in the imaginary part bit
+    for bit, as IEEE 754 requires of hypot and atan2 (a test holds this
+    platform to it). The row at -T is formatted on its own: +0+0j is not the
+    conjugate of R(T). Python's abs and math.atan2 are used: numpy's change
+    last bits.
     """
-    v = a.values
-    half = v.size // 2
-    head = np.ascontiguousarray(v[:half])
-    mirror = np.conj(v[::-1][:half])
-    same = (head.view(np.int64).reshape(-1, 2) == mirror.view(np.int64).reshape(-1, 2))
-    own = np.flatnonzero(~same.all(axis=1) | np.isnan(head)).tolist()
-    mag = list(map(repr, map(abs, v[half:].tolist())))
-    arg = list(map(repr, map(math.atan2, v.imag[half:].tolist(), v.real[half:].tolist())))
-    head_mag = mag[::-1][:half]
-    head_arg = [t[1:] if t[0] == "-" else "-" + t for t in arg[::-1][:half]]
-    for i, z in zip(own, v[own].tolist()):
-        head_mag[i], head_arg[i] = repr(abs(z)), repr(math.atan2(z.imag, z.real))
+    v = a.half_values
+    mag = list(map(repr, map(abs, v.tolist())))
+    arg = list(map(repr, map(math.atan2, v.imag.tolist(), v.real.tolist())))
+    z = complex(a.values[0])  # R(-T): its own text
+    head_mag = [repr(abs(z))] + mag[-2:0:-1]
+    head_arg = [repr(math.atan2(z.imag, z.real))] + [
+        t[1:] if t[0] == "-" else "-" + t for t in arg[-2:0:-1]]
     return _csv("tau_s,abs_r,arg_r", a.lags, head_mag + mag, head_arg + arg)

@@ -60,6 +60,9 @@ class MtsfmParams:
                              "overflows a float")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
+        for name in ("a0", "T"):  # a numpy scalar as its Python int or float
+            if isinstance(getattr(self, name), np.generic):
+                object.__setattr__(self, name, getattr(self, name).item())
 
     @property
     def K(self):

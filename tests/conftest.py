@@ -192,7 +192,7 @@ def row_at_a_time_ambiguity(w, doppler_grid):
             i = math.floor(d)
             fu, fvc = (s[:n_fft] for s in _shift_spectra(w.samples, d - i, n_fft))
             if nu == 0:
-                rows[k] = _autocorrelation(_conj_autocorrelation(fu, L, w.sample_rate))
+                rows[k] = _autocorrelation(np.conj(_conj_autocorrelation(fu, L, w.sample_rate)))
             else:
                 _lag_window(np.fft.ifft(np.roll(fu, i) * np.roll(fvc, -i)), L,
                             cmath.exp(2j * math.pi * nu * t0) / w.sample_rate, rows[k])

@@ -253,7 +253,7 @@ def test_criterion_8_degenerate_handling():
     assert a.degenerate and a.first_null == a.lags[-1]
     triangle = 1 - np.abs(a.lags) / T
     assert np.max(np.abs(a.magnitudes - triangle)) < 1e-6
-    forced = dataclasses.replace(a, first_null=T, degenerate=False)
+    forced = dataclasses.replace(a, null=T)
     area = m.mainlobe_area(forced)
     assert area == pytest.approx(2 * T / 3, abs=1e-6)
     rep = m.compute_metrics(w, 8.0)

@@ -45,13 +45,15 @@ def test_gen_code_mseq(tmp_path, capsys):
     assert len(values) == 63
 
 
-@pytest.mark.parametrize("taps", ["0b11000000", "0b100000", "0", "-1"])
+@pytest.mark.parametrize("taps", ["0b11000000", "0b100000", "0", "-1", "-0b1100000"])
 def test_gen_code_mseq_rejects_taps_of_the_wrong_degree(tmp_path, capsys, taps):
     out_dir = tmp_path / "out"
-    assert run(["gen-code", "mseq", "--degree", "6", "--taps", taps], out_dir) == 1
+    assert run(["gen-code", "mseq", "--degree", "6", f"--taps={taps}", "--seed", "62"],
+               out_dir) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: taps must have x^6")
+    assert captured.err.endswith(f"got {format(int(taps, 0), '#b')}\n")
     assert captured.err.count("\n") == 1
     assert not out_dir.exists()
 
@@ -149,7 +151,7 @@ def test_reports_build_an_acf_only_for_its_export(tmp_path, monkeypatch):
         raise AssertionError("a two-sided ACF was built for a report")
 
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "_acf_of", refuse)
+        patch.setattr(cli, "AcfResult", refuse)
         assert run(["metrics", code_file, "--export", "spectrum,phase"], tmp_path) == 0
         assert run(["optimize", str(tmp_path / "barker13_k7.json"),
                     "--max-iterations", "2", "--samples", "208"], tmp_path) == 0

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -45,11 +46,11 @@ def test_msequence_degree2_example():
     assert sorted([n_pi, 3 - n_pi]) == [1, 2]
 
 
-@pytest.mark.parametrize("taps", [0b11000000, 0b100000, 0, -1])
+@pytest.mark.parametrize("taps", [0b11000000, 0b100000, 0, -1, -0b1100000])
 def test_msequence_rejects_taps_of_the_wrong_degree(taps):
     # none of these masks has x^6 as its highest term, and none gives an
-    # m-sequence at degree 6
-    with pytest.raises(ValueError, match="x\\^6"):
+    # m-sequence at degree 6; -0b1100000 has the bit length of one that does
+    with pytest.raises(ValueError, match=f"x\\^6 .*got {re.escape(format(taps, '#b'))}$"):
         generate_msequence(6, taps)
 
 

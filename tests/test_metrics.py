@@ -147,16 +147,17 @@ def test_acf_magnitudes_stored_once_read_only(mseq63_pc):
     a = acf(mseq63_pc)
     assert a.magnitudes is a.magnitudes
     assert np.array_equal(a.magnitudes, np.abs(a.values))
-    assert not a.magnitudes.flags.writeable
-    # the constructor still takes (lags, values, first_null, degenerate)
-    b = AcfResult(a.lags, a.values, a.first_null, a.degenerate)
+    for arr in (a.lags, a.values, a.magnitudes, a.half_lags, a.half_values):
+        assert not arr.flags.writeable
+    # the constructor takes the half at tau >= 0 and the first null
+    b = AcfResult(a.half_lags, a.half_values, a.null)
     assert np.array_equal(b.magnitudes, a.magnitudes)
 
 
 @pytest.mark.parametrize("make, fields", [
     (lambda w: w, ("samples",)),
     (spectrum, ("freqs", "psd")),
-    (acf, ("lags", "values")),
+    (acf, ("half_lags", "half_values")),
 ], ids=["SampledWaveform", "Spectrum", "AcfResult"])
 def test_arrays_are_private_read_only_copies(mseq63_pc, make, fields):
     source = make(mseq63_pc)
@@ -191,7 +192,7 @@ def test_acf_takes_magnitudes_once(mseq63_pc, monkeypatch):
         return np.absolute(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "abs", counting_abs)
-    b = AcfResult(a.lags, a.values, a.first_null, a.degenerate)
+    b = AcfResult(a.half_lags, a.half_values, a.null)
     assert calls == [a.values.shape]  # |values|, once, at construction
     assert np.array_equal(b.magnitudes, a.magnitudes)
     # |conj z| = |z| bit for bit, so |R| is still the mirror of its lags >= 0
@@ -237,6 +238,36 @@ def test_acf_is_hermitian_bit_for_bit(request, wave):
     assert v[1:L][::-1].tobytes() == np.conj(v[L + 1:2 * L]).tobytes()
     assert v[L].imag == 0.0 and math.copysign(1.0, v[L].imag) == 1.0
     assert v[[0, -1]].tobytes() == np.zeros(2, dtype=complex).tobytes()
+
+
+def test_an_acf_result_is_hermitian_by_construction():
+    # a hand-built half with a complex R(0) and a non-zero R(T): the mirror
+    # keeps R(0)'s real part and reads +0+0j at -T and T, the stored half too
+    half = np.array([complex(1.0, -0.5), complex(0.25, -0.0), complex(-0.0, 0.5), 0.75j])
+    a = AcfResult(np.arange(4.0), half, None)
+    assert a.lags.tolist() == [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]
+    want = np.array([0j, complex(-0.0, -0.5), complex(0.25, 0.0), complex(1.0, 0.0),
+                     complex(0.25, -0.0), complex(-0.0, 0.5), 0j])
+    assert a.values.tobytes() == want.tobytes()
+    assert a.half_values.tobytes() == want[3:].tobytes()
+    assert a.degenerate and a.first_null == 3.0
+    # dataclasses.replace derives every field again from the half and the null
+    b = dataclasses.replace(a, null=1.5)
+    assert not b.degenerate and b.first_null == 1.5
+    assert b.values.tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        dataclasses.replace(a, values=a.values)
+
+
+@pytest.mark.parametrize("half_lags, half_values", [
+    ([0.0, 1.0, 2.0], [1.0, 0.5]),  # one value short
+    ([0.0, 1.0], [1.0, 0.5, 0.0]),  # one value over
+    ([[0.0, 1.0]], [[1.0, 0.0]]),  # 2-D
+    ([0.0], [1.0]),  # no lag T
+], ids=["short", "long", "2-d", "one-lag"])
+def test_acf_result_rejects_a_half_of_the_wrong_shape(half_lags, half_values):
+    with pytest.raises(ValueError, match="^half_lags and half_values must be 1-D"):
+        AcfResult(half_lags, half_values, None)
 
 
 @pytest.mark.parametrize("wave", ["barker13_wave", "mseq63_wave32", "mseq511_pc"])
@@ -402,7 +433,8 @@ def test_first_null_near_chip_for_pc(mseq63_pc, barker13_wave):
 
 def test_mainlobe_area_triangle_with_forced_null():
     w = rect_pulse(L=2048, T=1.0)
-    a = dataclasses.replace(acf(w), first_null=w.T, degenerate=False)
+    a = dataclasses.replace(acf(w), null=w.T)
+    assert not a.degenerate and a.first_null == w.T
     assert mainlobe_area(a) == pytest.approx(2 * w.T / 3, abs=1e-6)
 
 
@@ -474,7 +506,7 @@ def test_barker13_psl(barker13_wave):
 
 def test_isr_triangle_with_forced_null():
     w = rect_pulse(L=4096, T=1.0)
-    a = dataclasses.replace(acf(w), first_null=0.5, degenerate=False)
+    a = dataclasses.replace(acf(w), null=0.5)
     assert isr(a) == pytest.approx(10 * math.log10(1 / 7), abs=1e-3)
 
 
@@ -506,13 +538,14 @@ def test_gisr_nonincreasing_in_p(mseq63_pc, barker13_wave):
 
 def test_replaced_acf_takes_magnitudes_of_its_own_values(barker13_wave):
     a = acf(barker13_wave)
-    scaled = dataclasses.replace(a, values=0.5 * a.values)
+    scaled = dataclasses.replace(a, half_values=0.5 * a.half_values)
+    assert np.array_equal(scaled.values, 0.5 * a.values)
     assert np.array_equal(scaled.magnitudes, 0.5 * a.magnitudes)
 
 
 def test_gisr_scale_invariant(barker13_wave):
     a = acf(barker13_wave)
-    scaled = dataclasses.replace(a, values=0.5 * a.values)
+    scaled = dataclasses.replace(a, half_values=0.5 * a.half_values)
     assert gisr(scaled, 10) == pytest.approx(gisr(a, 10), abs=1e-12)
 
 

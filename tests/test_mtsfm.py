@@ -340,6 +340,18 @@ def test_json_round_trip_bit_exact():
     assert keys == {"T", "a0", "alpha", "beta"}
 
 
+def test_numpy_scalars_are_stored_as_python_numbers():
+    params = MtsfmParams(np.int64(1), [0.1], [0.1], np.int64(2))
+    assert type(params.a0) is int and type(params.T) is int
+    assert json.loads(params.to_json()) == {"T": 2, "a0": 1, "alpha": [0.1], "beta": [0.1]}
+    params = MtsfmParams(np.float32(0.1), [0.1], [0.1], np.float64(63.0))
+    assert type(params.a0) is float and params.a0 == float(np.float32(0.1))
+    assert type(params.T) is float and params.T == 63.0
+    assert MtsfmParams.from_json(params.to_json()).a0 == params.a0
+    # a Python int stays an int, so "T": 63 is still written as 63
+    assert '"T": 63,' in MtsfmParams(0.0, [0.1], [0.1], 63).to_json()
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         MtsfmParams(0.0, np.array([1.0]), np.array([1.0, 2.0]), 1.0)

@@ -345,6 +345,14 @@ def test_result_json_embeds_params(barker13_fit, small_cfg):
     assert obj["termination_reason"] in ("max_iterations", "converged", "step_underflow")
 
 
+def test_result_json_of_params_with_numpy_scalars(barker13_fit, small_cfg):
+    import json
+    params = MtsfmParams(np.float32(barker13_fit.a0), barker13_fit.alpha, barker13_fit.beta,
+                         np.int64(13))
+    obj = json.loads(optimize(params, small_cfg).to_json())
+    assert obj["params"]["T"] == 13 and obj["params"]["a0"] == float(np.float32(params.a0))
+
+
 def test_converged_is_stationary_on_the_band(barker13_fit):
     cfg = OptimizerConfig(n_samples=208)
     res = optimize(barker13_fit, cfg)

@@ -1,7 +1,7 @@
 """One-line mutation audit of the numeric core.
 
 Each mutant replaces one line of metrics.py, optimizer.py, mtsfm.py,
-waveform.py, _validation.py or cli.py. For each mutant the runner copies
+codes.py, waveform.py, _validation.py or cli.py. For each mutant the runner copies
 the tree, applies the mutant and runs the tier-1 suite with -x, less
 tests/test_mutants.py: that test checks this list against the unmutated
 tree (static_problem), so it fails on every copy. A mutant that the whole
@@ -83,7 +83,15 @@ MUTANTS = [
            "    h[L] = 0.0", "    pass",
            "tests/test_metrics.py::test_half_acf_is_exactly_zero_at_lag_T"),
     killed("acf-real-zero-lag", "metrics.py",
-           "    out[L] = h[0].real  # conj would make its imaginary part -0.0", "    pass",
+           "    out[L] = r[0].real  # R(0) is real: imaginary part +0.0", "    pass",
+           "tests/test_metrics.py::test_acf_is_hermitian_bit_for_bit[barker13_wave]"),
+    killed("acf-result-shape", "metrics.py",
+           "        if half_lags.ndim != 1 or half_lags.size < 2 or shape != half_lags.shape:",
+           "        if False:",
+           "tests/test_metrics.py::test_acf_result_rejects_a_half_of_the_wrong_shape[short]"),
+    killed("acf-minus-T-zero", "metrics.py",
+           "    out[0] = out[-1] = 0.0  # R(-T) is +0+0j, not conj(R(T))",
+           "    out[-1] = 0.0; out[0] = np.conj(out[-1])",
            "tests/test_metrics.py::test_acf_is_hermitian_bit_for_bit[barker13_wave]"),
     killed("lag-grid-T", "metrics.py",
            "    lags[L] = T", "    pass",
@@ -153,10 +161,10 @@ MUTANTS = [
            "    if n % 2:", "    if False:",
            "tests/test_metrics.py::"
            "test_report_takes_sc_and_beta_of_the_spectrum_from_the_acf[barker13-x9-1]"),
-    killed("acf-csv-nan", "metrics.py",
-           "    own = np.flatnonzero(~same.all(axis=1) | np.isnan(head)).tolist()",
-           "    own = np.flatnonzero(~same.all(axis=1)).tolist()",
-           "tests/test_csv.py::test_acf_csv_of_an_acf_that_is_not_hermitian[odd]"),
+    killed("acf-csv-minus-T", "metrics.py",
+           "    z = complex(a.values[0])  # R(-T): its own text",
+           "    z = complex(a.values[-1]).conjugate()",
+           "tests/test_cli.py::test_bytes_do_not_depend_on_the_worker_count[reproduce]"),
     # optimizer.py
     equivalent("edge-tol", "optimizer.py",
                "EDGE_TOL = 1e-9", "EDGE_TOL = 1e-7",
@@ -255,6 +263,14 @@ MUTANTS = [
            'check_int_at_least("samples_per_chip", self.samples_per_chip, _MIN_SAMPLES_PER_CHIP)',
            'check_int_at_least("samples_per_chip", self.samples_per_chip, 1)',
            "tests/test_waveform.py::test_sampling_config_validation"),
+    killed("params-numpy-scalar", "mtsfm.py",
+           "            if isinstance(getattr(self, name), np.generic):", "            if False:",
+           "tests/test_mtsfm.py::test_numpy_scalars_are_stored_as_python_numbers"),
+    # codes.py
+    killed("taps-negative", "codes.py",
+           "    if taps >> degree != 1:  # a negative mask shifts to -1 or less",
+           "    if taps.bit_length() != degree + 1:",
+           "tests/test_cli.py::test_gen_code_mseq_rejects_taps_of_the_wrong_degree[-0b1100000]"),
     # _validation.py and cli.py
     killed("float-vector-huge-int", "_validation.py",
            '        raise ValueError(f"{name} must be finite everywhere") from None',
