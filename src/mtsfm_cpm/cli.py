@@ -36,7 +36,7 @@ import numpy as np
 from .codes import (barker_code, dump_phase_code, generate_msequence,
                     load_phase_code)
 from ._validation import check_int_at_least, check_positive
-from .metrics import AcfResult, _half_acf, _metrics_report, acf_csv, spectrum, spectrum_csv
+from .metrics import _metrics_report, acf, acf_csv, spectrum, spectrum_csv
 from .mtsfm import MtsfmParams, _synthesize_with_phase, fit_fourier, min_harmonics
 from .optimizer import OptimizerConfig, optimize, trace_csv
 from .waveform import (DEFAULT_SAMPLES_PER_CHIP, SamplingConfig, _csv, _json, pc_phase,
@@ -193,16 +193,16 @@ def _write_variant(write, args, out_dir, stem, w, phase, delta_f, exports=()):
     """Write one waveform's metric report, encoded as args.format, and the
     requested exports.
 
-    The report is compute_metrics': it reads the ACF on the lags tau >= 0
-    only and takes SC and the RMS bandwidth from it. The acf export's
-    AcfResult is built from that same half, so the samples are correlated
-    once, and the zero-padded spectrum is built only for the spectrum
-    export. phase is the grid phase w was synthesized from. The CSV exports
-    are handed to write as callables, formatted when the files are
-    committed. Returns the report and the path it was written to.
+    The report is compute_metrics': it scores acf(w) on the lags tau >= 0
+    only and takes SC and the RMS bandwidth from it. The acf export formats
+    that same acf(w) result, so the samples are correlated once, and the
+    zero-padded spectrum is built only for the spectrum export. phase is
+    the grid phase w was synthesized from. The CSV exports are handed to
+    write as callables, formatted when the files are committed. Returns the
+    report and the path it was written to.
     """
-    half = _half_acf(w)
-    report = _metrics_report(w, half, delta_f, args.p, args.zero_pad)
+    a = acf(w)
+    report = _metrics_report(w, a, delta_f, args.p, args.zero_pad)
     if args.format == "csv":
         report_path = out_dir / f"{stem}_metrics.csv"
         write(report_path, _report_csv(report, _provenance(args)))
@@ -214,7 +214,6 @@ def _write_variant(write, args, out_dir, stem, w, phase, delta_f, exports=()):
             sp = spectrum(w, args.zero_pad)
             write(out_dir / f"{stem}_spectrum.csv", functools.partial(spectrum_csv, sp))
         elif kind == "acf":
-            a = AcfResult(half[1], np.conj(half[0]), half[3])  # lags, R, first null
             write(out_dir / f"{stem}_acf.csv", functools.partial(acf_csv, a))
         elif kind == "waveform":
             write(out_dir / f"{stem}_waveform.csv", functools.partial(waveform_csv, w))

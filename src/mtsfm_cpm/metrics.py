@@ -7,9 +7,10 @@ generalization are 10*log10 of energy ratios.
 """
 
 import cmath
+import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,40 +148,64 @@ def rms_bandwidth_spectral(sp):
 # autocorrelation and ambiguity
 # ---------------------------------------------------------------------------
 
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class AcfResult:
     """Aperiodic autocorrelation R, normalized so R(0) = 1, built from R at
     half_lags 0, 1/f_s .. (L-1)/f_s, T (half_values) and its first null, or
-    None. The rest is derived at construction: values, R over the lags
-    [-T, T], is the half's _autocorrelation mirror, so an AcfResult is
-    Hermitian bit for bit, R(0) real and R(+-T) = +0+0j (half_values reads
-    them too); magnitudes is |values|, first_null is null or else T, and
+    None. Each is kept as a private read-only copy, the half with R(0) real
+    and R(T) = +0+0j, and |R| is taken on the half once. The rest is derived
+    on first use, read-only, and again by dataclasses.replace: values, R
+    over the lags [-T, T], is the half's _autocorrelation mirror, so an
+    AcfResult is Hermitian bit for bit; magnitudes is the mirror of |R| on
+    the half, which is |values|; first_null is null or else T, and
     degenerate says there is no null."""
 
     half_lags: np.ndarray
     half_values: np.ndarray
     null: float | None
-    lags: np.ndarray = field(init=False, repr=False, compare=False)
-    values: np.ndarray = field(init=False, repr=False, compare=False)
-    magnitudes: np.ndarray = field(init=False, repr=False, compare=False)
-    first_null: float = field(init=False, compare=False)
-    degenerate: bool = field(init=False, compare=False)
 
     def __post_init__(self):
         half_lags = read_only_copy(self.half_lags)
-        shape = np.shape(self.half_values)
-        if half_lags.ndim != 1 or half_lags.size < 2 or shape != half_lags.shape:
+        half = np.array(self.half_values, dtype=complex)
+        if half_lags.ndim != 1 or half_lags.size < 2 or half.shape != half_lags.shape:
             raise ValueError("half_lags and half_values must be 1-D, of one length >= 2")
-        lags = np.concatenate((-half_lags[:0:-1], half_lags))  # -(m / f_s) is (-m) / f_s
-        values = _autocorrelation(np.asarray(self.half_values, dtype=complex))
-        for arr in (lags, values):
-            arr.flags.writeable = False
-        derived = dict(half_lags=half_lags, half_values=values[values.size // 2:], lags=lags,
-                       values=values, magnitudes=read_only_copy(np.abs(values)),
-                       first_null=float(half_lags[-1]) if self.null is None else self.null,
-                       degenerate=self.null is None)
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        half[0] = half[0].real  # R(0) is real: imaginary part +0.0
+        half[-1] = 0.0  # R(T) is +0+0j
+        object.__setattr__(self, "half_lags", half_lags)
+        object.__setattr__(self, "half_values", _read_only(half))
+        object.__setattr__(self, "_half_magnitudes", _read_only(np.abs(half)))
+
+    @functools.cached_property
+    def lags(self):
+        h = self.half_lags
+        return _read_only(np.concatenate((-h[:0:-1], h)))  # -(m / f_s) is (-m) / f_s
+
+    @functools.cached_property
+    def values(self):
+        return _read_only(_autocorrelation(self.half_values))
+
+    @functools.cached_property
+    def magnitudes(self):
+        h = self._half_magnitudes
+        return _read_only(np.concatenate((h[:0:-1], h)))  # |conj z| is |z| bit for bit
+
+    @property
+    def first_null(self):
+        return float(self.half_lags[-1]) if self.null is None else self.null
+
+    @property
+    def degenerate(self):
+        return self.null is None
+
+    @functools.cached_property
+    def _region_scan(self):
+        """The _regions of |R| on the half: DegenerateMainlobe without a null."""
+        return _regions(self.half_lags, self.null)
 
 
 def _correlation_fft(u):
@@ -250,21 +275,15 @@ def acf(w):
     all magnitude-based metrics agree.
 
     R is the inverse transform of the real energy spectrum |S|^2, so it is
-    exactly Hermitian. The result is built from R and the first null of
-    _half_acf at tau >= 0; AcfResult mirrors them to the lags < 0.
+    exactly Hermitian. The result is built from R at tau >= 0, conjugated in
+    place from _conj_autocorrelation, and its _null_vertex first null, and
+    AcfResult mirrors them to the lags < 0 on first use.
     """
-    r_conj, lags, _, tau = _half_acf(w)
-    return AcfResult(lags, np.conj(r_conj), tau)
-
-
-def _half_acf(w):
-    """(conj(R), lags, |R|, first null or None) of w at the lags 0..L, the
-    half of the ACF that AcfResult mirrors and compute_metrics scores: one
-    correlation (_conj_autocorrelation), |R| once, and its _null_vertex scan."""
     L = w.n_samples
-    r_conj = _conj_autocorrelation(_correlation_fft(w.samples), L, w.sample_rate)
-    lags, mag = _lag_grid(L, w.sample_rate, w.T), np.abs(r_conj)
-    return r_conj, lags, mag, _null_vertex(lags, mag)
+    r = _conj_autocorrelation(_correlation_fft(w.samples), L, w.sample_rate)
+    np.conjugate(r, out=r)
+    lags = _lag_grid(L, w.sample_rate, w.T)
+    return AcfResult(lags, r, _null_vertex(lags, np.abs(r)))
 
 
 def _shift_spectra(samples, f, n_fft):
@@ -385,31 +404,21 @@ def _regions(lags, tau):
     return _on_support(w_num), _on_support(w_den)
 
 
-def _mainlobe_area(regions, mag):
-    """mainlobe_area from the _regions of |R| on the lags >= 0: twice the
-    mainlobe's integral of |R|^2 over [0, first null], as |R| is even."""
-    main, w_main = regions[1]
-    return 2 * float(w_main @ np.square(mag[main]))
-
-
-def _psl_db(lags, mag, tau):
-    """psl from |R| on the lags >= 0: the largest |R| at lags >= tau."""
-    return 20 * math.log10(float(mag[int(lags.searchsorted(tau)):].max()))
-
-
 def mainlobe_area(a):
     """Integral of |R|^2 over the mainlobe [-first_null, +first_null]: twice
     the trapezoid integral over [0, first_null] on the lags >= 0, as |R| is
-    even. A compute_metrics report's mainlobe_area is this, bit for bit."""
-    return _mainlobe_area(_regions(a.half_lags, a.null), np.abs(a.half_values))
+    even. A compute_metrics report's mainlobe_area is this."""
+    main, w_main = a._region_scan[1]
+    return 2 * float(w_main @ np.square(a._half_magnitudes[main]))
 
 
 def psl(a):
     """Peak sidelobe level in dB: largest |R| at lags beyond the first null,
-    read on the lags >= 0 (|R| is even), as compute_metrics reads it."""
+    read on the lags >= 0 (|R| is even)."""
     if a.degenerate:
         raise DegenerateMainlobe(_NO_NULL)
-    return _psl_db(a.half_lags, np.abs(a.half_values), a.null)
+    sidelobes = a._half_magnitudes[int(a.half_lags.searchsorted(a.null)):]
+    return 20 * math.log10(float(sidelobes.max()))
 
 
 def _on_support(w):
@@ -478,18 +487,12 @@ def gisr(a, p):
     ValueError naming p; see _sidelobe_ratio.
     """
     check_p(p)
-    return _gisr_db(_regions(a.half_lags, a.null), np.abs(a.half_values), p)
-
-
-def _gisr_db(regions, mag, p):
-    """gisr of |R| on the lags >= 0 on its _regions, found by the caller,
-    so that a report scores ISR and GISR on one scan of them."""
-    return 10 * math.log10(_sidelobe_ratio(regions, mag, p))
+    return 10 * math.log10(_sidelobe_ratio(a._region_scan, a._half_magnitudes, p))
 
 
 def isr(a):
-    """Integrated sidelobe ratio in dB (the p = 2 case of gisr)."""
-    return gisr(a, 2)
+    """Integrated sidelobe ratio in dB: gisr at p = 2, on the same region scan."""
+    return 10 * math.log10(_sidelobe_ratio(a._region_scan, a._half_magnitudes, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -540,45 +543,43 @@ def compute_metrics(w, delta_f, p=10, zero_pad_factor=4):
     """Evaluate the whole metric suite for one waveform.
 
     zero_pad_factor sets the spectrum's analysis grid only; the ACF is exact
-    at its native lags without padding. The report reads the _half_acf that
-    acf() is built from, at tau >= 0, with the code the public psl, isr, gisr and
-    mainlobe_area run there, so its fields equal theirs bit for bit. SC and
-    the RMS bandwidth are those of spectrum(w, zero_pad_factor), but are
-    taken from the same R: no spectrum is formed. A degenerate mainlobe (no
-    ACF null) is reported, not raised: the sidelobe fields come back as None,
-    and so the degenerate flag reads True.
+    at its native lags without padding. The sidelobe fields are the public
+    first_null, mainlobe_area, psl, isr and gisr of acf(w). SC and the RMS
+    bandwidth are those of spectrum(w, zero_pad_factor), but are taken from
+    the same R: no spectrum is formed. A degenerate mainlobe (no ACF null)
+    is reported, not raised: the sidelobe fields come back as None, and so
+    the degenerate flag reads True. A grid of w.n_samples * zero_pad_factor
+    bins that float64 cannot resolve raises a ValueError.
     """
     zero_pad_factor = check_int_at_least("zero_pad_factor", zero_pad_factor, 1)
-    return _metrics_report(w, _half_acf(w), delta_f, p, zero_pad_factor)
+    return _metrics_report(w, acf(w), delta_f, p, zero_pad_factor)
 
 
-def _metrics_report(w, half, delta_f, p, zero_pad_factor):
-    """The compute_metrics report of w from its _half_acf: conj(R), the lags
-    0..L, |R| there and the first null.
-
-    The sidelobe and mainlobe regions are scanned once (_regions): ISR,
-    GISR(p) and the _mainlobe_area are scored on them, and PSL is _psl_db,
-    the helpers the public psl, isr, gisr and mainlobe_area call on acf(w)
-    at tau >= 0: every field equals theirs, and first_null, bit for bit.
-    half is only read: the CLI's ACF export builds its AcfResult from it.
+def _metrics_report(w, a, delta_f, p, zero_pad_factor):
+    """The compute_metrics report of w from a = acf(w), which it only reads:
+    the CLI's ACF export formats the same a.
 
     A band wider than the analysis span is clamped to it and flagged in
     sc_clamped instead of warning. p is checked whether or not the ACF is
     degenerate, so a bad p never yields a report.
+
+    The n bins, spaced df, must be resolvable: df positive and finite, every
+    bin index and odd 2j + 1 <= n exact in float64 (n <= 2^53), and
+    _sine_sums' int64 angle products, below 2 n B with its block size
+    B = isqrt(L - 1) + 1, below 2^63.
     """
     check_p(p)
-    n = w.n_samples * zero_pad_factor
+    L = w.n_samples
+    n = L * zero_pad_factor
     df = 1.0 / (n * (1.0 / w.sample_rate))  # spectrum()'s bin spacing, bit for bit
+    if not (0.0 < df < math.inf and n <= 2 ** 53 and 2 * n * (math.isqrt(L - 1) + 1) < 2 ** 63):
+        raise ValueError(f"zero_pad_factor={zero_pad_factor} at T={w.T} gives a spectrum "
+                         f"grid of {n} bins, {df} Hz apart, too fine to resolve")
     span = 2 * ((n - n // 2 - 1) * df)  # 2 * spectrum().freqs[-1]
     band = min(check_positive("delta_f", delta_f), span)
-    r_conj, lags, mag, tau = half
-    in_band, beta_rms = _acf_spectral(r_conj, n, w.sample_rate, df, band / 2)
-    if tau is None:
-        sidelobes = (None,) * 5
-    else:
-        regions = _regions(lags, tau)
-        sidelobes = (tau, _mainlobe_area(regions, mag), _psl_db(lags, mag, tau),
-                     _gisr_db(regions, mag, 2), _gisr_db(regions, mag, p))
+    in_band, beta_rms = _acf_spectral(a.half_values, n, w.sample_rate, df, band / 2)
+    sidelobes = ((None,) * 5 if a.degenerate else
+                 (a.null, mainlobe_area(a), psl(a), isr(a), gisr(a, p)))
     return MetricsReport(min(max(in_band, 0.0), 1.0), band, beta_rms, *sidelobes,
                          p=p, sc_clamped=delta_f > span)
 
@@ -602,10 +603,10 @@ def _sine_sums(x, ks, n):
     return np.sum(np.sin(coarse) * by_c[:ks.size] + np.cos(coarse) * by_c[ks.size:], axis=1)
 
 
-def _acf_spectral(r_conj, n, sample_rate, df, hi):
+def _acf_spectral(r, n, sample_rate, df, hi):
     """spectral_compactness over [-hi, hi] and rms_bandwidth_spectral of the
-    n-point spectrum, taken from conj(R) at the lags 0..L (L <= n) of the
-    samples that spectrum transforms, without forming it.
+    n-point spectrum, taken from R at the lags 0..L (L <= n) of the samples
+    that spectrum transforms, without forming it.
 
     By Wiener-Khinchin the spectrum's bin j, j = -h..n-h-1 with h = n // 2,
     is psd_j = (1/f_s) sum_{|m|<L} R[m] z^(jm), z = e^{-2 pi i / n}, which
@@ -625,16 +626,15 @@ def _acf_spectral(r_conj, n, sample_rate, df, hi):
     is the central second moment (M2 - M1^2 / M0) df of the moments
     M_k = df^k sum_j j^k psd_j, with M0 = n R[0] / f_s. The arithmetic over
     the lags is real: complex division there cost as much as the FFT it
-    replaces at L = 2016. Im R is -r_conj.imag, so the sums over it change
-    sign, which is exact; R at lag L is 0 and is left out. The kernels are
+    replaces at L = 2016. R at lag L is 0 and is left out. The kernels are
     formed in place: sin theta becomes 1 / sin theta, then s / sin theta,
     and cos theta its product with g or Im R.
     """
-    L = r_conj.size - 1
+    L = r.size - 1
     h = n // 2
     top = n - h - 1
-    r0 = float(r_conj[0].real)
-    re, im = r_conj.real[1:L], r_conj.imag[1:L]  # Re R, -Im R
+    r0 = float(r[0].real)
+    re, im = r.real[1:L], r.imag[1:L]
     theta = np.arange(1, L) * (np.pi / n)
     cos = np.cos(theta)
     inv_sin = np.sin(theta, out=theta)
@@ -656,11 +656,11 @@ def _acf_spectral(r_conj, n, sample_rate, df, hi):
     inv_sin_s = inv_sin
     inv_sin_s[::2] *= -1  # m = 1, 3, ...
     if n % 2:
-        sum_j = n * float(im @ inv_sin_s)
+        sum_j = -n * float(im @ inv_sin_s)
         sum_j2 = n * float(np.multiply(g, cos, out=cos) @ inv_sin_s)
     else:
         sum_j = -n * (float(re[1::2].sum()) - float(re[::2].sum())
-                      - float(np.multiply(im, cos, out=cos) @ inv_sin_s))
+                      + float(np.multiply(im, cos, out=cos) @ inv_sin_s))
         sum_j2 = n * float(g @ inv_sin_s)
     sum_j += r0 * ((top * (top + 1) - h * (h + 1)) // 2)  # sum of j over the bins
     sum_j2 += r0 * ((top * (top + 1) * (2 * top + 1) + h * (h + 1) * (2 * h + 1)) // 6)

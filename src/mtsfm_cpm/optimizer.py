@@ -19,8 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._validation import check_int_at_least, check_p, check_real
-from .metrics import (_conj_autocorrelation, _correlation_fft, _gisr_db, _lag_grid,
-                      _null_vertex, _regions, _sidelobe_ratio)
+from .metrics import (_conj_autocorrelation, _correlation_fft, _lag_grid, _null_vertex,
+                      _regions, _sidelobe_ratio)
 from .mtsfm import MtsfmParams, _beta2, _beta2_weights, _phase_adjoint, _phase_samples
 from .waveform import _json, _unit_samples
 
@@ -425,7 +425,8 @@ def optimize(initial, cfg):
 
     return OptimizationResult(
         params=initial.with_coefficients(x),
-        final_gisr_db=_gisr_db(_regions(run.lags, _null_vertex(run.lags, mag)), mag, cfg.p),
+        final_gisr_db=10 * math.log10(_sidelobe_ratio(
+            _regions(run.lags, _null_vertex(run.lags, mag)), mag, cfg.p)),
         initial_beta2=beta2_ref,
         final_beta2=b2,
         trace=tuple(trace),

@@ -104,12 +104,17 @@ def pc_phase(code, T, t):
     T : float
         Pulse length in seconds.
     t : float or array_like
-        Time(s) in [-T/2, T/2]; values outside the pulse are rejected.
+        Time(s) in [-T/2, T/2]; values outside the pulse are rejected, and so
+        is a T so large that a chip position (t + T/2) * n overflows.
     """
     check_positive("T", T)
     t_arr = check_in_pulse(t, T)
     n = code.n
-    idx = np.floor((t_arr + T / 2) * n / T).astype(int)
+    with np.errstate(over="ignore"):  # an overflow is the error below
+        position = (t_arr + T / 2) * n
+    if not np.all(np.isfinite(position)):
+        raise ValueError(f"T={T} is too large for {n} chips: a chip position overflows")
+    idx = np.floor(position / T).astype(int)
     idx = np.minimum(idx, n - 1)  # right endpoint of the final chip
     out = code.phases[idx]
     return out if np.ndim(t) else float(out)

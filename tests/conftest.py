@@ -254,7 +254,7 @@ def two_sided_report(w, delta_f, p=10, zero_pad_factor=4):
     df = 1.0 / (n * (1.0 / w.sample_rate))
     span = 2 * ((n - n // 2 - 1) * df)
     band = min(delta_f, span)
-    sc, beta = _acf_spectral(np.conj(a.values[L:]), n, w.sample_rate, df, band / 2)
+    sc, beta = _acf_spectral(a.values[L:], n, w.sample_rate, df, band / 2)
     if a.degenerate:
         sidelobes = (None,) * 5
     else:

@@ -12,7 +12,7 @@ import pytest
 from mtsfm_cpm import (MtsfmParams, SamplingConfig, acf, acf_csv, barker_code,
                        compute_metrics, fit_fourier, load_phase_code, pc_phase, spectrum,
                        spectrum_csv, synthesize_mtsfm, synthesize_pc)
-from mtsfm_cpm import cli
+from mtsfm_cpm import cli, metrics
 from mtsfm_cpm.cli import main
 from mtsfm_cpm.mtsfm import _synthesize_with_phase
 from mtsfm_cpm.waveform import _grid_text
@@ -151,7 +151,7 @@ def test_reports_build_an_acf_only_for_its_export(tmp_path, monkeypatch):
         raise AssertionError("a two-sided ACF was built for a report")
 
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "AcfResult", refuse)
+        patch.setattr(metrics, "_autocorrelation", refuse)
         assert run(["metrics", code_file, "--export", "spectrum,phase"], tmp_path) == 0
         assert run(["optimize", str(tmp_path / "barker13_k7.json"),
                     "--max-iterations", "2", "--samples", "208"], tmp_path) == 0
@@ -222,9 +222,12 @@ def test_metrics_p_below_2_on_degenerate_input_writes_nothing(tmp_path, capsys):
     ('{"T": 1.0, "a0": 0.0, "alpha": [1%s], "beta": [0.1]}' % ("0" * 400),
      "alpha must be finite everywhere"),
     ('{"T": 63.0, "a0": 0.0, "alpha": [1e308], "beta": [0.0]}', "alpha and beta are too large"),
+    # 256 bins times a sample spacing of T / 64 overflow, so the bin spacing is 0
+    ('{"T": 1e308, "a0": 0.0, "alpha": [0.1], "beta": [0.1]}',
+     "zero_pad_factor=4 at T=1e+308 gives a spectrum grid of 256 bins, 0.0 Hz apart"),
 ], ids=["missing-alpha", "top-level-list", "string-T", "list-a0", "bool-T", "huge-int-T",
         "bool-alpha", "string-beta", "dict-alpha", "huge-int-a0", "huge-int-alpha",
-        "phase-overflow"])
+        "phase-overflow", "huge-T"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_metrics_malformed_params_is_one_line_error(tmp_path, capsys, text, message):
     pfile = tmp_path / "bad.json"
@@ -367,6 +370,29 @@ def test_a_p_whose_power_sum_underflows_is_one_line_error(tmp_path, capsys, comm
     err = capsys.readouterr().err
     assert err.startswith("error: p = 100000000000000000000 is too large")
     assert err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--zero-pad", "1000000000000000", "metrics", "barker13.txt"],
+     "zero_pad_factor=1000000000000000 at T=13.0 gives"),
+    (["--zero-pad", "10000000000000000", "metrics", "barker13.txt"],
+     "zero_pad_factor=10000000000000000 at T=13.0 gives"),
+    (["--zero-pad", "30000000000000000", "metrics", "barker13.txt"],
+     "zero_pad_factor=30000000000000000 at T=13.0 gives"),
+    (["metrics", "barker13.txt", "-T", "2e307"], "T=2e+307 is too large for 13 chips"),
+], ids=["zero-pad-1e15", "zero-pad-1e16", "zero-pad-3e16", "T-2e307"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_grid_too_fine_or_a_pulse_too_long_is_one_line_error(tmp_path, capsys,
+                                                                 monkeypatch, args, message):
+    monkeypatch.chdir(tmp_path)
+    run(["gen-code", "barker", "--length", "13"], tmp_path)
+    capsys.readouterr()
+    out_dir = tmp_path / "out"
+    assert run(args, out_dir) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
     assert not out_dir.exists()
 
 

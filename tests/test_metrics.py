@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -193,11 +194,14 @@ def test_acf_takes_magnitudes_once(mseq63_pc, monkeypatch):
 
     monkeypatch.setattr(np, "abs", counting_abs)
     b = AcfResult(a.half_lags, a.half_values, a.null)
-    assert calls == [a.values.shape]  # |values|, once, at construction
-    assert np.array_equal(b.magnitudes, a.magnitudes)
-    # |conj z| = |z| bit for bit, so |R| is still the mirror of its lags >= 0
-    L = mseq63_pc.n_samples
-    assert np.array_equal(a.magnitudes[:L], a.magnitudes[:L:-1])
+    # the metrics and the two-sided magnitudes read that |R|: no further pass
+    (psl(b), isr(b), gisr(b, 10), mainlobe_area(b), b.magnitudes)
+    assert calls == [a.half_values.shape]  # |R| on the half, once, at construction
+    # magnitudes is the mirror of that |R|, and the |values| of the mirrored R,
+    # as |conj z| = |z| bit for bit
+    half = np.absolute(b.half_values)
+    assert b.magnitudes.tobytes() == np.concatenate((half[:0:-1], half)).tobytes()
+    assert b.magnitudes.tobytes() == np.absolute(b.values).tobytes()
 
 
 def direct_acf(w):
@@ -255,7 +259,7 @@ def test_an_acf_result_is_hermitian_by_construction():
     b = dataclasses.replace(a, null=1.5)
     assert not b.degenerate and b.first_null == 1.5
     assert b.values.tobytes() == want.tobytes()
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # values is derived, not a field
         dataclasses.replace(a, values=a.values)
 
 
@@ -288,7 +292,7 @@ def test_ambiguity_zero_doppler_row_is_acf(request, wave):
     w = request.getfixturevalue(wave)
     rows = ambiguity(w, [0.0])
     a = acf(w)
-    assert np.array_equal(rows[0], a.values)
+    assert rows[0].tobytes() == a.values.tobytes()  # the sign of each zero too
     center = rows.shape[1] // 2
     assert abs(rows[0][center] - 1.0) < 1e-9
 
@@ -702,6 +706,21 @@ def test_compute_metrics_builds_no_two_sided_acf(mseq63_wave32, monkeypatch):
         compute_metrics(w, MSEQ63_BAND)
 
 
+def test_compute_metrics_scores_the_public_metrics_of_acf(mseq63_wave32, monkeypatch):
+    # each is called once, through the module namespace, so the report is
+    # the public metrics of acf(w) by construction; a degenerate ACF calls acf only
+    import mtsfm_cpm.metrics as metrics
+    calls = []
+    for name in ("acf", "psl", "isr", "gisr", "mainlobe_area"):
+        monkeypatch.setattr(metrics, name, lambda *args, _name=name, _fn=getattr(metrics, name):
+                            calls.append(_name) or _fn(*args))
+    compute_metrics(mseq63_wave32, MSEQ63_BAND, p=7)
+    assert sorted(calls) == ["acf", "gisr", "isr", "mainlobe_area", "psl"]
+    calls.clear()
+    compute_metrics(rect_pulse(), MSEQ63_BAND)
+    assert calls == ["acf"]
+
+
 def test_compute_metrics_degenerate():
     rep = compute_metrics(rect_pulse(), 8.0)
     assert rep.degenerate
@@ -861,6 +880,39 @@ def test_a_zero_second_moment_reads_plus_zero_bandwidth():
                                                       np.array([np.nan, 1.0, 0.0]))))
     assert math.isnan(_acf_spectral(np.array([1.0, np.nan, 0.0], complex), 4, 1.0, 0.25,
                                     0.25)[1])
+
+
+@pytest.fixture(scope="module")
+def huge_grid_cases(barker13_wave):
+    params = fit_fourier(barker_code(13), 13.0, 7)
+    far = synthesize_mtsfm(MtsfmParams(params.a0, params.alpha, params.beta, 1e308), 64 * 7)
+    # 2^19 samples of independent uniform phase over T = 2^19 s: a flat
+    # spectrum, so every band edge holds energy
+    L = 2 ** 19
+    phase = np.random.default_rng(0).uniform(-np.pi, np.pi, L)
+    wide = SampledWaveform(_unit_samples(phase, float(L)), float(L))
+    # {case: (waveform, band, zero pad that fails, largest tried that works)}
+    return {
+        # n * (1/f_s) overflows, so the bin spacing df is 0
+        "spacing": (far, 4 * 7 / 1e308, 4, None),
+        # n = 4.16e16 > 2^53: the band edge bins 1.06e16 round to even
+        "inexact": (barker13_wave, 16.4, 10 ** 14, 2 ** 53 // 416),
+        # 2 n B > 2^63 for B = 725: the angle products wrap, and SC read
+        # 2.7e-8 low
+        "products": (wide, 0.8, 15 * 10 ** 9, 12 * 10 ** 9),
+    }
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", ["spacing", "inexact", "products"])
+def test_a_spectrum_grid_too_fine_to_resolve_is_an_error(huge_grid_cases, case):
+    w, band, fails, works = huge_grid_cases[case]
+    with pytest.raises(ValueError, match=re.escape(f"zero_pad_factor={fails} at T={w.T} ")):
+        compute_metrics(w, band, zero_pad_factor=fails)
+    if works is not None:  # the finest grid that resolves agrees with a coarse one
+        rep, ref = (compute_metrics(w, band, zero_pad_factor=z) for z in (works, 2 ** 20))
+        assert rep.sc == pytest.approx(ref.sc, abs=1e-13)
+        assert rep.beta_rms == pytest.approx(ref.beta_rms, rel=1e-12)
 
 
 def test_compute_metrics_fft_work(mseq63_pc, monkeypatch):

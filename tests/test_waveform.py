@@ -69,6 +69,17 @@ def test_pc_phase_right_continuous_at_boundaries():
         assert pc_phase(code, T, boundary) == after
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_pc_phase_rejects_a_pulse_whose_chip_positions_overflow():
+    # (t + T/2) * n overflows to inf at t = T/2 before the division by T
+    code = barker_code(13)
+    with pytest.raises(ValueError, match=r"^T=2e\+307 is too large for 13 chips"):
+        pc_phase(code, 2e307, [0.0, 1e307])
+    # T = 1e307 keeps every position finite, and each chip where it was
+    t = np.array([-0.5, -0.5 + 1 / 13, 0.0, 0.5]) * 1e307
+    assert pc_phase(code, 1e307, t).tolist() == code.phases[[0, 1, 6, 12]].tolist()
+
+
 def test_synthesize_single_chip():
     w = synthesize_pc(PhaseCode([0.0]), SamplingConfig(1.0, samples_per_chip=16))
     assert w.n_samples == 16

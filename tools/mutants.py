@@ -84,10 +84,10 @@ MUTANTS = [
            "tests/test_metrics.py::test_half_acf_is_exactly_zero_at_lag_T"),
     killed("acf-real-zero-lag", "metrics.py",
            "    out[L] = r[0].real  # R(0) is real: imaginary part +0.0", "    pass",
-           "tests/test_metrics.py::test_acf_is_hermitian_bit_for_bit[barker13_wave]"),
+           "tests/test_metrics.py::test_ambiguity_zero_doppler_row_is_acf[barker13]"),
     killed("acf-result-shape", "metrics.py",
-           "        if half_lags.ndim != 1 or half_lags.size < 2 or shape != half_lags.shape:",
-           "        if False:",
+           "if half_lags.ndim != 1 or half_lags.size < 2 or half.shape != half_lags.shape:",
+           "if False:",
            "tests/test_metrics.py::test_acf_result_rejects_a_half_of_the_wrong_shape[short]"),
     killed("acf-minus-T-zero", "metrics.py",
            "    out[0] = out[-1] = 0.0  # R(-T) is +0+0j, not conj(R(T))",
@@ -118,7 +118,7 @@ MUTANTS = [
             "    offset = 0.5 * (y0 - y2) / denom if denom > 1e-6 else 0.0",
             "at a strict local minimum the computed y0 - 2 y1 + y2 is positive"),
     killed("psl-past-null", "metrics.py",
-           "int(lags.searchsorted(tau))", "int(lags.searchsorted(tau)) + 1",
+           "int(a.half_lags.searchsorted(a.null))", "int(a.half_lags.searchsorted(a.null)) + 1",
            "tests/test_metrics.py::test_psl_reads_the_first_lag_past_the_null"),
     killed("power-sum-unscaled", "metrics.py",
            "    m = float(mag.max())", "    m = 1.0",
@@ -129,6 +129,17 @@ MUTANTS = [
     killed("sidelobe-gradient-sign", "metrics.py",
            "    d_power[main] -= w_den_p2", "    d_power[main] += w_den_p2",
            "tests/test_cli.py::test_reproduce_mseq63_table_matches_readme"),
+    killed("report-grid-spacing", "metrics.py",
+           "    if not (0.0 < df < math.inf and n <= ", "    if not (n <= ",
+           "tests/test_cli.py::test_metrics_malformed_params_is_one_line_error[huge-T]"),
+    killed("report-grid-exact", "metrics.py",
+           "n <= 2 ** 53 and", "True and",
+           "tests/test_metrics.py::"
+           "test_a_spectrum_grid_too_fine_to_resolve_is_an_error[inexact]"),
+    killed("report-grid-products", "metrics.py",
+           "2 * n * (math.isqrt(L - 1) + 1) < 2 ** 63", "True",
+           "tests/test_metrics.py::"
+           "test_a_spectrum_grid_too_fine_to_resolve_is_an_error[products]"),
     killed("report-band-clamp", "metrics.py",
            '    band = min(check_positive("delta_f", delta_f), span)',
            '    band = check_positive("delta_f", delta_f)',
@@ -256,6 +267,10 @@ MUTANTS = [
     killed("pc-phase-endpoint", "waveform.py",
            "    idx = np.minimum(idx, n - 1)  # right endpoint of the final chip", "    pass",
            "tests/test_waveform.py::test_pc_phase_two_chips"),
+    killed("pc-phase-overflow", "waveform.py",
+           "    if not np.all(np.isfinite(position)):", "    if False:",
+           "tests/test_cli.py::"
+           "test_a_grid_too_fine_or_a_pulse_too_long_is_one_line_error[T-2e307]"),
     killed("synthesize-pc-cfg", "waveform.py",
            "    if not isinstance(cfg, SamplingConfig):", "    if False:",
            "tests/test_waveform.py::test_synthesize_pc_needs_a_sampling_config"),
