@@ -157,13 +157,13 @@ def _read_only(arr):
 class AcfResult:
     """Aperiodic autocorrelation R, normalized so R(0) = 1, built from R at
     half_lags 0, 1/f_s .. (L-1)/f_s, T (half_values) and its first null, or
-    None. Each is kept as a private read-only copy, the half with R(0) real
-    and R(T) = +0+0j, and |R| is taken on the half once. The rest is derived
-    on first use, read-only, and again by dataclasses.replace: values, R
-    over the lags [-T, T], is the half's _autocorrelation mirror, so an
-    AcfResult is Hermitian bit for bit; magnitudes is the mirror of |R| on
-    the half, which is |values|; first_null is null or else T, and
-    degenerate says there is no null."""
+    None. The half has R(0) real and R(T) = +0+0j, and |R| is taken on it once.
+    Each is read-only: acf() owns the arrays it computed, and one built by
+    hand keeps private copies. The rest is derived on first use, read-only,
+    and again by dataclasses.replace: values, R over the lags [-T, T], is
+    the half's _autocorrelation mirror, so an AcfResult is Hermitian bit for
+    bit; magnitudes is the mirror of |R| on the half, which is |values|;
+    first_null is null or else T, and degenerate says there is no null."""
 
     half_lags: np.ndarray
     half_values: np.ndarray
@@ -174,11 +174,27 @@ class AcfResult:
         half = np.array(self.half_values, dtype=complex)
         if half_lags.ndim != 1 or half_lags.size < 2 or half.shape != half_lags.shape:
             raise ValueError("half_lags and half_values must be 1-D, of one length >= 2")
+        self._own(half_lags, half)
+
+    def _own(self, half_lags, half):
+        """Keep half_lags, the half made R(0) real and R(T) +0+0j, and its |R|, uncopied."""
         half[0] = half[0].real  # R(0) is real: imaginary part +0.0
         half[-1] = 0.0  # R(T) is +0+0j
-        object.__setattr__(self, "half_lags", half_lags)
+        object.__setattr__(self, "half_lags", _read_only(half_lags))
         object.__setattr__(self, "half_values", _read_only(half))
         object.__setattr__(self, "_half_magnitudes", _read_only(np.abs(half)))
+
+    @classmethod
+    def _of(cls, r, sample_rate, T):
+        """The AcfResult of a fresh _conj_autocorrelation half r, sampled at
+        sample_rate, of a pulse of length T: r is taken over and conjugated
+        in place, and the first null is the _null_vertex of its |R|."""
+        lags = np.arange(r.size) / sample_rate
+        lags[-1] = T
+        a = object.__new__(cls)
+        a._own(lags, np.conjugate(r, out=r))
+        object.__setattr__(a, "null", _null_vertex(lags, a._half_magnitudes))
+        return a
 
     @functools.cached_property
     def lags(self):
@@ -234,15 +250,14 @@ def _conj_autocorrelation(spec, L, sample_rate):
 
 
 def _autocorrelation(r):
-    """The autocorrelation at the lags -L..L from r, R at the lags 0..L:
-    the negative lags mirror the lags > 0, R(-m) = conj(R(m)) bit for bit,
-    R(0) keeps its real part only, imaginary part +0.0, and the lags -L and
-    +L hold exact zeros +0+0j, so the result is Hermitian whatever r holds."""
+    """The autocorrelation at the lags -L..L from an AcfResult's half r, R at
+    the lags 0..L with R(0) real and R(T) = +0+0j: the negative lags mirror
+    the lags > 0, R(-m) = conj(R(m)) bit for bit, and the lag -L holds +0+0j
+    too, so the result is Hermitian."""
     L = r.size - 1
     out = np.empty(2 * L + 1, dtype=complex)
     out[L:] = r
-    out[L] = r[0].real  # R(0) is real: imaginary part +0.0
-    out[0] = out[-1] = 0.0  # R(-T) is +0+0j, not conj(R(T))
+    out[0] = 0.0  # R(-T) is +0+0j, not conj(R(T))
     np.conj(r[L - 1:0:-1], out=out[1:L])
     return out
 
@@ -256,14 +271,6 @@ def _lag_window(cc, L, scale, out):
     return out
 
 
-def _lag_grid(L, sample_rate, T):
-    """The lags >= 0 of the native lag grid of L samples: 0, 1/f_s ..
-    (L-1)/f_s, then T. AcfResult mirrors them for the lags < 0."""
-    lags = np.arange(L + 1) / sample_rate
-    lags[L] = T
-    return lags
-
-
 def acf(w):
     """Autocorrelation of a sampled waveform at its native lag spacing 1/f_s.
 
@@ -275,15 +282,11 @@ def acf(w):
     all magnitude-based metrics agree.
 
     R is the inverse transform of the real energy spectrum |S|^2, so it is
-    exactly Hermitian. The result is built from R at tau >= 0, conjugated in
-    place from _conj_autocorrelation, and its _null_vertex first null, and
-    AcfResult mirrors them to the lags < 0 on first use.
+    exactly Hermitian. The result is AcfResult._of the _conj_autocorrelation
+    half at tau >= 0, mirrored to the lags < 0 on first use.
     """
-    L = w.n_samples
-    r = _conj_autocorrelation(_correlation_fft(w.samples), L, w.sample_rate)
-    np.conjugate(r, out=r)
-    lags = _lag_grid(L, w.sample_rate, w.T)
-    return AcfResult(lags, r, _null_vertex(lags, np.abs(r)))
+    r = _conj_autocorrelation(_correlation_fft(w.samples), w.n_samples, w.sample_rate)
+    return AcfResult._of(r, w.sample_rate, w.T)
 
 
 def _shift_spectra(samples, f, n_fft):
@@ -317,8 +320,8 @@ def ambiguity(w, doppler_grid):
     (_shift_spectra), so a row's product, indices mod n_fft, is one multiply
     of two contiguous slices. The products of a class's rows are written into
     one (rows x n_fft) block and inverse-transformed by one batched FFT, so
-    a class holds O(rows x n_fft) memory. The nu = 0 row is acf()'s own
-    autocorrelation of S, so it matches acf() bit for bit.
+    a class holds O(rows x n_fft) memory. The nu = 0 row is the values of
+    AcfResult._of the half of S, as in acf(), so it is acf(w).values.
 
     The surface obeys chi(-tau, -nu) = conj(chi(tau, nu)), and the lag axis
     is symmetric, so a row whose exact negation -nu (nu != 0) occurs earlier
@@ -350,8 +353,8 @@ def ambiguity(w, doppler_grid):
         shifted = []
         for k, i, nu in members:
             if nu == 0:
-                rows[k] = _autocorrelation(
-                    np.conj(_conj_autocorrelation(u2[:n_fft], L, w.sample_rate)))
+                rows[k] = AcfResult._of(_conj_autocorrelation(u2[:n_fft], L, w.sample_rate),
+                                        w.sample_rate, w.T).values
             else:
                 shifted.append((k, i, nu))
         if shifted:

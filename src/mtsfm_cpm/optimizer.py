@@ -19,8 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._validation import check_int_at_least, check_p, check_real
-from .metrics import (_conj_autocorrelation, _correlation_fft, _lag_grid, _null_vertex,
-                      _regions, _sidelobe_ratio)
+from .metrics import AcfResult, _conj_autocorrelation, _correlation_fft, _sidelobe_ratio, gisr
 from .mtsfm import MtsfmParams, _beta2, _beta2_weights, _phase_adjoint, _phase_samples
 from .waveform import _json, _unit_samples
 
@@ -134,8 +133,7 @@ class _Run(NamedTuple):
     K: int
     p: int
     n_samples: int
-    lags: np.ndarray  # the lags >= 0 of the native lag grid, as acf() builds them
-    regions: tuple  # metrics._regions: sidelobe, mainlobe weights on those lags
+    regions: tuple  # the start's AcfResult._region_scan: its sidelobe and mainlobe weights
 
 
 class _Correlation(NamedTuple):
@@ -160,19 +158,20 @@ def _correlate(vec, run):
 
 def _start(params, cfg):
     """The _Run of optimizing params under cfg, and the _Correlation of
-    params it was found from: the mainlobe region is fixed at the first null
-    of that |R| (DegenerateMainlobe when it has none), so the start is
-    synthesized and correlated once for the region and its first evaluation."""
+    params it was found from: the regions are the _region_scan of the
+    AcfResult._of a copy of its conj(R) (DegenerateMainlobe without a null),
+    so the start is synthesized and correlated once for them and its first
+    evaluation."""
     n, T = cfg.resolve_n_samples(params.K), params.T
-    run = _Run(params.a0, T, params.K, cfg.p, n, _lag_grid(n, n / T, T), None)
+    run = _Run(params.a0, T, params.K, cfg.p, n, None)
     c = _correlate(params.coefficient_vector(), run)
-    return run._replace(regions=_regions(run.lags, _null_vertex(run.lags, c.magnitudes))), c
+    return run._replace(regions=AcfResult._of(c.r_conj.copy(), n / T, T)._region_scan), c
 
 
 def _score(c, run):
-    """(J, g, |R|) of a _Correlation: the linear-scale sidelobe ratio J,
+    """(J, g, conj(R)) of a _Correlation: the linear-scale sidelobe ratio J,
     scored on the run's fixed mainlobe and sidelobe regions, its exact
-    gradient g over the 2K coefficients, and |R| on the lags 0..L. Its
+    gradient g over the 2K coefficients, and conj(R) on the lags 0..L. Its
     samples and spectrum are overwritten, so a _Correlation is scored once.
 
     The sidelobe ratio is scored on lags >= 0 only, since |R| is even, from
@@ -206,11 +205,11 @@ def _score(c, run):
     s = c.samples
     np.conjugate(s, out=s)
     s *= corr
-    return ratio, _phase_adjoint(s.imag / (L / run.T), run.K), c.magnitudes
+    return ratio, _phase_adjoint(s.imag / (L / run.T), run.K), c.r_conj
 
 
 def _evaluate(vec, run):
-    """(J, g, |R|) of a coefficient vector (_score): every objective
+    """(J, g, conj(R)) of a coefficient vector (_score): every objective
     evaluation of optimize() after the first, which is the start's own."""
     return _score(_correlate(vec, run), run)
 
@@ -338,7 +337,9 @@ def optimize(initial, cfg):
     Every evaluation scores the sidelobe ratio on one mainlobe region,
     [0, first ACF null of the initialization]. The band holds the half-power
     (-3 dB) width, not that null, which moves out by 11-45% over the 13-state
-    mseq63 problem set. final_gisr_db is the result's gisr at its own null.
+    mseq63 problem set. final_gisr_db is the result's gisr at its own null:
+    gisr of AcfResult._of the conj(R) of the evaluation that accepted it,
+    bit for bit gisr of acf() on the result's waveform.
 
     The start is rejected, in this order, with a ValueError when its squared
     RMS bandwidth beta2_ref is 0 (all-zero coefficients) or not finite,
@@ -348,10 +349,7 @@ def optimize(initial, cfg):
 
     ``n_evaluations`` counts objective evaluations; each returns the
     gradient with the objective, so one line-search trial is one evaluation.
-    Each evaluated iterate is synthesized and correlated exactly once: the
-    start's null scan reads the first evaluation's |R| (_start), and
-    final_gisr_db reads the |R| of the evaluation that accepted the result,
-    bit for bit the |R| of acf() on the result's waveform.
+    Each evaluated iterate is synthesized and correlated exactly once.
 
     The loop works on the coefficient vector: line-search trials are
     projected as vectors, a trace record takes the squared bandwidth the
@@ -370,7 +368,7 @@ def optimize(initial, cfg):
                          "the bandwidth band is not finite")
     run, start = _start(initial, cfg)
     band = ((1 - cfg.delta) * beta2_ref, (1 + cfg.delta) * beta2_ref)
-    f, g, mag = _score(start, run)
+    f, g, r_conj = _score(start, run)
     n_evals = 1
     normal = _active_edge(x, g, b2, band, beta2_ref, weights)
     g_t = _tangent(g, normal)
@@ -379,15 +377,15 @@ def optimize(initial, cfg):
     memory = deque(maxlen=MEMORY)
 
     def line_search(d):
-        """(t, accepted (x, b2, f, g, |R|) or None) of a backtracking search along d."""
+        """(t, accepted (x, b2, f, g, conj(R)) or None) of a backtracking search along d."""
         nonlocal n_evals
         t = 1.0
         while True:
             cand, b2c = _project(x + t * d, band, weights)
-            fc, gc, magc = _evaluate(cand, run)
+            fc, gc, rc = _evaluate(cand, run)
             n_evals += 1
             if fc < f and fc <= f + ARMIJO * float(g @ (cand - x)):
-                return t, (cand, b2c, fc, gc, magc)
+                return t, (cand, b2c, fc, gc, rc)
             if t * STEP_SHRINK < MIN_STEP:
                 return t, None
             t *= STEP_SHRINK
@@ -407,7 +405,7 @@ def optimize(initial, cfg):
         if new is None:
             reason = "step_underflow"
         else:
-            x_new, b2, f, g, mag = new
+            x_new, b2, f, g, r_conj = new
             normal = _active_edge(x_new, g, b2, band, beta2_ref, weights)
             g_t_new = _tangent(g, normal)
             s, y = x_new - x, g_t_new - g_t
@@ -425,8 +423,7 @@ def optimize(initial, cfg):
 
     return OptimizationResult(
         params=initial.with_coefficients(x),
-        final_gisr_db=10 * math.log10(_sidelobe_ratio(
-            _regions(run.lags, _null_vertex(run.lags, mag)), mag, cfg.p)),
+        final_gisr_db=gisr(AcfResult._of(r_conj, run.n_samples / run.T, run.T), cfg.p),
         initial_beta2=beta2_ref,
         final_beta2=b2,
         trace=tuple(trace),

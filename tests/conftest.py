@@ -6,7 +6,7 @@ import pytest
 
 from mtsfm_cpm import (MtsfmParams, SamplingConfig, barker_code, fit_fourier,
                        generate_msequence, synthesize_mtsfm, synthesize_pc)
-from mtsfm_cpm.metrics import (MetricsReport, _acf_spectral, _autocorrelation, _band_weights,
+from mtsfm_cpm.metrics import (AcfResult, MetricsReport, _acf_spectral, _band_weights,
                                _conj_autocorrelation, _correlation_fft, _lag_window, _next_pow2,
                                _shift_spectra, acf, gisr, isr)
 from mtsfm_cpm.mtsfm import _beta2, _beta2_weights, _phase_adjoint, _phase_samples
@@ -192,7 +192,8 @@ def row_at_a_time_ambiguity(w, doppler_grid):
             i = math.floor(d)
             fu, fvc = (s[:n_fft] for s in _shift_spectra(w.samples, d - i, n_fft))
             if nu == 0:
-                rows[k] = _autocorrelation(np.conj(_conj_autocorrelation(fu, L, w.sample_rate)))
+                rows[k] = AcfResult._of(_conj_autocorrelation(fu, L, w.sample_rate),
+                                        w.sample_rate, w.T).values
             else:
                 _lag_window(np.fft.ifft(np.roll(fu, i) * np.roll(fvc, -i)), L,
                             cmath.exp(2j * math.pi * nu * t0) / w.sample_rate, rows[k])

@@ -184,8 +184,10 @@ def test_conj_autocorrelation_leaves_its_spectrum_unchanged(mseq63_pc):
     assert spec.tobytes() == before
 
 
-def test_acf_takes_magnitudes_once(mseq63_pc, monkeypatch):
-    a = acf(mseq63_pc)
+@pytest.mark.parametrize("case", ["acf-pc", "acf-k32", "constructor"])
+def test_acf_takes_magnitudes_once(case, mseq63_pc, mseq63_wave32, monkeypatch):
+    w = mseq63_wave32 if case == "acf-k32" else mseq63_pc
+    a = acf(w)
     calls = []
 
     def counting_abs(x, *args, **kwargs):
@@ -193,10 +195,10 @@ def test_acf_takes_magnitudes_once(mseq63_pc, monkeypatch):
         return np.absolute(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "abs", counting_abs)
-    b = AcfResult(a.half_lags, a.half_values, a.null)
+    b = AcfResult(a.half_lags, a.half_values, a.null) if case == "constructor" else acf(w)
     # the metrics and the two-sided magnitudes read that |R|: no further pass
     (psl(b), isr(b), gisr(b, 10), mainlobe_area(b), b.magnitudes)
-    assert calls == [a.half_values.shape]  # |R| on the half, once, at construction
+    assert calls == [(w.n_samples + 1,)]  # |R| on the half, once, at construction
     # magnitudes is the mirror of that |R|, and the |values| of the mirrored R,
     # as |conj z| = |z| bit for bit
     half = np.absolute(b.half_values)

@@ -15,8 +15,9 @@ unguarded. Each entry records its verdict:
   reason given, so the runner expects it to survive.
 
 The runner prints one line per mutant and exits 1 if any verdict does not
-hold. It is run by hand, not in CI: each survivor costs one full run of the
-suite (about 15 s on 2 cores). Run from anywhere:
+hold. CI runs it with --jobs 2 on one leg; each survivor costs one full run
+of the suite (about 15 s on 2 cores), and the whole list about 5 minutes.
+Run from anywhere:
 
     python tools/mutants.py                        # every mutant
     python tools/mutants.py armijo-zero lag-grid-T # the named ones
@@ -82,19 +83,25 @@ MUTANTS = [
     killed("conj-acf-zero-at-T", "metrics.py",
            "    h[L] = 0.0", "    pass",
            "tests/test_metrics.py::test_half_acf_is_exactly_zero_at_lag_T"),
-    killed("acf-real-zero-lag", "metrics.py",
-           "    out[L] = r[0].real  # R(0) is real: imaginary part +0.0", "    pass",
-           "tests/test_metrics.py::test_ambiguity_zero_doppler_row_is_acf[barker13]"),
+    deleted("acf-real-zero-lag", "metrics.py",
+            "    out[L] = r[0].real  # R(0) is real: imaginary part +0.0", "    pass",
+            "every half that reaches _autocorrelation is an AcfResult's, whose R(0) "
+            "AcfResult._own has already made real"),
+    killed("acf-result-real-zero-lag", "metrics.py",
+           "        half[0] = half[0].real  # R(0) is real: imaginary part +0.0", "        pass",
+           "tests/test_metrics.py::test_acf_is_hermitian_bit_for_bit[barker13_wave]"),
+    killed("acf-result-zero-at-T", "metrics.py",
+           "        half[-1] = 0.0  # R(T) is +0+0j", "        pass",
+           "tests/test_metrics.py::test_acf_is_hermitian_bit_for_bit[barker13_wave]"),
     killed("acf-result-shape", "metrics.py",
            "if half_lags.ndim != 1 or half_lags.size < 2 or half.shape != half_lags.shape:",
            "if False:",
            "tests/test_metrics.py::test_acf_result_rejects_a_half_of_the_wrong_shape[short]"),
     killed("acf-minus-T-zero", "metrics.py",
-           "    out[0] = out[-1] = 0.0  # R(-T) is +0+0j, not conj(R(T))",
-           "    out[-1] = 0.0; out[0] = np.conj(out[-1])",
+           "    out[0] = 0.0  # R(-T) is +0+0j, not conj(R(T))", "    out[0] = np.conj(out[-1])",
            "tests/test_metrics.py::test_acf_is_hermitian_bit_for_bit[barker13_wave]"),
     killed("lag-grid-T", "metrics.py",
-           "    lags[L] = T", "    pass",
+           "        lags[-1] = T", "        pass",
            "tests/test_metrics.py::test_acf_lags_end_at_T_bit_for_bit"),
     killed("shift-spectra-on-bin", "metrics.py",
            "    if f == 0:", "    if False:",
